@@ -26,9 +26,11 @@ OBS_THRESHOLD ?= 0.05
 OBS_BENCHTIME ?= 1s
 OBS_COUNT     ?= 4
 
-.PHONY: check vet build test race chaos bench benchdiff bench-capstore obs-smoke obs-overhead fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke fuzz
+SMOKES = obs-smoke fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke
 
-check: vet build race chaos obs-smoke fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke
+.PHONY: check vet build test race chaos bin bench bench-smoke benchdiff bench-capstore obs-overhead fuzz $(SMOKES)
+
+check: vet build race chaos $(SMOKES) bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -69,83 +71,35 @@ benchdiff:
 bench-capstore:
 	$(GO) test ./internal/capstore/ -run '^$$' -bench 'Query' -benchmem
 
-# End-to-end telemetry smoke: boot a real capd with -metrics over a
-# fixture store, drive queries, and fail on unparseable /metrics
-# lines, missing spans in /debug/trace, or a /healthz without the
-# telemetry summary.
-obs-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) run ./cmd/obssmoke -capd bin/capd
+# The binaries the smoke scenarios boot as child processes, each built
+# once however many scenarios share it.
+bin:
+	$(GO) build -o bin/ ./cmd/capd ./cmd/capring ./cmd/fleetd ./cmd/crawl ./cmd/consentd ./cmd/obsd ./cmd/analyzed ./cmd/analyze
 
-# End-to-end fleet smoke: boot capd (-ingest -metrics), fleetd
-# (-metrics) and two crawl workers over a small fixture window, SIGKILL
-# one worker mid-run, and assert the fleet's store is byte-identical to
-# the single-process baseline, the ledger balances, and both /metrics
-# endpoints stay valid.
-fleet-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/fleetd ./cmd/fleetd
-	$(GO) build -o bin/crawl ./cmd/crawl
-	$(GO) run ./cmd/fleetsmoke -capd bin/capd -fleetd bin/fleetd -crawl bin/crawl
+# End-to-end scenarios against real processes (cmd/smoke, one file per
+# scenario; DESIGN.md "Process plumbing" lists what each asserts):
+#
+#   obs-smoke          capd -metrics: every telemetry endpoint valid
+#   fleet-smoke        capd + fleetd + 2 workers, SIGKILL a worker:
+#                      store byte-identical to the single-process run
+#   decision-smoke     consentd under mixed load, answers re-checked
+#                      against the naive reference decoder
+#   replication-smoke  3 capd + capring, SIGKILL a storage node: ring
+#                      repairs it, owned segments byte-identical
+#   pack-smoke         live compaction, SIGKILL mid-pass, re-delivery:
+#                      byte-identical to a never-compacted store
+#   cluster-obs-smoke  obsd over the ring: valid rollups, a trace
+#                      stitched across four processes, a tripped alert
+#   analytics-smoke    analyzed SIGKILL + checkpoint resume: served
+#                      views byte-identical to `analyze -store`
+$(SMOKES): %-smoke: bin
+	$(GO) run ./cmd/smoke $*
 
-# End-to-end decision smoke: boot a real consentd with -metrics, drive
-# mixed traffic (NDJSON batches, single decisions, vendor filters)
-# through the load driver, re-check sampled batch answers against the
-# naive reference decoder, and fail on missing decision metrics or a
-# cold cache.
-decision-smoke:
-	$(GO) build -o bin/consentd ./cmd/consentd
-	$(GO) run ./cmd/decisionsmoke -consentd bin/consentd
-
-# End-to-end replication smoke: three capd storage nodes behind a
-# capring proxy, fleetd + two crawl workers ingesting through the
-# ring, SIGKILL one storage node mid-lease and restart it, then assert
-# the ring repairs the node to convergence, every node's owned
-# segments are byte-identical to the single-process baseline, and the
-# ring's /metrics stays valid with the repl_* families.
-replication-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/capring ./cmd/capring
-	$(GO) build -o bin/fleetd ./cmd/fleetd
-	$(GO) build -o bin/crawl ./cmd/crawl
-	$(GO) run ./cmd/replsmoke -capd bin/capd -capring bin/capring -fleetd bin/fleetd -crawl bin/crawl
-
-# End-to-end pack-engine smoke: boot capd with an aggressive paced
-# compactor, ingest under live compaction, SIGKILL mid-compaction,
-# restart and re-deliver idempotently, force a /compact, then reopen
-# the store (indexed open path on every shard) and assert the full
-# query sweep, logical streams, and manifests are byte-identical to a
-# never-compacted baseline.
-pack-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) run ./cmd/packsmoke -capd bin/capd
-
-# End-to-end fleet-observability smoke: three capds + capring (all
-# -metrics), fleetd + two crawl workers pushing span exports to a real
-# obsd, which scrapes every long-lived node. Asserts valid exposition
-# on every scrape and on the /cluster/metrics rollup, at least one
-# trace stitched across fleetd→worker→capring→capd with zero orphans,
-# and that deliberately induced reorder-buffer sheds trip the shed-rate
-# burn alert.
-cluster-obs-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/capring ./cmd/capring
-	$(GO) build -o bin/fleetd ./cmd/fleetd
-	$(GO) build -o bin/crawl ./cmd/crawl
-	$(GO) build -o bin/obsd ./cmd/obsd
-	$(GO) run ./cmd/clustersmoke -capd bin/capd -capring bin/capring -fleetd bin/fleetd -crawl bin/crawl -obsd bin/obsd
-
-# End-to-end incremental-analytics smoke: boot capd (-ingest) and an
-# analyzed follower with a short checkpoint interval, stream a fixture
-# world, SIGKILL analyzed mid-stream, restart it (must resume from the
-# checkpoint and fold only the suffix), finish the stream, and assert
-# every served view is byte-identical to `analyze -store` batch mode
-# over the same store.
-analytics-smoke:
-	$(GO) build -o bin/capd ./cmd/capd
-	$(GO) build -o bin/analyzed ./cmd/analyzed
-	$(GO) build -o bin/analyze ./cmd/analyze
-	$(GO) run ./cmd/analyticssmoke -capd bin/capd -analyzed bin/analyzed -analyze bin/analyze
+# bench/ is its own module, so the root ./... patterns above never
+# compile it; this stage keeps it building and its smoke pass green
+# against the packages it imports from here.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Telemetry overhead gate: the live recorder must stay within
 # OBS_THRESHOLD of the no-op recorder on both hot paths. Longer
@@ -162,7 +116,9 @@ obs-overhead:
 # boundaries, malformed tuples), retry classification of malformed
 # webworld/chaos error strings, the fleet wire-protocol decoder, both
 # TCF consent-string codecs, the compiled-vs-naive decision kernel
-# differential, and the placement-ring invariants.
+# differential, the placement-ring invariants, the durable append-log
+# scan behind the fleet checkpoint and handoff logs, and the analytics
+# checkpoint header.
 fuzz:
 	$(GO) test ./internal/capturedb/ -run '^$$' -fuzz FuzzScan -fuzztime 30s
 	$(GO) test ./internal/ring/ -run '^$$' -fuzz FuzzRingPlacement -fuzztime 20s
@@ -171,3 +127,5 @@ fuzz:
 	$(GO) test ./internal/tcf/ -run '^$$' -fuzz FuzzDecode$$ -fuzztime 20s
 	$(GO) test ./internal/tcf/ -run '^$$' -fuzz FuzzDecodeV2 -fuzztime 20s
 	$(GO) test ./internal/decision/ -run '^$$' -fuzz FuzzDecideDifferential -fuzztime 30s
+	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogScan -fuzztime 15s
+	$(GO) test ./internal/analytics/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 15s

@@ -29,19 +29,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/capstore"
-	"repro/internal/obs"
+	"repro/internal/daemon"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so that the deferred store close runs
+// before the process exits.
+func run() int {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8402", "listen address (use 127.0.0.1:0 for an ephemeral port)")
 		server    = flag.String("server", "", "capd/capring base URL to follow (e.g. http://127.0.0.1:8400)")
@@ -58,20 +58,15 @@ func main() {
 	if (*server == "") == (*storeDir == "") {
 		fmt.Fprintln(os.Stderr, "analyzed: exactly one of -server or -store is required")
 		flag.Usage()
-		os.Exit(2)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "analyzed:", err)
+		return 1
 	}
 
-	var reg *obs.Registry
-	var tracer *obs.Tracer
-	if *metrics {
-		reg = obs.NewRegistry()
-		// Service is the role, never a per-process identity, so span
-		// exports stay byte-identical across node counts.
-		tracer = obs.NewTracer(obs.TracerConfig{Service: "analyzed"})
-		tracer.RegisterMetrics(reg)
-	}
-
-	engine := analytics.NewEngine(analytics.Config{Registry: reg, Tracer: tracer})
+	d := daemon.New("analyzed", *metrics, *metrics)
+	engine := analytics.NewEngine(analytics.Config{Registry: d.Registry, Tracer: d.Tracer})
 
 	var source analytics.Source
 	if *server != "" {
@@ -80,8 +75,7 @@ func main() {
 	} else {
 		store, err := capstore.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "analyzed:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer store.Close()
 		source = analytics.StoreSource{Store: store}
@@ -98,8 +92,7 @@ func main() {
 	})
 	resumed, err := follower.Resume()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "analyzed: resume:", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("resume: %w", err))
 	}
 	if resumed >= 0 {
 		fmt.Printf("analyzed: resumed from checkpoint at cursor %d\n", resumed)
@@ -107,61 +100,38 @@ func main() {
 		fmt.Printf("analyzed: cold start (no checkpoint in %s), bootstrapping from store\n", *ckptDir)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	bound, err := d.Listen(*addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "analyzed:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	outer := http.NewServeMux()
 	if *metrics {
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/", debug)
 		fmt.Printf("analyzed: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
 	}
-	outer.Handle("/", analytics.NewHandler(analytics.HandlerConfig{
+	d.Handle("/", analytics.NewHandler(analytics.HandlerConfig{
 		Engine:         engine,
 		Follower:       follower,
 		MaxInFlight:    *maxInFly,
 		RequestTimeout: *timeout,
-		Tracer:         tracer,
-	}, reg))
+		Tracer:         d.Tracer,
+	}, d.Registry))
 
-	fmt.Printf("analyzed: serving %d views on %s\n", len(analytics.ViewNames()), ln.Addr())
+	fmt.Printf("analyzed: serving %d views on %s\n", len(analytics.ViewNames()), bound)
 	fmt.Printf("analyzed: endpoints /views /view/NAME /series/NAME /healthz; ≤%d in flight, %v/query; Ctrl-C shuts down gracefully.\n",
 		*maxInFly, *timeout)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	followCtx, stopFollower := context.WithCancel(context.Background())
 	followDone := make(chan struct{})
 	go func() {
 		defer close(followDone)
-		follower.Run(ctx)
+		follower.Run(followCtx)
 	}()
-
-	srv := &http.Server{
-		Handler:           outer,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
+	// The follower writes a final checkpoint on its way out, so a
+	// clean restart resumes at exactly this cursor.
+	err = d.Serve(nil, func() { stopFollower(); <-followDone })
+	if err != nil {
+		return fail(err)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "analyzed:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		// The follower writes a final checkpoint on its way out, so a
-		// clean restart resumes at exactly this cursor.
-		<-followDone
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "analyzed: shutdown:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("analyzed: drained and stopped at cursor %d (lag %d)\n",
-			engine.Cursor(), follower.Lag())
-	}
+	fmt.Printf("analyzed: drained and stopped at cursor %d (lag %d)\n",
+		engine.Cursor(), follower.Lag())
+	return 0
 }

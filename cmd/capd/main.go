@@ -65,21 +65,21 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/capstore"
-	"repro/internal/obs"
+	"repro/internal/daemon"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so that deferred closes run before
+// the process exits.
+func run() int {
 	var (
 		dir        = flag.String("store", "", "capture store directory (required; see crawl -store)")
 		addr       = flag.String("addr", "127.0.0.1:8650", "listen address")
@@ -99,11 +99,15 @@ func main() {
 	flag.Parse()
 	if *dir == "" {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 	if *initShards > 0 && !*ingest {
 		fmt.Fprintln(os.Stderr, "capd: -init-shards only makes sense with -ingest")
-		os.Exit(2)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "capd:", err)
+		return 1
 	}
 
 	var store *capstore.Store
@@ -118,8 +122,7 @@ func main() {
 		store, err = capstore.Open(*dir)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capd:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer store.Close()
 	st := store.Stats()
@@ -144,13 +147,13 @@ func main() {
 			*compactBytes, *compactAge, *compactEvery, *compactPace)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	d := daemon.New("capd", *metrics, *metrics)
+	bound, err := d.Listen(*addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capd:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	fmt.Printf("capd: serving %d captures (%d segments, %d domains, %d request hosts indexed) on %s\n",
-		st.Records, len(st.Shards), st.IndexedDomains, st.IndexedHosts, ln.Addr())
+		st.Records, len(st.Shards), st.IndexedDomains, st.IndexedHosts, bound)
 	fmt.Printf("capd: endpoints /query /count /stats /healthz; ≤%d in flight, %v/request; Ctrl-C shuts down gracefully.\n",
 		*maxInFly, *reqTimeout)
 
@@ -162,54 +165,36 @@ func main() {
 		MaxInFlight:    *maxInFly,
 		RequestTimeout: timeout,
 	}
-	var reg *obs.Registry
-	var tracer *obs.Tracer
 	if *metrics {
-		reg = obs.NewRegistry()
-		// Service is the role, never a per-process identity, so span
-		// exports stay byte-identical across node counts.
-		tracer = obs.NewTracer(obs.TracerConfig{Service: "capd"})
+		store.RegisterMetrics(d.Registry)
+		store.SetTracer(d.Tracer)
+		serveCfg.Registry = d.Registry
+		serveCfg.Metrics = store.Metrics()
+		fmt.Printf("capd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
 	}
-	var ingester *capstore.Ingester
 	if *ingest {
-		ingester, err = capstore.NewIngester(store, capstore.IngestConfig{
+		ingester, err := capstore.NewIngester(store, capstore.IngestConfig{
 			MaxPendingBatches: *maxPending,
-			Registry:          reg,
-			Tracer:            tracer,
+			Registry:          d.Registry,
+			Tracer:            d.Tracer,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capd:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		// /healthz reports the ingest commit cursor so operators can
 		// compare it against analyzed view lag in one probe.
 		serveCfg.Ingester = ingester
-	}
-	// Admin and debug surfaces mount on an outer mux, beside /healthz
-	// and outside the limiter: scrapes, profiles, and compaction
-	// triggers must work exactly when the query path is saturated.
-	outer := http.NewServeMux()
-	if *metrics {
-		tracer.RegisterMetrics(reg)
-		store.RegisterMetrics(reg)
-		store.SetTracer(tracer)
-		serveCfg.Registry = reg
-		serveCfg.Metrics = store.Metrics()
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/", debug)
-		fmt.Printf("capd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
-	}
-	if ingester != nil {
 		// Ingest mounts outside the limiter and its 1 MiB body cap:
 		// the query path's shedding must not starve the fleet's
 		// storage backend, and batches are legitimately large. The
 		// ingester enforces its own body bound and reorder-buffer
 		// shedding instead.
-		outer.Handle("/ingest", ingester)
+		d.Handle("/ingest", ingester)
+		fmt.Printf("capd: remote ingest on POST /ingest (≤%d reorder batches buffered)\n", *maxPending)
 	}
-	outer.HandleFunc("/compact", func(w http.ResponseWriter, r *http.Request) {
+	// Compaction is an admin trigger: like scrapes and profiles it
+	// must work exactly when the query path is saturated.
+	d.Handle("/compact", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -224,38 +209,13 @@ func main() {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"packed_records\":%d,\"packs\":%d,\"compactions\":%d}\n",
 			packed, cst.Packs, cst.Compactions)
-	})
-	outer.Handle("/", capstore.NewResilientHandler(store, serveCfg))
-	var handler http.Handler = outer
-	if ingester != nil {
-		fmt.Printf("capd: remote ingest on POST /ingest (≤%d reorder batches buffered)\n", *maxPending)
+	}))
+	d.Handle("/", capstore.NewResilientHandler(store, serveCfg))
+	if err := d.Serve(nil); err != nil {
+		return fail(err)
 	}
-	srv := &http.Server{
-		Handler: handler,
-		// Slow-loris protection: a client must finish its headers
-		// promptly and keep-alive connections cannot idle forever.
-		// WriteTimeout stays unset: /query legitimately streams for as
-		// long as the per-request context allows.
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "capd:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "capd: shutdown:", err)
-			os.Exit(1)
-		}
-		final := store.Stats()
-		fmt.Printf("capd: drained and stopped (%d queries served, %d rows scanned, %d skipped by indexes)\n",
-			final.QueriesServed, final.RowsScanned, final.RowsSkipped)
-	}
+	final := store.Stats()
+	fmt.Printf("capd: drained and stopped (%d queries served, %d rows scanned, %d skipped by indexes)\n",
+		final.QueriesServed, final.RowsScanned, final.RowsSkipped)
+	return 0
 }

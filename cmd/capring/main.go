@@ -38,23 +38,19 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/capstore"
 	"repro/internal/capstore/replica"
-	"repro/internal/obs"
+	"repro/internal/daemon"
 	"repro/internal/resilience"
 )
 
@@ -81,7 +77,11 @@ func parseNodes(s string) ([]replica.NodeConfig, error) {
 	return nodes, nil
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so that deferred closes (the handoff
+// logs) run before the process exits.
+func run() int {
 	var (
 		nodesFlag  = flag.String("nodes", "", "comma-separated name=url storage nodes (required; capd -ingest instances)")
 		shards     = flag.Int("shards", 0, "segment count the node stores were created with (required)")
@@ -101,23 +101,19 @@ func main() {
 	flag.Parse()
 	if *nodesFlag == "" || *shards <= 0 {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 	nodes, err := parseNodes(*nodesFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capring:", err)
-		os.Exit(2)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "capring:", err)
+		return 1
 	}
 
-	var reg *obs.Registry
-	var tracer *obs.Tracer
-	if *metrics {
-		reg = obs.NewRegistry()
-		// Service is the role, not this process's identity — role names
-		// keep trace exports byte-identical across deployments.
-		tracer = obs.NewTracer(obs.TracerConfig{Service: "capring"})
-		tracer.RegisterMetrics(reg)
-	}
+	d := daemon.New("capring", *metrics, *metrics)
 	w, err := replica.NewWriter(replica.Config{
 		Nodes:             nodes,
 		Shards:            *shards,
@@ -129,22 +125,20 @@ func main() {
 		HandoffDir:        *handoffDir,
 		QuorumTimeout:     *quorumTO,
 		NodeTimeout:       *nodeTO,
-		Registry:          reg,
-		Tracer:            tracer,
+		Registry:          d.Registry,
+		Tracer:            d.Tracer,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capring:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer w.Close()
 
-	ln, err := net.Listen("tcp", *addr)
+	bound, err := d.Listen(*addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capring:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	fmt.Printf("capring: %d-node ring (R=%d, W=%d, seed %d, %d segments) on %s\n",
-		len(nodes), *replicas, *quorum, *seed, *shards, ln.Addr())
+		len(nodes), *replicas, *quorum, *seed, *shards, bound)
 	for _, n := range nodes {
 		fmt.Printf("capring:   node %s at %s\n", n.Name, n.URL)
 	}
@@ -154,19 +148,10 @@ func main() {
 		MaxInFlight: *maxInFly,
 		Timeout:     *reqTimeout,
 	})
-	outer := http.NewServeMux()
-	// /healthz and the telemetry surface live outside the limiter:
+	// /healthz lives outside the limiter like the telemetry surface:
 	// probes and scrapes must work exactly when the ring is shedding.
-	outer.Handle("/healthz", replica.HealthzHandler(w))
-	if reg != nil {
-		// The full capd-style debug surface: metrics, trace export, and
-		// pprof, all outside the limiter so obsd scrapes keep working
-		// while the ring sheds.
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/trace", debug)
-		outer.Handle("/debug/pprof/", debug)
+	d.Handle("/healthz", replica.HealthzHandler(w))
+	if *metrics {
 		fmt.Printf("capring: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof\n")
 	}
 	// POST /compact fans the pack-engine admin trigger out to every
@@ -174,7 +159,7 @@ func main() {
 	// limiter like the other admin surfaces; per-node failures are
 	// reported, not fatal (a down node compacts on its own at restart
 	// or via its background compactor).
-	outer.HandleFunc("/compact", func(rw http.ResponseWriter, r *http.Request) {
+	d.Handle("/compact", http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			rw.Header().Set("Allow", http.MethodPost)
 			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
@@ -207,31 +192,12 @@ func main() {
 		wg.Wait()
 		rw.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(rw).Encode(map[string]any{"nodes": results}) //nolint:errcheck
-	})
-	outer.Handle("/", limiter.Wrap(replica.Handler(w)))
-	srv := &http.Server{
-		Handler: outer,
-		// WriteTimeout stays unset: /query legitimately streams for as
-		// long as the per-request context allows.
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
+	}))
+	d.Handle("/", limiter.Wrap(replica.Handler(w)))
+	if err := d.Serve(nil); err != nil {
+		return fail(err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "capring:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "capring: shutdown:", err)
-			os.Exit(1)
-		}
-		st := w.Stats()
-		fmt.Printf("capring: drained and stopped (%d records committed, next seq %d)\n", st.Committed, st.NextSeq)
-	}
+	st := w.Stats()
+	fmt.Printf("capring: drained and stopped (%d records committed, next seq %d)\n", st.Committed, st.NextSeq)
+	return 0
 }

@@ -36,18 +36,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"repro/internal/capstore"
+	"repro/internal/daemon"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -56,7 +53,11 @@ import (
 	"repro/internal/webworld"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so that the deferred coordinator
+// close (the checkpoint log) runs before the process exits.
+func run() int {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8660", "listen address")
 		ingestURL  = flag.String("ingest", "", "capd ingest base URL (required; capd must run with -ingest)")
@@ -79,7 +80,7 @@ func main() {
 	flag.Parse()
 	if *ingestURL == "" {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	from := simtime.Day(0)
@@ -97,17 +98,9 @@ func main() {
 	fmt.Printf("fleetd: window %s..%s, %d shares in %d-item leases\n",
 		from, to, len(items), *leaseSize)
 
-	var reg *obs.Registry
-	var tracer *obs.Tracer
-	if *metrics || *obsURL != "" {
-		if *metrics {
-			reg = obs.NewRegistry()
-		}
-		// Service is the role, never a per-process identity, so span
-		// exports stay byte-identical across worker counts.
-		tracer = obs.NewTracer(obs.TracerConfig{Service: "fleetd"})
-		tracer.RegisterMetrics(reg)
-	}
+	// Spans are recorded for the local debug surface and for the
+	// export pushed to obsd at drain; either wish turns the tracer on.
+	d := daemon.New("fleetd", *metrics, *metrics || *obsURL != "")
 
 	capCl := capstore.NewClient(*ingestURL)
 	deadLetters := resilience.NewMemDeadLetter()
@@ -122,12 +115,12 @@ func main() {
 			return err
 		},
 		DeadLetter: deadLetters,
-		Registry:   reg,
-		Tracer:     tracer,
+		Registry:   d.Registry,
+		Tracer:     d.Tracer,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer co.Close()
 
@@ -141,34 +134,17 @@ func main() {
 		IngestURL:        *ingestURL,
 		ObsURL:           *obsURL,
 	}
-	handler := fleet.NewHandler(co, rc, fleet.ServerConfig{MaxInFlight: 2 * *maxLeases})
-	if *metrics {
-		outer := http.NewServeMux()
-		debug := obs.Handler(reg, tracer)
-		outer.Handle("/metrics", debug)
-		outer.Handle("/metrics.json", debug)
-		outer.Handle("/debug/", debug)
-		outer.Handle("/", handler)
-		handler = outer
-	}
+	d.Handle("/", fleet.NewHandler(co, rc, fleet.ServerConfig{MaxInFlight: 2 * *maxLeases}))
 
-	ln, err := net.Listen("tcp", *addr)
+	bound, err := d.Listen(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("fleetd: serving /lease /heartbeat /complete /status /config on %s\n", ln.Addr())
+	fmt.Printf("fleetd: serving /lease /heartbeat /complete /status /config on %s\n", bound)
 	if *metrics {
 		fmt.Printf("fleetd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
 	}
-
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
 
 	// Sweep at half the TTL: expired leases reassign within one extra
 	// half-TTL at worst, and pending cursor skips retry on the same beat.
@@ -187,29 +163,27 @@ func main() {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	exitCode := 0
-	select {
-	case err := <-errc:
+	err = d.Serve(co.Done(), func() {
+		select {
+		case <-co.Done():
+		default:
+			// Early shutdown: drop unfinished work so the ledger still
+			// balances, then drain the server.
+			co.Abort()
+			exitCode = 1
+		}
+		<-sweepDone
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-		// Early shutdown: drop unfinished work so the ledger still
-		// balances, then drain the server.
-		co.Abort()
 		exitCode = 1
-	case <-co.Done():
 	}
-	<-sweepDone
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	srv.Shutdown(shutdownCtx) //nolint:errcheck
 
 	// fleetd is ephemeral from obsd's point of view: push the span
 	// export on the way out, where a scrape cadence would miss it.
 	if *obsURL != "" {
-		if err := obs.PushSpans(http.DefaultClient, *obsURL+"/ingest/spans", tracer); err != nil {
+		if err := obs.PushSpans(http.DefaultClient, *obsURL+"/ingest/spans", d.Tracer); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetd: span push:", err)
 		}
 	}
@@ -219,12 +193,12 @@ func main() {
 		l.Submitted, l.Captures, l.DeadLettered, l.Dropped, l.Leases, l.Reassigned, l.DuplicateCompletions)
 	if got := l.Captures + l.DeadLettered + l.Dropped; got != l.Submitted {
 		fmt.Fprintf(os.Stderr, "fleetd: LEDGER VIOLATION: captures+dead+dropped=%d, submitted=%d\n", got, l.Submitted)
-		os.Exit(1)
+		return 1
 	}
 	if n := deadLetters.Len(); n > 0 {
 		fmt.Printf("fleetd: %d dead-lettered shares by reason: %v\n", n, deadLetters.ByReason())
 	}
-	os.Exit(exitCode)
+	return exitCode
 }
 
 // parseDay accepts YYYY-MM-DD or a bare day index.

@@ -32,18 +32,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/daemon"
 	"repro/internal/obs/agg"
 )
 
@@ -99,27 +94,25 @@ func main() {
 		os.Exit(2)
 	}
 
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-	}
+	// obsd records no spans of its own, so no tracer and no /debug/.
+	d := daemon.New("obsd", *metrics, false)
 	a, err := agg.New(agg.Config{
 		Targets:  targets,
 		Interval: *interval,
 		Rules:    rules,
-		Registry: reg,
+		Registry: d.Registry,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obsd:", err)
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	bound, err := d.Listen(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obsd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("obsd: aggregating %d targets every %v on %s\n", len(targets), *interval, ln.Addr())
+	fmt.Printf("obsd: aggregating %d targets every %v on %s\n", len(targets), *interval, bound)
 	for _, t := range targets {
 		fmt.Printf("obsd:   target %s (%s) at %s\n", t.Name, t.Role, t.URL)
 	}
@@ -128,43 +121,18 @@ func main() {
 			r.Name, r.Kind, r.Metric, r.Threshold, r.FastWindow, r.SlowWindow, r.FastBurn, r.SlowBurn)
 	}
 	fmt.Printf("obsd: endpoints /cluster/metrics /cluster/traces /cluster/alerts /cluster/healthz /ingest/spans; Ctrl-C stops.\n")
-
-	mux := http.NewServeMux()
-	mux.Handle("/", agg.Handler(a))
-	if reg != nil {
-		debug := obs.Handler(reg, nil)
-		mux.Handle("/metrics", debug)
-		mux.Handle("/metrics.json", debug)
+	d.Handle("/", agg.Handler(a))
+	if *metrics {
 		fmt.Printf("obsd: telemetry on /metrics, /metrics.json\n")
 	}
 
 	stop := make(chan struct{})
 	scraped := make(chan struct{})
 	go func() { defer close(scraped); a.Run(stop) }()
-
-	srv := &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	if err := d.Serve(nil, func() { close(stop); <-scraped }); err != nil {
 		fmt.Fprintln(os.Stderr, "obsd:", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		close(stop)
-		<-scraped
-		shutdownCtx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "obsd: shutdown:", err)
-			os.Exit(1)
-		}
-		h := a.Health()
-		fmt.Printf("obsd: stopped (%d traces assembled, %d alerts firing)\n", h.Traces, h.AlertsFiring)
 	}
+	h := a.Health()
+	fmt.Printf("obsd: stopped (%d traces assembled, %d alerts firing)\n", h.Traces, h.AlertsFiring)
 }

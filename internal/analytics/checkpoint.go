@@ -2,13 +2,17 @@ package analytics
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/durable"
 )
 
 // Checkpoint files make analyzed restarts cheap: the engine state is
@@ -23,7 +27,7 @@ import (
 //
 // The hash covers exactly the payload. A file whose payload is torn
 // (short, or hash mismatch — a crash mid-write) fails verification
-// and is skipped on open; writes go through tmp + rename + fsync so a
+// and is skipped on open; writes go through durable.WriteFile so a
 // crash never damages a previously durable checkpoint.
 
 const ckptMagic = "analytics-checkpoint v1"
@@ -56,35 +60,15 @@ func WriteCheckpoint(dir string, cursor int64, payload []byte) (string, error) {
 		return "", err
 	}
 	final := filepath.Join(dir, ckptName(cursor))
-	tmp := final + ".tmp"
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s %016x %d\n", ckptMagic, payloadHash(payload), len(payload))
 	buf.Write(payload)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := durable.WriteFile(final, func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
 	if err != nil {
 		return "", err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	pruneCheckpoints(dir, 2)
 	return final, nil
@@ -111,28 +95,38 @@ func pruneCheckpoints(dir string, keep int) {
 	}
 }
 
-// readCheckpoint verifies and returns one checkpoint's payload.
+// readCheckpoint verifies and returns one checkpoint file's payload.
 func readCheckpoint(path string) ([]byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	payload, err := verifyCheckpoint(b)
+	if err != nil {
+		return nil, fmt.Errorf("analytics: checkpoint %s: %w", path, err)
+	}
+	return payload, nil
+}
+
+// verifyCheckpoint checks a checkpoint file's bytes against its own
+// header: payload length and hash must both agree.
+func verifyCheckpoint(b []byte) ([]byte, error) {
 	nl := bytes.IndexByte(b, '\n')
 	if nl < 0 {
-		return nil, fmt.Errorf("analytics: checkpoint %s: no header line", path)
+		return nil, errors.New("no header line")
 	}
 	var wantHash uint64
 	var wantLen int
 	header := string(b[:nl])
 	if _, err := fmt.Sscanf(header, ckptMagic+" %x %d", &wantHash, &wantLen); err != nil {
-		return nil, fmt.Errorf("analytics: checkpoint %s: bad header %q", path, header)
+		return nil, fmt.Errorf("bad header %q", header)
 	}
 	payload := b[nl+1:]
 	if len(payload) != wantLen {
-		return nil, fmt.Errorf("analytics: checkpoint %s: torn payload (%d of %d bytes)", path, len(payload), wantLen)
+		return nil, fmt.Errorf("torn payload (%d of %d bytes)", len(payload), wantLen)
 	}
 	if payloadHash(payload) != wantHash {
-		return nil, fmt.Errorf("analytics: checkpoint %s: payload hash mismatch", path)
+		return nil, errors.New("payload hash mismatch")
 	}
 	return payload, nil
 }

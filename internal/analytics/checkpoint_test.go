@@ -2,8 +2,10 @@ package analytics
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -98,4 +100,43 @@ func TestCheckpointTornTailFallsBack(t *testing.T) {
 	if cur != 7 || !bytes.Equal(payload, good) {
 		t.Fatalf("bit flip survived: cursor %d payload %q", cur, payload)
 	}
+}
+
+// FuzzReadCheckpoint: any payload round-trips through the file format,
+// and arbitrary file bytes are accepted only when the header's length
+// and hash both agree with the payload — an accepted file stops
+// verifying as soon as its payload is cut, extended, or altered.
+func FuzzReadCheckpoint(f *testing.F) {
+	file := func(payload []byte) []byte {
+		return []byte(fmt.Sprintf("%s %016x %d\n%s", ckptMagic, payloadHash(payload), len(payload), payload))
+	}
+	good := file([]byte(`{"cursor":7}`))
+	f.Add(good)
+	f.Add(good[:len(good)-6])
+	f.Add([]byte(ckptMagic + " 0000000000000000 3\nabc"))
+	f.Add([]byte("analytics-checkpoint v2 0 0\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, err := verifyCheckpoint(file(data)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("payload %q did not round-trip: %q, %v", data, got, err)
+		}
+		payload, err := verifyCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if !bytes.HasSuffix(data, payload) || data[len(data)-len(payload)-1] != '\n' {
+			t.Fatalf("accepted %q with payload %q: not the bytes after the header", data, payload)
+		}
+		damaged := [][]byte{append(slices.Clone(data), 'x')}
+		if len(payload) > 0 {
+			flipped := slices.Clone(data)
+			flipped[len(flipped)-1] ^= 0x01
+			damaged = append(damaged, data[:len(data)-1], flipped)
+		}
+		for _, d := range damaged {
+			if _, err := verifyCheckpoint(d); err == nil {
+				t.Fatalf("accepted %q and also its damaged form %q", data, d)
+			}
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/capstore/pack"
 	"repro/internal/capturedb"
+	"repro/internal/durable"
 	"repro/internal/simtime"
 )
 
@@ -300,7 +301,7 @@ func (s *Store) compactShard(i int, cfg *CompactConfig) (int64, error) {
 		return 0, err
 	}
 	segPath := filepath.Join(s.dir, segName(i))
-	if err := rewriteTail(segPath, sh.f, cut, sh.end); err != nil {
+	if err := durable.WriteFile(segPath, copyRange(sh.f, cut, sh.end)); err != nil {
 		return 0, fmt.Errorf("rewriting tail: %w", err)
 	}
 	nf, err := os.OpenFile(segPath, os.O_RDWR, 0o644)

@@ -33,8 +33,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // FNV-64a, resumable: the running state is just the current uint64, so
@@ -152,7 +153,7 @@ type RecordMeta struct {
 // the finished pack on Commit. Not safe for concurrent use.
 type Builder struct {
 	path    string
-	tmp     *os.File
+	tmp     *durable.File
 	base    Base
 	hash    uint64
 	off     int64
@@ -168,7 +169,7 @@ type Builder struct {
 // NewBuilder starts a pack at path (written as path+".tmp" until
 // Commit) whose first record continues the logical stream at base.
 func NewBuilder(path string, base Base) (*Builder, error) {
-	tmp, err := os.Create(path + ".tmp")
+	tmp, err := durable.Create(path)
 	if err != nil {
 		return nil, err
 	}
@@ -216,25 +217,18 @@ func (b *Builder) Add(line []byte, meta RecordMeta) error {
 }
 
 // Abort discards the temp file.
-func (b *Builder) Abort() {
-	if b.tmp != nil {
-		b.tmp.Close()
-		os.Remove(b.tmp.Name())
-		b.tmp = nil
-	}
-}
+func (b *Builder) Abort() { b.tmp.Abort() }
 
 // Commit writes the footer index, fsyncs, renames the pack into place,
 // fsyncs the directory, and returns the opened pack. An empty builder
 // is an error: empty packs carry no information and complicate chain
 // validation.
 func (b *Builder) Commit() (*Pack, error) {
+	defer b.Abort() // a no-op once the file is committed
 	if b.err != nil {
-		b.Abort()
 		return nil, b.err
 	}
 	if len(b.recs) == 0 {
-		b.Abort()
 		return nil, errors.New("pack: refusing to commit an empty pack")
 	}
 	sum := Summary{
@@ -264,77 +258,46 @@ func (b *Builder) Commit() (*Pack, error) {
 	}
 	sum.RecTab = [2]int64{b.off, int64(len(rectab))}
 	if _, err := b.tmp.Write(rectab); err != nil {
-		b.Abort()
 		return nil, err
 	}
 	pos := sum.RecTab[0] + sum.RecTab[1]
 
 	domJSON, err := json.Marshal(b.domains)
 	if err != nil {
-		b.Abort()
 		return nil, err
 	}
 	sum.Domains = [2]int64{pos, int64(len(domJSON))}
 	if _, err := b.tmp.Write(domJSON); err != nil {
-		b.Abort()
 		return nil, err
 	}
 	pos += int64(len(domJSON))
 
 	hostJSON, err := json.Marshal(b.hosts)
 	if err != nil {
-		b.Abort()
 		return nil, err
 	}
 	sum.Hosts = [2]int64{pos, int64(len(hostJSON))}
 	if _, err := b.tmp.Write(hostJSON); err != nil {
-		b.Abort()
 		return nil, err
 	}
 	pos += int64(len(hostJSON))
 
 	sumJSON, err := json.Marshal(sum)
 	if err != nil {
-		b.Abort()
 		return nil, err
 	}
 	trailer := fmt.Sprintf("%s%016x%016x%016x\n",
 		magic, pos, len(sumJSON), HashUpdate(HashOffset, sumJSON))
 	if _, err := b.tmp.Write(sumJSON); err != nil {
-		b.Abort()
 		return nil, err
 	}
 	if _, err := b.tmp.Write([]byte(trailer)); err != nil {
-		b.Abort()
 		return nil, err
 	}
-	if err := b.tmp.Sync(); err != nil {
-		b.Abort()
-		return nil, err
-	}
-	if err := b.tmp.Close(); err != nil {
-		os.Remove(b.path + ".tmp")
-		b.tmp = nil
-		return nil, err
-	}
-	b.tmp = nil
-	if err := os.Rename(b.path+".tmp", b.path); err != nil {
-		os.Remove(b.path + ".tmp")
-		return nil, err
-	}
-	if err := syncDir(filepath.Dir(b.path)); err != nil {
+	if err := b.tmp.Commit(); err != nil {
 		return nil, err
 	}
 	return Open(b.path)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Pack is an opened, immutable pack. Open reads only the trailer and

@@ -10,17 +10,16 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/capturedb"
+	"repro/internal/durable"
 )
 
 // The durable hinted-handoff log mirrors a down node's delivery queue
-// to disk, one JSON hint per line, so hints survive a proxy restart.
-// Like the capstore segments and the fleet checkpoint it is
-// crash-tolerant by torn-tail repair-on-open: a write cut mid-line by
-// a crash leaves a tail that is not a complete, parseable hint line;
-// opening the log keeps the longest valid prefix and truncates the
-// rest. Append is not fsynced per hint (hints are an optimization —
-// anti-entropy repair reconciles any loss), but the valid-prefix scan
-// guarantees a torn log never resurrects corrupt deliveries.
+// to disk, one JSON hint per line in a durable.Log, so hints survive a
+// proxy restart. Append is not fsynced per hint (hints are an
+// optimization — anti-entropy repair reconciles any loss); a torn
+// final hint is truncated on open, and a complete line that is not a
+// hint fails NewWriter rather than silently dropping every hint
+// behind it.
 
 // hint is the wire form of one queued sub-batch.
 type hint struct {
@@ -63,9 +62,7 @@ func (h hint) item() (item, error) {
 
 // handoffLog is one node's durable hint log.
 type handoffLog struct {
-	path string
-	f    *os.File
-	size int64
+	log *durable.Log
 }
 
 // handoffPath names the node's log file.
@@ -80,73 +77,19 @@ func openHandoffLog(dir, nodeName string) (*handoffLog, []hint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	path := handoffPath(dir, nodeName)
-	_, statErr := os.Stat(path)
-	created := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	if created {
-		// The name→inode link is a page of the parent directory, not of
-		// the file: sync it once at creation so a crash cannot drop the
-		// whole log while its appends survive.
-		if err := syncDir(dir); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	hints, valid := validHintPrefix(data)
-	if int64(valid) < int64(len(data)) {
-		// Torn tail: keep the valid prefix, drop the fragment.
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &handoffLog{path: path, f: f, size: int64(valid)}, hints, nil
-}
-
-// syncDir fsyncs a directory so a just-created log's entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// validHintPrefix scans data for the longest prefix of complete,
-// parseable hint lines, returning the decoded hints and the prefix
-// length in bytes. Anything after the first incomplete or unparseable
-// line is a torn tail.
-func validHintPrefix(data []byte) ([]hint, int) {
 	var hints []hint
-	valid := 0
-	for valid < len(data) {
-		nl := bytes.IndexByte(data[valid:], '\n')
-		if nl < 0 {
-			break // no terminator: cut mid-line
-		}
-		line := data[valid : valid+nl]
+	log, err := durable.OpenLog(handoffPath(dir, nodeName), func(line []byte) error {
 		var h hint
 		if err := json.Unmarshal(line, &h); err != nil {
-			break // complete line but not a hint: corrupt, stop here
+			return err
 		}
 		hints = append(hints, h)
-		valid += nl + 1
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: handoff log: %w", err)
 	}
-	return hints, valid
+	return &handoffLog{log: log}, hints, nil
 }
 
 // Append records one queued sub-batch.
@@ -168,25 +111,10 @@ func (l *handoffLog) Append(it item) error {
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	n, err := l.f.Write(line)
-	l.size += int64(n)
-	return err
+	return l.log.Append(line, false)
 }
 
 // Reset drops all hints (delivered, or superseded by repair).
-func (l *handoffLog) Reset() error {
-	if l.size == 0 {
-		return nil
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	l.size = 0
-	return nil
-}
+func (l *handoffLog) Reset() error { return l.log.Reset() }
 
-func (l *handoffLog) Close() error { return l.f.Close() }
+func (l *handoffLog) Close() error { return l.log.Close() }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -478,18 +479,19 @@ func TestHandoffLogTornTailRepair(t *testing.T) {
 			t.Fatalf("hint %d decoded %+v", i, it.caps)
 		}
 	}
-	// A complete-but-corrupt line also stops the valid prefix.
-	if err := os.WriteFile(path, append(append([]byte{}, clean...), []byte("not json\n{}\n")...), 0o644); err != nil {
+	// A complete-but-corrupt line is not crash damage: the open fails
+	// naming file and line, and the log is left as found.
+	corrupt := append(append([]byte{}, clean...), []byte("not json\n{}\n")...)
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	log2.Close()
-	log3, hints3, err := openHandoffLog(dir, "n0")
-	if err != nil {
-		t.Fatal(err)
+	_, _, err = openHandoffLog(dir, "n0")
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 4") {
+		t.Fatalf("corrupt-line log opened with err = %v, want one naming %s line 4", err, path)
 	}
-	defer log3.Close()
-	if len(hints3) != 3 {
-		t.Fatalf("corrupt-line log yields %d hints, want 3", len(hints3))
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, corrupt) {
+		t.Fatalf("corrupt log was modified: %d bytes, want %d", len(after), len(corrupt))
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"repro/internal/capstore/pack"
 	"repro/internal/capture"
 	"repro/internal/capturedb"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -161,6 +162,13 @@ func Create(dir string, shards int) (*Store, error) {
 		}
 		s.shards[i].f = f
 		s.shards[i].bw = bufio.NewWriterSize(f, 1<<16)
+	}
+	// Appends are never fsynced (Open repairs a torn tail and idempotent
+	// re-delivery refills a lost one), but the segment names must
+	// survive a crash or Open would refuse the directory outright.
+	if err := durable.SyncDir(dir); err != nil {
+		s.Close()
+		return nil, err
 	}
 	return s, nil
 }
@@ -343,7 +351,7 @@ func (s *Store) repairTailOverlap(i int, sh *shard, segPath string) error {
 	if pack.HashHex(h) != lp.Summary.Hash {
 		return f.Close() // tail does not duplicate the pack: normal state
 	}
-	if err := rewriteTail(segPath, f, lp.Summary.DataBytes, fi.Size()); err != nil {
+	if err := durable.WriteFile(segPath, copyRange(f, lp.Summary.DataBytes, fi.Size())); err != nil {
 		f.Close()
 		return fmt.Errorf("dropping packed tail prefix: %w", err)
 	}
@@ -352,41 +360,13 @@ func (s *Store) repairTailOverlap(i int, sh *shard, segPath string) error {
 	return nil
 }
 
-// rewriteTail replaces segPath with bytes [from, to) of src via a temp
-// file and atomic rename.
-func rewriteTail(segPath string, src io.ReaderAt, from, to int64) error {
-	tmp, err := os.Create(segPath + ".tmp")
-	if err != nil {
+// copyRange is a durable.WriteFile body producing bytes [from, to) of
+// src — a tail segment minus the prefix a pack now holds.
+func copyRange(src io.ReaderAt, from, to int64) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.Copy(w, io.NewSectionReader(src, from, to-from))
 		return err
 	}
-	if _, err := io.Copy(tmp, io.NewSectionReader(src, from, to-from)); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), segPath); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(filepath.Dir(segPath))
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // openTail scans shard i's tail segment, fills the record metadata and

@@ -1,23 +1,20 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // The checkpoint log is the coordinator's crash-safe progress record:
-// one JSON line per finally-accounted chunk (done or dead), appended
-// and fsynced before the outcome is acknowledged. A restarted
-// coordinator replays the log against the deterministically
-// reconstructed work list — the (chunk index, first, n) triple is
-// validated on replay, so a log from a different seed or window fails
-// loudly instead of silently mis-attributing progress. A torn final
-// line (crash mid-append) is truncated away on open, mirroring
-// capstore's segment-tail repair.
+// one JSON line per finally-accounted chunk (done or dead) in a
+// durable.Log, appended and fsynced before the outcome is
+// acknowledged. A restarted coordinator replays the log against the
+// deterministically reconstructed work list — the (chunk index,
+// first, n) triple is validated on replay, so a log from a different
+// seed or window fails loudly instead of silently mis-attributing
+// progress.
 
 const (
 	ckptDone = "done"
@@ -34,132 +31,33 @@ type ckptRecord struct {
 	Dead     int64  `json:"dead,omitempty"`
 }
 
-type checkpointLog struct {
-	f *os.File
-}
-
-// openCheckpoint opens (or creates) the log at path and repairs a torn
-// tail so the append position starts at the last complete record.
-func openCheckpoint(path string) (*checkpointLog, error) {
-	_, statErr := os.Stat(path)
-	created := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: opening checkpoint: %w", err)
-	}
-	if created {
-		// Appends fsync the file, but the name→inode link lives in the
-		// parent directory's own page: without syncing it, a crash right
-		// after creation can lose the whole file, and a restarted
-		// coordinator would silently start from zero.
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: syncing checkpoint dir: %w", err)
-		}
-	}
-	valid, err := validPrefix(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: repairing checkpoint tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &checkpointLog{f: f}, nil
-}
-
-// validPrefix scans for the byte length of the intact record prefix.
-// A complete-but-malformed line is an error (the log is corrupt, not
-// merely torn); only an unterminated, unparseable tail is repairable.
-func validPrefix(f *os.File) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	br := bufio.NewReader(f)
-	var valid int64
-	line := 0
-	for {
-		data, err := br.ReadBytes('\n')
-		if err != nil && err != io.EOF {
-			return 0, err
-		}
-		if len(data) == 0 {
-			return valid, nil
-		}
-		line++
-		if data[len(data)-1] != '\n' {
-			// Append writes record+newline in one call, so any
-			// unterminated tail is a torn write: truncate it.
-			return valid, nil
-		}
+// openCheckpoint opens (or creates) the log at path and returns its
+// records in append order.
+func openCheckpoint(path string) (*durable.Log, []ckptRecord, error) {
+	var recs []ckptRecord
+	log, err := durable.OpenLog(path, func(line []byte) error {
 		var r ckptRecord
-		if jerr := json.Unmarshal(data, &r); jerr != nil {
-			return 0, fmt.Errorf("fleet: checkpoint line %d corrupt: %v", line, jerr)
-		}
-		valid += int64(len(data))
-	}
-}
-
-// Replay streams the log's records to fn in append order.
-func (l *checkpointLog) Replay(fn func(ckptRecord) error) error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	br := bufio.NewReader(l.f)
-	for {
-		data, err := br.ReadBytes('\n')
-		if len(data) > 0 && data[len(data)-1] == '\n' {
-			var r ckptRecord
-			if jerr := json.Unmarshal(data, &r); jerr != nil {
-				return fmt.Errorf("fleet: checkpoint replay: %v", jerr)
-			}
-			if ferr := fn(r); ferr != nil {
-				return ferr
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+		if err := json.Unmarshal(line, &r); err != nil {
 			return err
 		}
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet: opening checkpoint: %w", err)
 	}
-	_, err := l.f.Seek(0, io.SeekEnd)
-	return err
+	return log, recs, nil
 }
 
-// Append durably records one chunk outcome: written, then fsynced,
-// before the coordinator acknowledges the completion.
-func (l *checkpointLog) Append(r ckptRecord) error {
+// appendCheckpoint durably records one chunk outcome: written, then
+// fsynced, before the coordinator acknowledges the completion.
+func appendCheckpoint(log *durable.Log, r ckptRecord) error {
 	data, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if _, err := l.f.Write(data); err != nil {
+	if err := log.Append(data, true); err != nil {
 		return fmt.Errorf("fleet: checkpoint append: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: checkpoint sync: %w", err)
-	}
 	return nil
-}
-
-func (l *checkpointLog) Close() error { return l.f.Close() }
-
-// syncDir fsyncs a directory. A newly created file is only durable
-// once both its data pages and its directory entry are on stable
-// storage; file.Sync covers the former, this covers the latter.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

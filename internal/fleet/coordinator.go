@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/simtime"
@@ -145,7 +146,7 @@ type Coordinator struct {
 	skips []skipRange
 	// lastSeen tracks worker liveness for the fleet_workers_live gauge.
 	lastSeen map[string]time.Time
-	ckpt     *checkpointLog
+	ckpt     *durable.Log
 	done     chan struct{}
 	doneSet  bool
 	spans    map[int64]*obs.Span
@@ -214,11 +215,11 @@ func NewCoordinator(items []WorkItem, cfg CoordinatorConfig) (*Coordinator, erro
 	}
 	co.ledger.Submitted = int64(len(items))
 	if cfg.CheckpointPath != "" {
-		ckpt, err := openCheckpoint(cfg.CheckpointPath)
+		ckpt, recs, err := openCheckpoint(cfg.CheckpointPath)
 		if err != nil {
 			return nil, err
 		}
-		if err := co.replay(ckpt); err != nil {
+		if err := co.replay(recs); err != nil {
 			ckpt.Close()
 			return nil, err
 		}
@@ -230,8 +231,8 @@ func NewCoordinator(items []WorkItem, cfg CoordinatorConfig) (*Coordinator, erro
 }
 
 // replay applies a checkpoint log's records to the fresh chunk list.
-func (co *Coordinator) replay(ckpt *checkpointLog) error {
-	return ckpt.Replay(func(r ckptRecord) error {
+func (co *Coordinator) replay(recs []ckptRecord) error {
+	for _, r := range recs {
 		if r.Chunk < 0 || r.Chunk >= len(co.chunks) {
 			return fmt.Errorf("fleet: checkpoint names chunk %d of %d — log does not match this work list", r.Chunk, len(co.chunks))
 		}
@@ -257,8 +258,8 @@ func (co *Coordinator) replay(ckpt *checkpointLog) error {
 		}
 		co.ledger.Captures += r.Captures
 		co.ledger.DeadLettered += r.Dead
-		return nil
-	})
+	}
+	return nil
 }
 
 // Grant answers a lease request: a grant, an idle hint, or drained.
@@ -418,7 +419,7 @@ func (co *Coordinator) Complete(worker string, lease int64, results []Result) *F
 		delete(co.spans, lease)
 	}
 	if co.ckpt != nil {
-		if err := co.ckpt.Append(ckptRecord{Kind: ckptDone, Chunk: c.idx, First: c.first, N: c.n(), Captures: caps, Dead: dead}); err != nil {
+		if err := appendCheckpoint(co.ckpt, ckptRecord{Kind: ckptDone, Chunk: c.idx, First: c.first, N: c.n(), Captures: caps, Dead: dead}); err != nil {
 			// The in-memory account stays authoritative; a restart just
 			// re-runs this chunk (idempotent downstream).
 			return &Frame{Type: FrameError, Err: fmt.Sprintf("checkpoint append: %v", err)}
@@ -512,7 +513,7 @@ func (co *Coordinator) killLocked(c *chunk) {
 	}
 	co.skips = append(co.skips, skipRange{at: c.first, n: int64(c.n())})
 	if co.ckpt != nil {
-		co.ckpt.Append(ckptRecord{Kind: ckptDead, Chunk: c.idx, First: c.first, N: c.n(), Dead: dead}) //nolint:errcheck
+		appendCheckpoint(co.ckpt, ckptRecord{Kind: ckptDead, Chunk: c.idx, First: c.first, N: c.n(), Dead: dead}) //nolint:errcheck
 	}
 }
 
