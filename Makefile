@@ -67,9 +67,12 @@ benchdiff:
 	$(GO) build -o bin/benchdiff ./cmd/benchdiff
 	./bin/benchdiff -compare -threshold $(THRESHOLD) $(OLD) $(NEW)
 
-# The capture-store perf pair: linear scan vs. indexed query.
+# The capture-store perf pairs: linear scan vs. indexed query on one
+# store, and what a ring is asked (sweep, domain, host, count) through
+# replica.Reader at one node vs. three.
 bench-capstore:
 	$(GO) test ./internal/capstore/ -run '^$$' -bench 'Query' -benchmem
+	$(GO) test . -run '^$$' -bench 'ReplicatedQueryFanout' -benchmem
 
 # The binaries the smoke scenarios boot as child processes, each built
 # once however many scenarios share it.

@@ -755,73 +755,112 @@ func BenchmarkDecideBatch(b *testing.B) {
 }
 
 // BenchmarkReplicatedQueryFanout prices the replicated store's read
-// path (DESIGN.md §11): a full query sweep through replica.Reader,
-// which serves each store segment from the first healthy replica, as a
-// single-node degenerate ring (R=1 — the fan-out machinery with no
-// replication) versus a three-node R=2 ring. The records and shard
-// layout are identical, so the delta is pure placement/fan-out cost:
-// per-segment replica selection plus the connection spread across
-// three backends instead of one.
+// path (DESIGN.md §11) through replica.Reader, as a single-node
+// degenerate ring (R=1 — the read machinery with no replication) versus
+// a three-node R=2 ring holding the same records in the same shard
+// layout. nodes=N is the full sweep, where the delta is pure
+// placement/fan-out cost: per-segment replica selection plus streams
+// spread across three backends instead of one. domain/, host/ and
+// count/ are what a ring is mostly asked: one domain's captures (routed
+// to its segment), one CMP indicator host's captures (an indexed
+// fan-out), and that host's count (answered from the posting lists).
 func BenchmarkReplicatedQueryFanout(b *testing.B) {
 	benchSetup(b)
 	caps := core.EUUniversityStore(benchCampaign).All()
 	const shards = 8
-	run := func(nodes, replicas int) func(b *testing.B) {
-		return func(b *testing.B) {
-			cfg := replica.Config{
-				Shards:        shards,
-				Seed:          11,
-				Replicas:      replicas,
-				Quorum:        1,
-				QuorumTimeout: 10 * time.Second,
-				NodeTimeout:   30 * time.Second,
-			}
-			for i := 0; i < nodes; i++ {
-				store, err := capstore.Create(b.TempDir(), shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { store.Close() })
-				ing, err := capstore.NewIngester(store, capstore.IngestConfig{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mux := http.NewServeMux()
-				mux.Handle("/ingest", ing)
-				mux.Handle("/", capstore.NewResilientHandler(store, capstore.ServeConfig{}))
-				srv := httptest.NewServer(mux)
-				b.Cleanup(srv.Close)
-				cfg.Nodes = append(cfg.Nodes, replica.NodeConfig{Name: "node-" + strconv.Itoa(i), URL: srv.URL})
-			}
-			w, err := replica.NewWriter(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { w.Close() })
-			if _, err := w.RecordBatch(caps); err != nil {
-				b.Fatal(err)
-			}
-			if err := w.WaitConverged(30 * time.Second); err != nil {
-				b.Fatal(err)
-			}
-			r := w.Reader()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got := 0
-				if err := r.Query(capturedb.Query{}, 0, 0, func(*capture.Capture) bool {
-					got++
-					return true
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if got != len(caps) {
-					b.Fatalf("sweep returned %d records, want %d", got, len(caps))
-				}
+	// The keys come from the data: a domain from the middle of the
+	// corpus and the most requested host (ties broken by name).
+	domain := caps[len(caps)/2].FinalDomain
+	hostHits := map[string]int{}
+	for _, c := range caps {
+		for _, rq := range c.Requests {
+			hostHits[rq.Host]++
+		}
+	}
+	host := ""
+	for h, n := range hostHits {
+		if n > hostHits[host] || (n == hostHits[host] && h < host) {
+			host = h
+		}
+	}
+	want := map[string]int{}
+	queries := map[string]capturedb.Query{"": {}, "domain/": {Domain: domain}, "host/": {RequestHost: host}}
+	for name, q := range queries {
+		for _, c := range caps {
+			if q.Match(c) {
+				want[name]++
 			}
 		}
 	}
-	b.Run("nodes=1", run(1, 1))
-	b.Run("nodes=3", run(3, 2))
+
+	ring := func(nodes, replicas int) *replica.Reader {
+		cfg := replica.Config{
+			Shards:        shards,
+			Seed:          11,
+			Replicas:      replicas,
+			Quorum:        1,
+			QuorumTimeout: 10 * time.Second,
+			NodeTimeout:   30 * time.Second,
+		}
+		for i := 0; i < nodes; i++ {
+			store, err := capstore.Create(b.TempDir(), shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { store.Close() })
+			ing, err := capstore.NewIngester(store, capstore.IngestConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mux := http.NewServeMux()
+			mux.Handle("/ingest", ing)
+			mux.Handle("/", capstore.NewResilientHandler(store, capstore.ServeConfig{}))
+			srv := httptest.NewServer(mux)
+			b.Cleanup(srv.Close)
+			cfg.Nodes = append(cfg.Nodes, replica.NodeConfig{Name: "node-" + strconv.Itoa(i), URL: srv.URL})
+		}
+		w, err := replica.NewWriter(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { w.Close() })
+		if _, err := w.RecordBatch(caps); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.WaitConverged(30 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+		return w.Reader()
+	}
+	for _, topo := range []struct {
+		name            string
+		nodes, replicas int
+	}{{"nodes=1", 1, 1}, {"nodes=3", 3, 2}} {
+		r := ring(topo.nodes, topo.replicas)
+		for _, kind := range []string{"", "domain/", "host/"} {
+			b.Run(kind+topo.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					got := 0
+					if err := r.Query(queries[kind], 0, 0, func(*capture.Capture) bool {
+						got++
+						return true
+					}); err != nil {
+						b.Fatal(err)
+					}
+					if got != want[kind] {
+						b.Fatalf("query returned %d records, want %d", got, want[kind])
+					}
+				}
+			})
+		}
+		b.Run("count/"+topo.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got, err := r.Count(queries["host/"]); err != nil || got != want["host/"] {
+					b.Fatalf("count = %d, %v; want %d", got, err, want["host/"])
+				}
+			}
+		})
+	}
 }
 
 // The open-path fixture stores, keyed "records-variant", are built

@@ -2,6 +2,7 @@ package capstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,12 +81,16 @@ func params(q capturedb.Query, limit, offset int) url.Values {
 	return v
 }
 
-func (cl *Client) get(path string, v url.Values) (*http.Response, error) {
+func (cl *Client) get(ctx context.Context, path string, v url.Values) (*http.Response, error) {
 	u := cl.BaseURL + path
 	if enc := v.Encode(); enc != "" {
 		u += "?" + enc
 	}
-	resp, err := cl.httpClient().Get(u)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := cl.httpClient().Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +107,12 @@ func (cl *Client) get(path string, v url.Values) (*http.Response, error) {
 // unlimited). A stream cut mid-record surfaces as an error
 // (capturedb.ErrTruncated or a transport error), never as a clean end.
 func (cl *Client) Query(q capturedb.Query, limit, offset int, fn func(*capture.Capture) bool) error {
-	resp, err := cl.get("/query", params(q, limit, offset))
+	return cl.stream(context.Background(), params(q, limit, offset), fn)
+}
+
+// stream runs one /query request and decodes its rows to fn.
+func (cl *Client) stream(ctx context.Context, v url.Values, fn func(*capture.Capture) bool) error {
+	resp, err := cl.get(ctx, "/query", v)
 	if err != nil {
 		return err
 	}
@@ -124,7 +134,11 @@ func (cl *Client) Query(q capturedb.Query, limit, offset int, fn func(*capture.C
 
 // Count runs the query server-side via /count.
 func (cl *Client) Count(q capturedb.Query) (int, error) {
-	resp, err := cl.get("/count", params(q, 0, 0))
+	return cl.count(context.Background(), params(q, 0, 0))
+}
+
+func (cl *Client) count(ctx context.Context, v url.Values) (int, error) {
+	resp, err := cl.get(ctx, "/count", v)
 	if err != nil {
 		return 0, err
 	}
@@ -144,7 +158,7 @@ func (cl *Client) Count(q capturedb.Query) (int, error) {
 // enabled.
 func (cl *Client) Health() (Health, error) {
 	var h Health
-	resp, err := cl.get("/healthz", nil)
+	resp, err := cl.get(context.Background(), "/healthz", nil)
 	if err != nil {
 		return h, err
 	}
@@ -333,27 +347,16 @@ func (cl *Client) RecordStream(r io.Reader) (IngestResult, error) {
 }
 
 // CountShard runs the query server-side against one segment.
-func (cl *Client) CountShard(shard int, q capturedb.Query) (int, error) {
+func (cl *Client) CountShard(ctx context.Context, shard int, q capturedb.Query) (int, error) {
 	v := params(q, 0, 0)
 	v.Set("shard", strconv.Itoa(shard))
-	resp, err := cl.get("/count", v)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Count int `json:"count"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, fmt.Errorf("capstore: /count: %w", err)
-	}
-	return out.Count, nil
+	return cl.count(ctx, v)
 }
 
 // Manifest fetches the server's per-segment content summary.
 func (cl *Client) Manifest() (Manifest, error) {
 	var m Manifest
-	resp, err := cl.get("/manifest", nil)
+	resp, err := cl.get(context.Background(), "/manifest", nil)
 	if err != nil {
 		return m, err
 	}
@@ -371,7 +374,7 @@ func (cl *Client) PrefixManifest(shard, n int) (SegmentManifest, error) {
 	v := url.Values{}
 	v.Set("shard", strconv.Itoa(shard))
 	v.Set("n", strconv.Itoa(n))
-	resp, err := cl.get("/manifest", v)
+	resp, err := cl.get(context.Background(), "/manifest", v)
 	if err != nil {
 		return m, err
 	}
@@ -389,7 +392,7 @@ func (cl *Client) SegmentReader(shard, from int) (io.ReadCloser, error) {
 	v := url.Values{}
 	v.Set("shard", strconv.Itoa(shard))
 	v.Set("from", strconv.Itoa(from))
-	resp, err := cl.get("/segment", v)
+	resp, err := cl.get(context.Background(), "/segment", v)
 	if err != nil {
 		return nil, err
 	}
@@ -399,26 +402,15 @@ func (cl *Client) SegmentReader(shard, from int) (io.ReadCloser, error) {
 // QueryShard streams one segment's matches — the replicated read
 // path's per-segment fan-out unit. Semantics otherwise match Query.
 func (cl *Client) QueryShard(shard int, q capturedb.Query, limit, offset int, fn func(*capture.Capture) bool) error {
+	return cl.QueryShardContext(context.Background(), shard, q, limit, offset, fn)
+}
+
+// QueryShardContext is QueryShard bound to ctx: cancelling it abandons
+// the stream and releases the connection.
+func (cl *Client) QueryShardContext(ctx context.Context, shard int, q capturedb.Query, limit, offset int, fn func(*capture.Capture) bool) error {
 	v := params(q, limit, offset)
 	v.Set("shard", strconv.Itoa(shard))
-	resp, err := cl.get("/query", v)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	rr := capturedb.NewRecordReader(resp.Body)
-	for {
-		c, err := rr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if !fn(c) {
-			return nil
-		}
-	}
+	return cl.stream(ctx, v, fn)
 }
 
 // CompactResult is capd's /compact response: what one forced
@@ -451,7 +443,7 @@ func (cl *Client) Compact() (CompactResult, error) {
 // Stats fetches the server's store snapshot.
 func (cl *Client) Stats() (Stats, error) {
 	var st Stats
-	resp, err := cl.get("/stats", nil)
+	resp, err := cl.get(context.Background(), "/stats", nil)
 	if err != nil {
 		return st, err
 	}

@@ -553,3 +553,43 @@ func TestCompactionAccounting(t *testing.T) {
 		t.Fatalf("out-of-range day query skipped %d rows, want 200", skipped)
 	}
 }
+
+// TestIndexOnlyCount: a count whose predicates are all index metadata
+// — at most one key, day bounds, the failed flag — is answered from
+// pack and tail posting lists without reading a record, and agrees
+// with the rows Query returns; a vantage or a second key needs the
+// record bodies.
+func TestIndexOnlyCount(t *testing.T) {
+	packed, _, _, _ := twinStores(t, 400, []int{150, 300}) // two packs and a tail per shard
+	for _, tc := range []struct {
+		q         capturedb.Query
+		indexOnly bool
+	}{
+		{capturedb.Query{Domain: "site-001.com"}, true},
+		{capturedb.Query{Domain: "site-001.com", IncludeFailed: true, From: 30}, true},
+		{capturedb.Query{RequestHost: "cdn.cookielaw.org", From: 50, To: 250}, true},
+		{capturedb.Query{RequestHost: "consent.cookiebot.com", HasTo: true}, true},
+		{capturedb.Query{From: 100, To: 200, IncludeFailed: true}, true},
+		{capturedb.Query{Domain: "site-002.com", RequestHost: "cdn.cookielaw.org"}, false},
+		{capturedb.Query{RequestHost: "cdn.cookielaw.org", Vantage: "eu-cloud"}, false},
+		{capturedb.Query{Vantage: "eu-cloud", From: 10}, false},
+	} {
+		rows := 0
+		if err := packed.Query(tc.q, func(*capture.Capture) bool { rows++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		base := packed.Stats()
+		n, err := packed.Count(tc.q)
+		if err != nil || n != rows {
+			t.Errorf("%+v: count %d, %v; Query returns %d rows", tc.q, n, err, rows)
+		}
+		st := packed.Stats()
+		read := st.RowsScanned - base.RowsScanned
+		if tc.indexOnly != (read == 0) && rows > 0 {
+			t.Errorf("%+v: count read %d records, index-only = %v", tc.q, read, tc.indexOnly)
+		}
+		if got := read + st.RowsSkipped - base.RowsSkipped; got != 400 {
+			t.Errorf("%+v: count accounted for %d of 400 records", tc.q, got)
+		}
+	}
+}

@@ -254,46 +254,44 @@ func parseHTTPQuery(values url.Values) (q capturedb.Query, limit, offset int, er
 	return q, limit, offset, nil
 }
 
-// handleQuery streams matches as NDJSON with limit/offset pagination.
-// A shard=N parameter restricts the query to one segment (offset then
-// paginates within that segment's stream) — the replicated read path's
-// unit of fan-out.
+// parseRead reads a /query or /count request: the query dialect plus
+// the optional shard=N parameter as the shard range [lo, hi) to run it
+// over — one segment, the replicated read path's unit of fan-out, or,
+// when absent, the whole store.
+func (s *Store) parseRead(values url.Values) (q capturedb.Query, limit, offset, lo, hi int, err error) {
+	if q, limit, offset, err = parseHTTPQuery(values); err != nil {
+		return
+	}
+	shard, err := parseShard(values)
+	switch {
+	case err != nil:
+	case shard < 0:
+		hi = len(s.shards)
+	case shard >= len(s.shards):
+		err = fmt.Errorf("no shard %d (store has %d)", shard, len(s.shards))
+	default:
+		lo, hi = shard, shard+1
+	}
+	return
+}
+
+// handleQuery streams matches as NDJSON with limit/offset pagination;
+// with shard=N, offset paginates within that segment's stream. The
+// request context is honoured between rows (see ctxEvery), so long
+// streams degrade by being cut, not by buffering forever.
 func (s *Store) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, limit, offset, err := parseHTTPQuery(r.URL.Query())
+	q, limit, offset, lo, hi, err := s.parseRead(r.URL.Query())
 	if err != nil {
 		http.Error(w, "capstore: "+err.Error(), http.StatusBadRequest)
 		return
-	}
-	shard, err := parseShard(r.URL.Query())
-	if err != nil {
-		http.Error(w, "capstore: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	run := s.Query
-	if shard >= 0 {
-		if shard >= len(s.shards) {
-			http.Error(w, fmt.Sprintf("capstore: no shard %d (store has %d)", shard, len(s.shards)), http.StatusBadRequest)
-			return
-		}
-		run = func(q capturedb.Query, fn func(*capture.Capture) bool) error {
-			return s.QueryShard(shard, q, fn)
-		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
 	sent, seen := 0, 0
 	var werr error
-	qerr := run(q, func(c *capture.Capture) bool {
+	_, qerr := s.run(ctx, lo, hi, q, func(c *capture.Capture) bool {
 		seen++
-		// Honour the per-request deadline/cancellation between rows so
-		// long streams degrade by being cut, not by buffering forever.
-		if (seen-1)%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				werr = err
-				return false
-			}
-		}
 		if seen <= offset {
 			return true
 		}
@@ -311,51 +309,44 @@ func (s *Store) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return limit == 0 || sent < limit
 	})
-	if qerr != nil && sent == 0 && werr == nil {
-		http.Error(w, "capstore: "+qerr.Error(), http.StatusInternalServerError)
+	if qerr == nil && werr == nil {
 		return
 	}
-	if werr != nil && ctx.Err() != nil && sent == 0 {
-		// Deadline hit before the first row went out: a clean 503.
-		http.Error(w, "capstore: request timed out", http.StatusServiceUnavailable)
-		return
-	}
-	if ((qerr != nil && werr == nil) || (werr != nil && ctx.Err() != nil)) && sent > 0 {
+	timedOut := ctx.Err() != nil
+	switch {
+	case sent > 0 && (werr == nil || timedOut):
 		// Mid-stream failure or timeout: the status line is gone; cut
 		// the connection so the client sees a torn stream, not a clean
 		// end.
 		panic(http.ErrAbortHandler)
+	case sent == 0 && timedOut:
+		// Deadline hit before the first row went out: a clean 503.
+		http.Error(w, "capstore: request timed out", http.StatusServiceUnavailable)
+	case sent == 0 && werr == nil:
+		http.Error(w, "capstore: "+qerr.Error(), http.StatusInternalServerError)
 	}
 }
 
 // handleCount answers {"count": N}; shard=N restricts to one segment.
+// A count that has to read records honours the request context as
+// /query does and answers 503 once it has expired.
 func (s *Store) handleCount(w http.ResponseWriter, r *http.Request) {
-	q, _, _, err := parseHTTPQuery(r.URL.Query())
+	q, _, _, lo, hi, err := s.parseRead(r.URL.Query())
 	if err != nil {
 		http.Error(w, "capstore: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	shard, err := parseShard(r.URL.Query())
-	if err != nil {
-		http.Error(w, "capstore: "+err.Error(), http.StatusBadRequest)
+	n, err := s.run(r.Context(), lo, hi, q, nil)
+	switch {
+	case err != nil && r.Context().Err() != nil:
+		http.Error(w, "capstore: request timed out", http.StatusServiceUnavailable)
 		return
-	}
-	var n int
-	if shard >= 0 {
-		if shard >= len(s.shards) {
-			http.Error(w, fmt.Sprintf("capstore: no shard %d (store has %d)", shard, len(s.shards)), http.StatusBadRequest)
-			return
-		}
-		err = s.QueryShard(shard, q, func(*capture.Capture) bool { n++; return true })
-	} else {
-		n, err = s.Count(q)
-	}
-	if err != nil {
+	case err != nil:
 		http.Error(w, "capstore: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"count": n}) //nolint:errcheck
+	json.NewEncoder(w).Encode(map[string]int64{"count": n}) //nolint:errcheck
 }
 
 // handleManifest answers the store's per-segment content summary.

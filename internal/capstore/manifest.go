@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"repro/internal/capstore/pack"
-	"repro/internal/capture"
-	"repro/internal/capturedb"
 )
 
 // The manifest API is the replicated store's diff surface: a replica
@@ -239,25 +237,6 @@ func (s *Store) segmentRange(i int) (records int, bytes int64, err error) {
 		return 0, 0, err
 	}
 	return v.records(), v.bytes(), nil
-}
-
-// QueryShard streams shard i's matches to fn in record order — the
-// unit of the replicated read fan-out, where each segment is served by
-// whichever replica answers first. Matching semantics are exactly
-// Query's, restricted to one segment, spliced across packs and tail.
-func (s *Store) QueryShard(i int, q capturedb.Query, fn func(*capture.Capture) bool) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("capstore: no shard %d", i)
-	}
-	s.counters.queries.Add(1)
-	v, err := s.shards[i].snapshotScan()
-	if err != nil {
-		return err
-	}
-	scanned, skipped, _, err := scanView(&v, q, fn)
-	s.counters.rowsScanned.Add(scanned)
-	s.counters.rowsSkipped.Add(skipped)
-	return err
 }
 
 // DiffKind classifies one segment's relation to a peer's.

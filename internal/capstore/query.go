@@ -1,6 +1,7 @@
 package capstore
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -15,11 +16,11 @@ import (
 
 // Query streams matching captures to fn in canonical store order
 // (shard number, then pack-chain position, then tail position);
-// returning false from fn stops early. The planner picks the most
-// selective access path: domain index, request-host posting list, or
-// a scan pruned by per-pack and tail day ranges. Results are exactly
-// those a linear capturedb.Scan over the logical record stream (packs
-// then tail, per shard) would yield.
+// returning false from fn stops early. Each shard is answered by the
+// most selective access path (see plan): domain index, request-host
+// posting list, or a scan pruned by per-pack and tail day ranges.
+// Results are exactly those a linear capturedb.Scan over the logical
+// record stream (packs then tail, per shard) would yield.
 //
 // Queries running concurrently with ingest and compaction see a
 // consistent per-shard prefix of the store: each shard's pack chain,
@@ -27,63 +28,199 @@ import (
 // hold, so a record is visible exactly once — in a pack or in the
 // tail — and only once it is fully indexed.
 func (s *Store) Query(q capturedb.Query, fn func(*capture.Capture) bool) error {
+	_, err := s.run(context.Background(), 0, len(s.shards), q, fn)
+	return err
+}
+
+// QueryShard is Query restricted to shard i — the unit of the
+// replicated read fan-out, where each segment is served by one of its
+// replicas. The stream is the shard's slice of Query's, so a reader
+// that lost a replica mid-segment resumes on another by row offset.
+func (s *Store) QueryShard(i int, q capturedb.Query, fn func(*capture.Capture) bool) error {
+	if i < 0 || i >= len(s.shards) {
+		return fmt.Errorf("capstore: no shard %d", i)
+	}
+	_, err := s.run(context.Background(), i, i+1, q, fn)
+	return err
+}
+
+// Count returns the number of matches. When every predicate of q is
+// index metadata (see indexOnly) no record is read or decoded.
+func (s *Store) Count(q capturedb.Query) (int, error) {
+	n, err := s.run(context.Background(), 0, len(s.shards), q, nil)
+	return int(n), err
+}
+
+// run answers q over shards [lo, hi) — the whole store or one segment
+// — and is the one place a query is counted, timed and traced. A nil
+// fn asks only for the number of matches, which run returns. ctx is
+// consulted every ctxEvery records read.
+func (s *Store) run(ctx context.Context, lo, hi int, q capturedb.Query, fn func(*capture.Capture) bool) (int64, error) {
 	s.counters.queries.Add(1)
 	m := s.metrics.Load()
 	var start time.Time
 	if m != nil {
 		start = m.now()
 	}
-
-	path := "scan"
-	switch {
-	case q.Domain != "":
-		path = "domain-index"
-	case q.RequestHost != "":
-		path = "host-index"
-	}
 	var span *obs.Span
 	if tr := s.tracer.Load(); tr != nil {
-		span = tr.Start("query", obs.A("path", path))
+		span = tr.Start("query", obs.A("path", pathOf(q)))
 	}
 
-	var scanned, skipped int64
+	e := &exec{ctx: ctx, q: q, fn: fn, indexOnly: fn == nil && indexOnly(q)}
 	var err error
-	switch path {
-	case "domain-index":
-		scanned, skipped, err = s.runIndexed(indexDomain, q.Domain, q, fn)
-	case "host-index":
-		scanned, skipped, err = s.runIndexed(indexHost, q.RequestHost, q, fn)
-	default:
-		scanned, skipped, err = s.runScan(q, fn)
+	for i := lo; i < hi && err == nil && !e.stop; i++ {
+		err = s.plan(i, e)
 	}
-	s.counters.rowsScanned.Add(scanned)
-	s.counters.rowsSkipped.Add(skipped)
+	s.counters.rowsScanned.Add(e.scanned)
+	s.counters.rowsSkipped.Add(e.skipped)
 	if m != nil {
 		m.QuerySeconds.Observe(m.now().Sub(start).Seconds())
-		m.RowsScanned.Observe(float64(scanned))
-		m.RowsSkipped.Observe(float64(skipped))
+		m.RowsScanned.Observe(float64(e.scanned))
+		m.RowsSkipped.Observe(float64(e.skipped))
 	}
 	if span != nil {
-		span.Attr("scanned", strconv.FormatInt(scanned, 10))
-		span.Attr("skipped", strconv.FormatInt(skipped, 10))
+		span.Attr("scanned", strconv.FormatInt(e.scanned, 10))
+		span.Attr("skipped", strconv.FormatInt(e.skipped, 10))
 		span.End()
 	}
-	return err
+	return e.matched, err
 }
 
-// Count returns the number of matches.
-func (s *Store) Count(q capturedb.Query) (int, error) {
-	n := 0
-	err := s.Query(q, func(*capture.Capture) bool { n++; return true })
-	return n, err
-}
-
-type indexKind int
-
+// The access paths, as the query span's path attribute names them.
 const (
-	indexDomain indexKind = iota
-	indexHost
+	pathDomain = "domain-index"
+	pathHost   = "host-index"
+	pathScan   = "scan"
 )
+
+// pathOf picks q's access path: the domain index when a domain is
+// named (a domain lives in one shard, so it is the most selective),
+// else the request-host posting lists, else the day-pruned scan.
+func pathOf(q capturedb.Query) string {
+	switch {
+	case q.Domain != "":
+		return pathDomain
+	case q.RequestHost != "":
+		return pathHost
+	}
+	return pathScan
+}
+
+// indexOnly reports whether per-record index metadata decides q
+// entirely: at most one indexed key (the posting list or the scan
+// enumerates the candidates) plus day bounds and the failed flag
+// (MatchMeta). A vantage, or a second key next to the one the walk
+// follows, lives only in the record body.
+func indexOnly(q capturedb.Query) bool {
+	return q.Vantage == "" && (q.Domain == "" || q.RequestHost == "")
+}
+
+// plan answers e's query on shard i by the query's access path. A
+// domain query on a shard the domain does not hash to is answered
+// "nothing here" without a read.
+func (s *Store) plan(i int, e *exec) error {
+	sh := s.shards[i]
+	switch pathOf(e.q) {
+	case pathDomain:
+		if s.shardFor(e.q.Domain) != i {
+			sh.mu.Lock()
+			e.skipped += sh.logicalRecords()
+			sh.mu.Unlock()
+			return nil
+		}
+		return e.walkIndexed(sh, pathDomain, e.q.Domain)
+	case pathHost:
+		return e.walkIndexed(sh, pathHost, e.q.RequestHost)
+	}
+	v, err := sh.snapshotScan()
+	if err != nil {
+		return err
+	}
+	return e.scanView(&v)
+}
+
+// ctxEvery is how many records a query reads between looks at its
+// context, so a request past its deadline or without a client stops
+// within that many decodes.
+const ctxEvery = 64
+
+// exec is one query in flight: what was asked, how to deliver it, and
+// the tally the counters, metrics and span report. Every record is
+// accounted for exactly once — scanned when it was read from disk,
+// skipped when index or metadata settled it without a read — so
+// scanned+skipped equals the record total of the shards visited.
+type exec struct {
+	ctx context.Context
+	q   capturedb.Query
+	fn  func(*capture.Capture) bool // nil: only count the matches
+	// indexOnly: count candidates that pass MatchMeta as matches,
+	// unread.
+	indexOnly bool
+
+	matched, scanned, skipped int64
+	stop                      bool // fn asked for no more rows
+	buf                       []byte
+}
+
+// meta applies the metadata filters to one candidate and reports
+// whether the record still has to be read.
+func (e *exec) meta(day int32, failed bool) (read bool) {
+	if !e.q.MatchMeta(simtime.Day(day), failed) {
+		e.skipped++
+		return false
+	}
+	if e.indexOnly {
+		e.skipped++
+		e.matched++
+		return false
+	}
+	return true
+}
+
+// row delivers one decoded record.
+func (e *exec) row(c *capture.Capture) error {
+	if e.scanned%ctxEvery == 0 {
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	e.scanned++
+	if !e.q.Match(c) {
+		return nil
+	}
+	e.matched++
+	if e.fn != nil && !e.fn(c) {
+		e.stop = true
+	}
+	return nil
+}
+
+func (e *exec) packRow(p *pack.Pack, recs []pack.Rec, ix int) error {
+	if !e.meta(recs[ix].Day, recs[ix].Failed) {
+		return nil
+	}
+	line, err := p.ReadRecord(recs, ix, &e.buf)
+	if err != nil {
+		return err
+	}
+	c, err := capturedb.Decode(line)
+	if err != nil {
+		return fmt.Errorf("capstore: pack record %d of %s: %w", ix, p.Path, err)
+	}
+	return e.row(c)
+}
+
+func (e *exec) tailRow(f *os.File, meta recMeta) error {
+	if !e.meta(meta.day, meta.failed) {
+		return nil
+	}
+	c, err := readRecord(f, meta, &e.buf)
+	if err != nil {
+		return err
+	}
+	return e.row(c)
+}
 
 // shardView is one shard's consistent query snapshot: the pack chain,
 // the tail records (or just the indexed candidates), and the tail
@@ -95,8 +232,7 @@ type shardView struct {
 	tailCount     int
 	f             *os.File
 
-	// Indexed path: candidate tail positions and their metadata.
-	tailIdxs  []int32
+	// Indexed path: the candidate tail records' metadata.
 	tailMetas []recMeta
 
 	// Scan path: every tail record's metadata plus the tail day range.
@@ -108,8 +244,9 @@ type shardView struct {
 func (v *shardView) total() int64 { return v.packedRecords + int64(v.tailCount) }
 
 // snapshotIndexed captures shard sh's view for an indexed query on
-// key. The tail buffer is flushed so ReadAt sees every counted byte.
-func (sh *shard) snapshotIndexed(kind indexKind, key string) (shardView, error) {
+// key (path is pathDomain or pathHost). The tail buffer is flushed so
+// ReadAt sees every counted byte.
+func (sh *shard) snapshotIndexed(path, key string) (shardView, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.bw.Flush(); err != nil {
@@ -121,13 +258,10 @@ func (sh *shard) snapshotIndexed(kind indexKind, key string) (shardView, error) 
 		tailCount:     len(sh.recs),
 		f:             sh.f,
 	}
-	var idxs []int32
-	if kind == indexDomain {
-		idxs = sh.byDomain[key]
-	} else {
+	idxs := sh.byDomain[key]
+	if path == pathHost {
 		idxs = sh.byHost[key]
 	}
-	v.tailIdxs = append([]int32(nil), idxs...)
 	v.tailMetas = make([]recMeta, len(idxs))
 	for k, ix := range idxs {
 		v.tailMetas[k] = sh.recs[ix]
@@ -155,187 +289,88 @@ func (sh *shard) snapshotScan() (shardView, error) {
 	return v, nil
 }
 
-// runIndexed drives a domain or host query: per shard, pack posting
-// lists then tail posting lists, reading exactly the candidate records
-// and pre-filtering on day/failed metadata so non-candidates never
-// touch disk. Every record excluded without a disk read counts as
-// skipped, so scanned+skipped equals the snapshot's record total.
-func (s *Store) runIndexed(kind indexKind, key string, q capturedb.Query, fn func(*capture.Capture) bool) (scanned, skipped int64, err error) {
-	// A domain lives in exactly one shard; hosts can appear anywhere.
-	only := -1
-	if kind == indexDomain {
-		only = s.shardFor(key)
+// walkIndexed answers a domain or host query on one shard: pack posting
+// lists, then the tail posting list, reading exactly the candidates
+// that pass the metadata filters. Every record that is not a candidate
+// is skipped without being looked at.
+func (e *exec) walkIndexed(sh *shard, path, key string) error {
+	v, err := sh.snapshotIndexed(path, key)
+	if err != nil {
+		return err
 	}
-	var buf []byte
-	for i, sh := range s.shards {
-		if only >= 0 && i != only {
-			sh.mu.Lock()
-			skipped += sh.logicalRecords()
-			sh.mu.Unlock()
+	lists := make([][]int32, len(v.packs))
+	candidates := int64(len(v.tailMetas))
+	for k, p := range v.packs {
+		if path == pathDomain {
+			lists[k], err = p.Domain(key)
+		} else {
+			lists[k], err = p.Host(key)
+		}
+		if err != nil {
+			return err
+		}
+		candidates += int64(len(lists[k]))
+	}
+	e.skipped += v.total() - candidates
+	for k, p := range v.packs {
+		if len(lists[k]) == 0 {
 			continue
 		}
-		v, err := sh.snapshotIndexed(kind, key)
+		recs, err := p.Recs()
 		if err != nil {
-			return scanned, skipped, err
+			return err
 		}
-		var candidates int64
-		stop := false
-		for _, p := range v.packs {
-			var idxs []int32
-			var perr error
-			if kind == indexDomain {
-				idxs, perr = p.Domain(key)
-			} else {
-				idxs, perr = p.Host(key)
+		for _, ix := range lists[k] {
+			if err := e.packRow(p, recs, int(ix)); err != nil || e.stop {
+				return err
 			}
-			if perr != nil {
-				return scanned, skipped, perr
-			}
-			candidates += int64(len(idxs))
-			if stop || len(idxs) == 0 {
-				continue
-			}
-			recs, perr := p.Recs()
-			if perr != nil {
-				return scanned, skipped, perr
-			}
-			for _, ix := range idxs {
-				r := recs[ix]
-				if !q.MatchMeta(simtime.Day(r.Day), r.Failed) {
-					skipped++
-					continue
-				}
-				line, perr := p.ReadRecord(recs, int(ix), &buf)
-				if perr != nil {
-					return scanned, skipped, perr
-				}
-				c, perr := capturedb.Decode(line)
-				if perr != nil {
-					return scanned, skipped, fmt.Errorf("capstore: pack record %d of %s: %w", ix, p.Path, perr)
-				}
-				scanned++
-				if !q.Match(c) {
-					continue
-				}
-				if !fn(c) {
-					stop = true
-					break
-				}
-			}
-		}
-		candidates += int64(len(v.tailIdxs))
-		if !stop {
-			for k := range v.tailIdxs {
-				meta := v.tailMetas[k]
-				if !q.MatchMeta(simtime.Day(meta.day), meta.failed) {
-					skipped++
-					continue
-				}
-				c, rerr := readRecord(v.f, meta, &buf)
-				if rerr != nil {
-					return scanned, skipped, rerr
-				}
-				scanned++
-				if !q.Match(c) {
-					continue
-				}
-				if !fn(c) {
-					stop = true
-					break
-				}
-			}
-		}
-		skipped += v.total() - candidates
-		if stop {
-			return scanned, skipped, nil
 		}
 	}
-	return scanned, skipped, nil
-}
-
-// runScan is the fallback path for queries with no indexed key: every
-// shard's packs and tail are walked in order, skipping whole packs (or
-// the whole tail) whose day range cannot intersect the query's bounds.
-func (s *Store) runScan(q capturedb.Query, fn func(*capture.Capture) bool) (scanned, skipped int64, err error) {
-	for _, sh := range s.shards {
-		v, err := sh.snapshotScan()
-		if err != nil {
-			return scanned, skipped, err
-		}
-		sc, sk, stop, err := scanView(&v, q, fn)
-		scanned += sc
-		skipped += sk
-		if err != nil || stop {
-			return scanned, skipped, err
+	for _, meta := range v.tailMetas {
+		if err := e.tailRow(v.f, meta); err != nil || e.stop {
+			return err
 		}
 	}
-	return scanned, skipped, nil
+	return nil
 }
 
-// scanView walks one shard view in logical order: packs, then tail.
-func scanView(v *shardView, q capturedb.Query, fn func(*capture.Capture) bool) (scanned, skipped int64, stop bool, err error) {
-	upper, bounded := q.Upper()
-	var buf []byte
+// scanView answers a query with no indexed key on one shard, in
+// logical order — packs, then tail — skipping whole packs (or the whole
+// tail) whose day range cannot intersect the query's bounds.
+func (e *exec) scanView(v *shardView) error {
+	upper, bounded := e.q.Upper()
 	for _, p := range v.packs {
 		// Per-pack day-range pruning from the persistent summary.
-		if q.From > simtime.Day(p.Summary.MaxDay) || (bounded && upper < simtime.Day(p.Summary.MinDay)) {
-			skipped += p.Summary.Records
+		if e.q.From > simtime.Day(p.Summary.MaxDay) || (bounded && upper < simtime.Day(p.Summary.MinDay)) {
+			e.skipped += p.Summary.Records
 			continue
 		}
-		recs, perr := p.Recs()
-		if perr != nil {
-			return scanned, skipped, false, perr
+		recs, err := p.Recs()
+		if err != nil {
+			return err
 		}
 		for ix := range recs {
-			if !q.MatchMeta(simtime.Day(recs[ix].Day), recs[ix].Failed) {
-				skipped++
-				continue
-			}
-			line, perr := p.ReadRecord(recs, ix, &buf)
-			if perr != nil {
-				return scanned, skipped, false, perr
-			}
-			c, perr := capturedb.Decode(line)
-			if perr != nil {
-				return scanned, skipped, false, fmt.Errorf("capstore: pack record %d of %s: %w", ix, p.Path, perr)
-			}
-			scanned++
-			if !q.Match(c) {
-				continue
-			}
-			if !fn(c) {
-				return scanned, skipped, true, nil
+			if err := e.packRow(p, recs, ix); err != nil || e.stop {
+				return err
 			}
 		}
 	}
 	if v.tailCount == 0 {
-		return scanned, skipped, false, nil
+		return nil
 	}
 	// Tail day-range pruning. The range may have widened past the
 	// snapshot under concurrent ingest, which only makes pruning
 	// conservative, never wrong.
-	if q.From > v.maxDay || (bounded && upper < v.minDay) {
-		skipped += int64(v.tailCount)
-		return scanned, skipped, false, nil
+	if e.q.From > v.maxDay || (bounded && upper < v.minDay) {
+		e.skipped += int64(v.tailCount)
+		return nil
 	}
 	for _, meta := range v.allMetas {
-		if !q.MatchMeta(simtime.Day(meta.day), meta.failed) {
-			skipped++
-			continue
-		}
-		c, rerr := readRecord(v.f, meta, &buf)
-		if rerr != nil {
-			return scanned, skipped, false, rerr
-		}
-		scanned++
-		if !q.Match(c) {
-			continue
-		}
-		if !fn(c) {
-			return scanned, skipped, true, nil
+		if err := e.tailRow(v.f, meta); err != nil || e.stop {
+			return err
 		}
 	}
-	return scanned, skipped, false, nil
+	return nil
 }
 
 // readRecord fetches and decodes one tail record by offset, reusing

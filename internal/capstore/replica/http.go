@@ -144,7 +144,7 @@ func handleQuery(rd *Reader, rw http.ResponseWriter, r *http.Request) {
 	flusher, _ := rw.(http.Flusher)
 	sent := 0
 	var werr error
-	qerr := rd.Query(q, limit, offset, func(c *capture.Capture) bool {
+	qerr := rd.query(r.Context(), q, limit, offset, func(c *capture.Capture) bool {
 		line, err := capturedb.Encode(c)
 		if err == nil {
 			_, err = rw.Write(line)
@@ -177,7 +177,7 @@ func handleCount(rd *Reader, rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "replica: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	n, err := rd.Count(q)
+	n, err := rd.count(r.Context(), q)
 	if err != nil {
 		http.Error(rw, "replica: "+err.Error(), http.StatusServiceUnavailable)
 		return

@@ -48,6 +48,13 @@ type cluster struct {
 
 func newCluster(t *testing.T, nodes, shards int, mut func(*Config)) *cluster {
 	t.Helper()
+	return newWrappedCluster(t, nodes, shards, mut, nil)
+}
+
+// newWrappedCluster is newCluster with wrap, when given, put between
+// each node's kill gate and its handler tree.
+func newWrappedCluster(t *testing.T, nodes, shards int, mut func(*Config), wrap func(name string, h http.Handler) http.Handler) *cluster {
+	t.Helper()
 	c := &cluster{gates: make(map[string]*chaos.Gate)}
 	cfg := Config{
 		Shards:        shards,
@@ -73,7 +80,11 @@ func newCluster(t *testing.T, nodes, shards int, mut func(*Config)) *cluster {
 		mux := http.NewServeMux()
 		mux.Handle("/ingest", ing)
 		mux.Handle("/", capstore.NewResilientHandler(store, capstore.ServeConfig{}))
-		gate := chaos.NewGate(mux)
+		var h http.Handler = mux
+		if wrap != nil {
+			h = wrap(name, h)
+		}
+		gate := chaos.NewGate(h)
 		srv := httptest.NewServer(gate)
 		t.Cleanup(srv.Close)
 		c.names = append(c.names, name)
@@ -402,14 +413,22 @@ func TestReadServesDegraded(t *testing.T) {
 	})
 
 	rd := c.w.Reader()
+	failovers := obs.NewCounter(reg, "repl_read_failovers_total", "")
 	for _, down := range c.names {
 		c.gates[down].Kill()
+		before := failovers.Value()
 		got := sweep(t, rd.Query)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("sweep with %s down: %d bytes, want %d", down, len(got), len(want))
 		}
+		queryFailovers := failovers.Value() - before
 		if n, err := rd.Count(capturedb.Query{IncludeFailed: true}); err != nil || n != len(caps) {
 			t.Fatalf("count with %s down: %d, %v", down, n, err)
+		}
+		// Query and count walk one attempt loop: the same dead replicas
+		// cost both the same failovers.
+		if countFailovers := failovers.Value() - before - queryFailovers; countFailovers != queryFailovers || queryFailovers == 0 {
+			t.Errorf("with %s down: query failed over %d times, count %d times", down, queryFailovers, countFailovers)
 		}
 		c.gates[down].Revive()
 	}

@@ -31,8 +31,9 @@
 // nothing is missing the pass is one cheap manifest diff — and then
 // queued hints and live deliveries resume (re-delivery is idempotent).
 // Writes ack at a per-shard quorum W; reads
-// (Reader) fan out per segment, first healthy replica wins, failing
-// over mid-stream by record offset.
+// (Reader) are routed to the one segment a domain lives in or fanned
+// out per segment, first healthy replica wins, failing over mid-stream
+// by record offset.
 package replica
 
 import (
@@ -153,10 +154,13 @@ type metrics struct {
 	committed     *obs.Counter
 	shed          *obs.Counter
 	failovers     *obs.Counter
+	// Per read plan (planRouted, planFanout, planCount).
+	readSeconds  [len(planNames)]*obs.Histogram
+	readSegments [len(planNames)]*obs.Counter
 }
 
 func newMetrics(r *obs.Registry) metrics {
-	return metrics{
+	m := metrics{
 		nodeUp:        obs.NewGaugeVec(r, "repl_node_up", "1 while the storage node is accepting deliveries, 0 while down.", "node"),
 		handoffDepth:  obs.NewGaugeVec(r, "repl_handoff_depth", "Queued batches awaiting delivery to the node (hinted handoff while down).", "node"),
 		deadLetters:   obs.NewCounterVec(r, "repl_handoff_dropped_total", "Hinted-handoff batches dropped on overflow (node flagged dirty for repair).", "node"),
@@ -169,6 +173,13 @@ func newMetrics(r *obs.Registry) metrics {
 		shed:          obs.NewCounter(r, "repl_ingest_shed_total", "Ordered-mode pushes shed because the reorder buffer was full."),
 		failovers:     obs.NewCounter(r, "repl_read_failovers_total", "Per-segment read attempts that failed over to another replica."),
 	}
+	seconds := obs.NewHistogramVec(r, "repl_read_seconds", "Wall time of one ring read, plan to last row.", obs.LatencyBuckets, "plan")
+	segments := obs.NewCounterVec(r, "repl_read_segments_total", "Segments ring reads were sent to.", "plan")
+	for p, name := range planNames {
+		m.readSeconds[p] = seconds.With(name)
+		m.readSegments[p] = segments.With(name)
+	}
+	return m
 }
 
 // item is one committed sub-batch bound for one node: the records of

@@ -151,3 +151,28 @@ func TestQueryHonoursRequestDeadline(t *testing.T) {
 		t.Fatalf("expired-deadline query status = %d, want 503", rr.Code)
 	}
 }
+
+// TestCountHonoursRequestDeadline: a count that has to read records
+// stops at an expired per-request context with a clean 503, as /query
+// does, instead of running the scan to its end.
+func TestCountHonoursRequestDeadline(t *testing.T) {
+	s, err := Create(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fill(t, s, 500)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, target := range []string{"/count?vantage=eu-cloud", "/count?vantage=eu-cloud&shard=1"} {
+		before := s.Stats().RowsScanned
+		rr := httptest.NewRecorder()
+		NewHandler(s).ServeHTTP(rr, httptest.NewRequest("GET", target, nil).WithContext(ctx))
+		if rr.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s past its deadline: status %d, want 503", target, rr.Code)
+		}
+		if read := s.Stats().RowsScanned - before; read != 0 {
+			t.Errorf("%s past its deadline still read %d records", target, read)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package capstore
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -206,5 +207,47 @@ func TestRegisterMetricsConcurrentWithQueries(t *testing.T) {
 	}
 	if err := obs.ValidateExposition(&buf); err != nil {
 		t.Errorf("invalid exposition: %v", err)
+	}
+}
+
+// A ring node serves every read as /query?shard=N or /count?shard=N;
+// those must reach the query histogram and the query span like a
+// whole-store query, with the access path the planner took.
+func TestShardQueryTelemetry(t *testing.T) {
+	s, srv := newTestServer(t, 200)
+	s.RegisterMetrics(obs.NewRegistry())
+	tr := obs.NewTracer(obs.TracerConfig{})
+	s.SetTracer(tr)
+	cl := NewClient(srv.URL)
+
+	shard := ShardOf("site-001.com", s.NumShards())
+	observed := 0
+	for _, tc := range []struct {
+		q    capturedb.Query
+		path string
+	}{
+		{capturedb.Query{Domain: "site-001.com"}, "domain-index"},
+		{capturedb.Query{RequestHost: "cdn.cookielaw.org"}, "host-index"},
+		{capturedb.Query{Vantage: "eu-cloud"}, "scan"},
+	} {
+		rows := 0
+		if err := cl.QueryShard(shard, tc.q, 0, 0, func(*capture.Capture) bool { rows++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		n, err := cl.CountShard(context.Background(), shard, tc.q)
+		if err != nil || n != rows || rows == 0 {
+			t.Fatalf("%+v on shard %d: %d rows, count %d, %v", tc.q, shard, rows, n, err)
+		}
+		observed += 2
+		if got := s.Metrics().QuerySeconds.Snapshot().Count; got != int64(observed) {
+			t.Errorf("%s: %d latency observations after %d shard reads", tc.path, got, observed)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteNDJSON(&buf, "query"); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(buf.String(), `"id":"query[path=`+tc.path+`]"`); got != 2 {
+			t.Errorf("%d query spans with path %s, want 2:\n%s", got, tc.path, buf.String())
+		}
 	}
 }
