@@ -28,9 +28,9 @@ OBS_COUNT     ?= 4
 
 SMOKES = obs-smoke fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke
 
-.PHONY: check vet build test race chaos bin bench bench-smoke benchdiff bench-capstore obs-overhead fuzz $(SMOKES)
+.PHONY: check vet build test race chaos fleet-determinism bin bench bench-smoke benchdiff bench-capstore obs-overhead fuzz loc $(SMOKES)
 
-check: vet build race chaos $(SMOKES) bench-smoke
+check: vet build race chaos fleet-determinism $(SMOKES) bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +49,13 @@ race:
 # torn-write repair, and capd load shedding under saturation.
 chaos:
 	$(GO) test ./internal/resilience/... ./internal/crawler/ ./internal/capstore/ -run 'Chaos' -count=1
+
+# The fleet's headline invariant (N workers, one crashing mid-lease =
+# the single-process store, byte for byte) at every scheduler width the
+# crash path has been seen to depend on: the doomed worker must be
+# granted its lease, and so crash, whatever GOMAXPROCS is.
+fleet-determinism:
+	for p in 1 2 4 8 16; do GOMAXPROCS=$$p $(GO) test ./internal/fleet/ -run TestFleetDeterminism -count=2 || exit 1; done
 
 # Tier-1 benchmark suite → JSON snapshot. Runs every root-package
 # benchmark at a fixed BENCHTIME, repeated BENCHCOUNT times (the
@@ -132,3 +139,11 @@ fuzz:
 	$(GO) test ./internal/decision/ -run '^$$' -fuzz FuzzDecideDifferential -fuzztime 30s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogScan -fuzztime 15s
 	$(GO) test ./internal/analytics/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 15s
+
+# Go line counts by class — non-test code outside bench/, tests, and
+# bench/ — the measure a simplicity PR's "net negative" is held to.
+loc:
+	@count() { find . -name '*.go' "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	echo "non-test $$(count -not -name '*_test.go' -not -path './bench/*')"; \
+	echo "test     $$(count -name '*_test.go' -not -path './bench/*')"; \
+	echo "bench/   $$(count -path './bench/*')"

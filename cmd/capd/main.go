@@ -67,7 +67,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -192,24 +191,6 @@ func run() int {
 		d.Handle("/ingest", ingester)
 		fmt.Printf("capd: remote ingest on POST /ingest (≤%d reorder batches buffered)\n", *maxPending)
 	}
-	// Compaction is an admin trigger: like scrapes and profiles it
-	// must work exactly when the query path is saturated.
-	d.Handle("/compact", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		packed, err := store.CompactAll()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		cst := store.Stats()
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"packed_records\":%d,\"packs\":%d,\"compactions\":%d}\n",
-			packed, cst.Packs, cst.Compactions)
-	}))
 	d.Handle("/", capstore.NewResilientHandler(store, serveCfg))
 	if err := d.Serve(nil); err != nil {
 		return fail(err)

@@ -15,8 +15,9 @@
 // and node names must be stable across restarts — placement is
 // derived from them.
 //
-// Endpoints (same shapes as a single capd, so fleetd workers and capq
-// talk to either interchangeably):
+// Endpoints — /ingest, /query and /count are the capstore front door,
+// the very handlers a single capd serves, over the ring as their
+// backend, so fleetd workers and capq talk to either interchangeably:
 //
 //	POST /ingest           unordered batch (capturedb wire format)
 //	POST /ingest?at=S&n=N  ordered fleet commit; 503 + Retry-After when
@@ -26,6 +27,7 @@
 //	GET  /count?…          {"count": N}
 //	GET  /ring             placement table and live node states
 //	GET  /healthz          writer snapshot (never load-shed)
+//	POST /compact          compact every node (never load-shed)
 //
 // With -metrics, /metrics and /metrics.json expose the repl_* family
 // (per-node up/down gauges, handoff depth, repair volume, quorum
@@ -38,20 +40,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/capstore"
 	"repro/internal/capstore/replica"
 	"repro/internal/daemon"
-	"repro/internal/resilience"
 )
 
 func parseNodes(s string) ([]replica.NodeConfig, error) {
@@ -144,56 +141,10 @@ func run() int {
 	}
 	fmt.Printf("capring: endpoints /ingest /query /count /ring /healthz; ≤%d in flight; Ctrl-C shuts down gracefully.\n", *maxInFly)
 
-	limiter := resilience.NewHTTPLimiter(resilience.HTTPLimiterConfig{
-		MaxInFlight: *maxInFly,
-		Timeout:     *reqTimeout,
-	})
-	// /healthz lives outside the limiter like the telemetry surface:
-	// probes and scrapes must work exactly when the ring is shedding.
-	d.Handle("/healthz", replica.HealthzHandler(w))
 	if *metrics {
 		fmt.Printf("capring: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof\n")
 	}
-	// POST /compact fans the pack-engine admin trigger out to every
-	// node — one call compacts the whole ring. Mounted outside the
-	// limiter like the other admin surfaces; per-node failures are
-	// reported, not fatal (a down node compacts on its own at restart
-	// or via its background compactor).
-	d.Handle("/compact", http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			rw.Header().Set("Allow", http.MethodPost)
-			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		type nodeResult struct {
-			Node          string `json:"node"`
-			PackedRecords int64  `json:"packed_records"`
-			Packs         int    `json:"packs"`
-			Error         string `json:"error,omitempty"`
-		}
-		results := make([]nodeResult, len(nodes))
-		var wg sync.WaitGroup
-		for i, n := range nodes {
-			wg.Add(1)
-			go func(i int, n replica.NodeConfig) {
-				defer wg.Done()
-				results[i].Node = n.Name
-				cl := capstore.NewClient(n.URL)
-				cl.HTTP = &http.Client{Timeout: *nodeTO}
-				res, err := cl.Compact()
-				if err != nil {
-					results[i].Error = err.Error()
-					return
-				}
-				results[i].PackedRecords = res.PackedRecords
-				results[i].Packs = res.Packs
-			}(i, n)
-		}
-		wg.Wait()
-		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(map[string]any{"nodes": results}) //nolint:errcheck
-	}))
-	d.Handle("/", limiter.Wrap(replica.Handler(w)))
+	d.Handle("/", replica.NewResilientHandler(w, *maxInFly, *reqTimeout))
 	if err := d.Serve(nil); err != nil {
 		return fail(err)
 	}

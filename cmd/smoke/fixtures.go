@@ -14,6 +14,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/cmps"
 	"repro/internal/crawler"
+	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/simtime"
@@ -121,36 +122,23 @@ func stopWorkers(workers ...*proc) {
 	}
 }
 
-// buildBaseline runs the single-process reference pipeline into a
-// fresh store at dir: Workers=1 records captures in share order, which
-// is the canonical byte layout a fleet over the same window must
-// reproduce. Retry budget and breaker setting mirror bootFleet's
-// flags; backoff timing and politeness are byte-neutral.
+// buildBaseline runs the single-process reference — fleet.CrawlItems
+// over the whole window, which is what every worker runs per chunk —
+// into a fresh store at dir: the canonical byte layout a fleet over the
+// same window must reproduce. Retry budget, breaker setting and
+// politeness mirror bootFleet's flags.
 func buildBaseline(dir string, shards int, w crawlWindow) crawler.StreamStats {
 	st, err := capstore.Create(dir, shards)
 	check(err)
 	world := webworld.New(webworld.Config{Seed: crawlSeed, Domains: w.domains})
 	feed := socialfeed.New(world, socialfeed.Config{Seed: crawlSeed, SharesPerDay: w.shares})
-	p := crawler.NewStreamPlatform(world, crawler.StreamConfig{
-		Seed:           crawlSeed,
-		Workers:        1,
-		PerDomainDelay: time.Millisecond,
-		Retry:          resilience.RetryPolicy{MaxAttempts: crawlRetries, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
-	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.Run(context.Background(), st)
-	}()
-	for day := simtime.Day(0); int(day) <= w.lastDay; day++ {
-		for _, s := range feed.Day(day) {
-			check(p.Submit(context.Background(), day, s))
-		}
+	items := fleet.WorkFromFeed(feed, 0, simtime.Day(w.lastDay))
+	run := fleet.RunConfig{CrawlSeed: crawlSeed, RetryAttempts: crawlRetries, PolitenessMS: 1}
+	stats := fleet.CrawlItems(context.Background(), world, run, crawler.StreamConfig{}, items, st).Stats()
+	if stats.Submitted != int64(len(items)) {
+		fatalf("baseline submitted %d of %d items", stats.Submitted, len(items))
 	}
-	p.Close()
-	<-done
 	check(st.Close())
-	stats := p.Stats()
 	logf("baseline: %d captured (%d failed-recorded), %d dead-lettered",
 		stats.Succeeded+stats.FailedRecorded, stats.FailedRecorded, stats.DeadLettered)
 	return stats

@@ -16,8 +16,8 @@ import (
 )
 
 // Config parameterizes an Engine. The zero value reproduces the
-// paper: default detector fingerprints, paper interpolation, the
-// default GVL history, weekly adoption sampling, and spike ratio 3.
+// paper: default detector fingerprints, paper interpolation, and the
+// default GVL history.
 type Config struct {
 	// Detector classifies captures; nil means detect.Default().
 	Detector *detect.Detector
@@ -26,10 +26,6 @@ type Config struct {
 	// GVL generates the deterministic vendor-list history backing the
 	// gvl view; a zero config means gvl.DefaultHistoryConfig().
 	GVL gvl.HistoryConfig
-	// StepDays is the adoption-series sampling step (default 7).
-	StepDays int
-	// SpikeRatio is the adoption spike-detection threshold (default 3).
-	SpikeRatio float64
 
 	// Registry and Tracer wire the obs surface; both may be nil.
 	Registry *obs.Registry
@@ -42,12 +38,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GVL.Versions == 0 {
 		c.GVL = gvl.DefaultHistoryConfig()
-	}
-	if c.StepDays <= 0 {
-		c.StepDays = 7
-	}
-	if c.SpikeRatio <= 0 {
-		c.SpikeRatio = 3
 	}
 	return c
 }
@@ -173,7 +163,7 @@ func (e *Engine) snapshotLocked(name string) ([]byte, error) {
 	var v any
 	switch name {
 	case ViewAdoption:
-		v = buildAdoptionView(e.presence.Presence(), e.cursor, e.cfg.StepDays, e.cfg.SpikeRatio)
+		v = buildAdoptionView(e.presence.Presence(), e.cursor)
 	case ViewCoverage:
 		v = buildCoverageView(e.coverage, e.cursor)
 	case ViewMarketShare:

@@ -96,14 +96,23 @@ type SpikeView struct {
 	Ratio  float64 `json:"ratio"`
 }
 
-func buildAdoptionView(p *analysis.PresenceDB, cursor int64, stepDays int, spikeRatio float64) *AdoptionView {
+// The adoption view's two parameters are the batch pipeline's
+// (cmd/analyze: Figure 6 is sampled weekly, and a month is a spike when
+// its growth exceeds 3× the median month's), so the served view answers
+// the same question as the paper's figure.
+const (
+	adoptionStepDays   = 7
+	adoptionSpikeRatio = 3
+)
+
+func buildAdoptionView(p *analysis.PresenceDB, cursor int64) *AdoptionView {
 	domains := p.Domains()
-	points := analysis.AdoptionOverTime(p, domains, stepDays)
+	points := analysis.AdoptionOverTime(p, domains, adoptionStepDays)
 	v := &AdoptionView{
 		View:     ViewAdoption,
 		Cursor:   cursor,
 		Domains:  len(domains),
-		StepDays: stepDays,
+		StepDays: adoptionStepDays,
 		Points:   make([]AdoptionViewPoint, 0, len(points)),
 		Spikes:   []SpikeView{},
 	}
@@ -115,7 +124,7 @@ func buildAdoptionView(p *analysis.PresenceDB, cursor int64, stepDays int, spike
 			Counts: cmpCounts(pt.Counts),
 		})
 	}
-	for _, sp := range analysis.DetectAdoptionSpikes(points, spikeRatio) {
+	for _, sp := range analysis.DetectAdoptionSpikes(points, adoptionSpikeRatio) {
 		v.Spikes = append(v.Spikes, SpikeView{
 			Month:  int(sp.Month),
 			Date:   sp.Month.String(),

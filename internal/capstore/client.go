@@ -94,12 +94,43 @@ func (cl *Client) get(ctx context.Context, path string, v url.Values) (*http.Res
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	if err := statusError(path, resp); err != nil {
 		resp.Body.Close()
-		return nil, fmt.Errorf("capstore: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(body)))
+		return nil, err
 	}
 	return resp, nil
+}
+
+// statusError turns a non-200 reply into an error carrying the
+// server's message.
+func statusError(path string, resp *http.Response) error {
+	if resp.StatusCode == http.StatusOK {
+		return nil
+	}
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	return fmt.Errorf("capstore: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))
+}
+
+// decodeReply checks a reply's status, decodes its JSON body into out
+// and closes it.
+func decodeReply(path string, resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	if err := statusError(path, resp); err != nil {
+		return err
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("capstore: %s: %w", path, err)
+	}
+	return nil
+}
+
+// getJSON GETs path and decodes the JSON reply into out.
+func (cl *Client) getJSON(ctx context.Context, path string, v url.Values, out any) error {
+	resp, err := cl.get(ctx, path, v)
+	if err != nil {
+		return err
+	}
+	return decodeReply(path, resp, out)
 }
 
 // Query streams matches from /query to fn; returning false from fn
@@ -138,18 +169,11 @@ func (cl *Client) Count(q capturedb.Query) (int, error) {
 }
 
 func (cl *Client) count(ctx context.Context, v url.Values) (int, error) {
-	resp, err := cl.get(ctx, "/count", v)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
 	var out struct {
 		Count int `json:"count"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, fmt.Errorf("capstore: /count: %w", err)
-	}
-	return out.Count, nil
+	err := cl.getJSON(ctx, "/count", v, &out)
+	return out.Count, err
 }
 
 // Health fetches /healthz — served outside the server's load-shedding
@@ -158,15 +182,8 @@ func (cl *Client) count(ctx context.Context, v url.Values) (int, error) {
 // enabled.
 func (cl *Client) Health() (Health, error) {
 	var h Health
-	resp, err := cl.get(context.Background(), "/healthz", nil)
-	if err != nil {
-		return h, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return h, fmt.Errorf("capstore: /healthz: %w", err)
-	}
-	return h, nil
+	err := cl.getJSON(context.Background(), "/healthz", nil, &h)
+	return h, err
 }
 
 // ShedError is a 503 from /ingest (ordered-mode reorder shedding)
@@ -195,14 +212,13 @@ func parseRetryAfter(h string) time.Duration {
 // the server's ingest span joins the pusher's trace. A 503 (reorder
 // buffer full) is surfaced as a *ShedError wrapping ErrIngestShed.
 func (cl *Client) ingestOnce(v url.Values, trace string, body []byte) (IngestResult, error) {
-	var res IngestResult
 	u := cl.BaseURL + "/ingest"
 	if enc := v.Encode(); enc != "" {
 		u += "?" + enc
 	}
 	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
-		return res, err
+		return IngestResult{}, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	if trace != "" {
@@ -210,21 +226,22 @@ func (cl *Client) ingestOnce(v url.Values, trace string, body []byte) (IngestRes
 	}
 	resp, err := cl.httpClient().Do(req)
 	if err != nil {
-		return res, err
+		return IngestResult{}, err
 	}
-	defer resp.Body.Close()
+	return ingestReply(resp)
+}
+
+// ingestReply reads an /ingest reply: the IngestResult, or a *ShedError
+// for a 503.
+func ingestReply(resp *http.Response) (IngestResult, error) {
+	var res IngestResult
 	if resp.StatusCode == http.StatusServiceUnavailable {
+		defer resp.Body.Close()
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512)) //nolint:errcheck
 		return res, &ShedError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return res, fmt.Errorf("capstore: /ingest: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return res, fmt.Errorf("capstore: /ingest: %w", err)
-	}
-	return res, nil
+	err := decodeReply("/ingest", resp, &res)
+	return res, err
 }
 
 // ingest pushes with the client's retry policy. Re-delivery after an
@@ -326,24 +343,11 @@ func (cl *Client) RecordBatchAtTrace(trace string, at, n int64, caps []*capture.
 // one-shot reader cannot be replayed, so the caller owns recovery
 // (re-delivery is idempotent server-side).
 func (cl *Client) RecordStream(r io.Reader) (IngestResult, error) {
-	var res IngestResult
 	resp, err := cl.httpClient().Post(cl.BaseURL+"/ingest", "application/x-ndjson", r)
 	if err != nil {
-		return res, err
+		return IngestResult{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512)) //nolint:errcheck
-		return res, &ShedError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return res, fmt.Errorf("capstore: /ingest: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return res, fmt.Errorf("capstore: /ingest: %w", err)
-	}
-	return res, nil
+	return ingestReply(resp)
 }
 
 // CountShard runs the query server-side against one segment.
@@ -356,15 +360,8 @@ func (cl *Client) CountShard(ctx context.Context, shard int, q capturedb.Query) 
 // Manifest fetches the server's per-segment content summary.
 func (cl *Client) Manifest() (Manifest, error) {
 	var m Manifest
-	resp, err := cl.get(context.Background(), "/manifest", nil)
-	if err != nil {
-		return m, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return m, fmt.Errorf("capstore: /manifest: %w", err)
-	}
-	return m, nil
+	err := cl.getJSON(context.Background(), "/manifest", nil, &m)
+	return m, err
 }
 
 // PrefixManifest fetches the manifest of shard's first n records —
@@ -374,15 +371,8 @@ func (cl *Client) PrefixManifest(shard, n int) (SegmentManifest, error) {
 	v := url.Values{}
 	v.Set("shard", strconv.Itoa(shard))
 	v.Set("n", strconv.Itoa(n))
-	resp, err := cl.get(context.Background(), "/manifest", v)
-	if err != nil {
-		return m, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return m, fmt.Errorf("capstore: /manifest: %w", err)
-	}
-	return m, nil
+	err := cl.getJSON(context.Background(), "/manifest", v, &m)
+	return m, err
 }
 
 // SegmentReader opens the raw wire-format stream of shard's records
@@ -429,27 +419,13 @@ func (cl *Client) Compact() (CompactResult, error) {
 	if err != nil {
 		return res, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return res, fmt.Errorf("capstore: /compact: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return res, fmt.Errorf("capstore: /compact: %w", err)
-	}
-	return res, nil
+	err = decodeReply("/compact", resp, &res)
+	return res, err
 }
 
 // Stats fetches the server's store snapshot.
 func (cl *Client) Stats() (Stats, error) {
 	var st Stats
-	resp, err := cl.get(context.Background(), "/stats", nil)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("capstore: /stats: %w", err)
-	}
-	return st, nil
+	err := cl.getJSON(context.Background(), "/stats", nil, &st)
+	return st, err
 }

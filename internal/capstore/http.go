@@ -1,39 +1,79 @@
 package capstore
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
 	"repro/internal/capture"
-	"repro/internal/capturedb"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/simtime"
 )
 
-// The paper's "custom query API" over HTTP, served by cmd/capd:
+// The capd HTTP surface: the front door (frontdoor.go) over this store,
+// plus what only a storage node serves:
 //
-//	GET /query?domain=D&host=H&vantage=V&from=D1&to=D2&failed=1&limit=N&offset=M
-//	    → streaming NDJSON, one capturedb wire-format record per line
-//	GET /count?…same filters…   → {"count": N}
 //	GET /stats                  → Stats JSON (shards, indexes, counters)
-//
-// from/to are simulation day numbers (simtime.Day); a present `to`
-// parameter makes the upper bound explicit even for day 0.
+//	GET /manifest[?shard=N&n=M] → per-segment content summary
+//	GET /segment?shard=N&from=M → raw wire-format records of one segment
 
-// flushEvery is how many streamed rows go out between explicit
-// http.Flusher flushes, so long queries stream instead of buffering.
-const flushEvery = 256
+// storeBackend is capd's Backend: reads run the store's per-shard
+// plans, commits go through the ingester (nil on a read-only mount,
+// which has no /ingest route).
+type storeBackend struct {
+	s  *Store
+	in *Ingester
+}
+
+// Commit applies the batch under the node's ingest span — the capd end
+// of the fleetd→worker→ring→capd trace — and flushes it.
+func (b storeBackend) Commit(bt Batch) (res IngestResult, err error) {
+	defer bt.Span(b.in.cfg.Tracer, "ingest").End()
+	if bt.Ordered {
+		res, err = b.in.IngestBatchAt(bt.At, bt.N, bt.Caps)
+	} else {
+		res = b.in.IngestBatch(bt.Caps)
+	}
+	if err != nil {
+		return res, err
+	}
+	if err := b.s.Flush(); err != nil {
+		return res, fmt.Errorf("capstore: /ingest flush: %w", err)
+	}
+	return res, nil
+}
+
+// read runs r over the shard range it names — one segment or, without
+// shard=N, the whole store; a nil fn counts.
+func (b storeBackend) read(ctx context.Context, r Read, fn func(*capture.Capture) bool) (int64, error) {
+	lo, hi := 0, len(b.s.shards)
+	switch {
+	case r.Shard >= hi:
+		return 0, badRequest("no shard %d (store has %d)", r.Shard, hi)
+	case r.Shard >= 0:
+		lo, hi = r.Shard, r.Shard+1
+	}
+	return b.s.run(ctx, lo, hi, r.Query, fn)
+}
+
+func (b storeBackend) Stream(ctx context.Context, r Read, fn func(*capture.Capture) bool) error {
+	_, err := b.read(ctx, r, fn)
+	return err
+}
+
+func (b storeBackend) Count(ctx context.Context, r Read) (int64, error) {
+	return b.read(ctx, r, nil)
+}
 
 // NewHandler exposes a store over HTTP.
 func NewHandler(s *Store) http.Handler {
+	door := FrontDoor{storeBackend{s: s}}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/count", s.handleCount)
+	mux.HandleFunc("/query", door.ServeQuery)
+	mux.HandleFunc("/count", door.ServeCount)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/manifest", s.handleManifest)
 	mux.HandleFunc("/segment", s.handleSegment)
@@ -49,9 +89,6 @@ type ServeConfig struct {
 	// streaming queries are torn off mid-stream at the deadline rather
 	// than buffered (default 30s, negative disables).
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies; the API is GET-only, so any
-	// body is hostile (default 1 MiB).
-	MaxBodyBytes int64
 	// Registry, when non-nil, receives the limiter's admission metrics
 	// (in-flight, shed). Mount obs.Handler on the same outer mux —
 	// outside this handler's limiter — to scrape them.
@@ -77,9 +114,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	}
 	if c.RequestTimeout < 0 {
 		c.RequestTimeout = 0
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -138,11 +172,16 @@ func slowestBuckets(snap obs.HistogramSnapshot, n int) []QueryBucket {
 	return out
 }
 
+// maxQueryBody caps request bodies under the limiter; the API there is
+// GET-only, so any body is hostile and 1 MiB is already generous.
+const maxQueryBody = 1 << 20
+
 // NewResilientHandler exposes the store with graceful degradation: a
 // concurrency limiter shedding load with 429 + Retry-After,
-// per-request timeouts, a request-body cap, and a /healthz endpoint
-// (outside the limiter — health probes must not be shed) reporting
-// store and queue state.
+// per-request timeouts, a request-body cap, and — outside the limiter,
+// because probes and admin triggers must work exactly when the query
+// path is saturated — /healthz reporting store and queue state and
+// POST /compact forcing a full compaction pass.
 func NewResilientHandler(s *Store, cfg ServeConfig) http.Handler {
 	cfg = cfg.withDefaults()
 	lim := resilience.NewHTTPLimiter(resilience.HTTPLimiterConfig{
@@ -151,7 +190,7 @@ func NewResilientHandler(s *Store, cfg ServeConfig) http.Handler {
 	})
 	lim.RegisterMetrics(cfg.Registry)
 	started := cfg.Now()
-	core := http.MaxBytesHandler(NewHandler(s), cfg.MaxBodyBytes)
+	core := http.MaxBytesHandler(NewHandler(s), maxQueryBody)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := s.Stats()
@@ -179,174 +218,27 @@ func NewResilientHandler(s *Store, cfg ServeConfig) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(h) //nolint:errcheck
 	})
+	mux.HandleFunc("/compact", s.handleCompact)
 	mux.Handle("/", lim.Wrap(core))
 	return mux
 }
 
-// parseShard reads an optional shard=N parameter; -1 means absent.
-func parseShard(values url.Values) (int, error) {
-	v := values.Get("shard")
-	if v == "" {
-		return -1, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return -1, fmt.Errorf("bad shard=%q", v)
-	}
-	return n, nil
-}
-
-// ParseHTTPQuery translates URL parameters into the shared Query type
-// plus pagination bounds — exported so the replicated front end
-// (internal/capstore/replica) speaks the exact same query dialect.
-func ParseHTTPQuery(values url.Values) (q capturedb.Query, limit, offset int, err error) {
-	return parseHTTPQuery(values)
-}
-
-// parseHTTPQuery translates URL parameters into the shared Query type
-// plus pagination bounds.
-func parseHTTPQuery(values url.Values) (q capturedb.Query, limit, offset int, err error) {
-	q.Domain = values.Get("domain")
-	q.RequestHost = values.Get("host")
-	q.Vantage = values.Get("vantage")
-	switch v := values.Get("failed"); v {
-	case "", "0", "false":
-	case "1", "true":
-		q.IncludeFailed = true
-	default:
-		return q, 0, 0, fmt.Errorf("bad failed=%q", v)
-	}
-	atoi := func(key string) (int, bool, error) {
-		v := values.Get(key)
-		if v == "" {
-			return 0, false, nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, false, fmt.Errorf("bad %s=%q", key, v)
-		}
-		return n, true, nil
-	}
-	if n, ok, aerr := atoi("from"); aerr != nil {
-		return q, 0, 0, aerr
-	} else if ok {
-		q.From = simtime.Day(n)
-	}
-	if n, ok, aerr := atoi("to"); aerr != nil {
-		return q, 0, 0, aerr
-	} else if ok {
-		q.To, q.HasTo = simtime.Day(n), true
-	}
-	if n, _, aerr := atoi("limit"); aerr != nil {
-		return q, 0, 0, aerr
-	} else if n < 0 {
-		return q, 0, 0, fmt.Errorf("bad limit=%d", n)
-	} else {
-		limit = n
-	}
-	if n, _, aerr := atoi("offset"); aerr != nil {
-		return q, 0, 0, aerr
-	} else if n < 0 {
-		return q, 0, 0, fmt.Errorf("bad offset=%d", n)
-	} else {
-		offset = n
-	}
-	return q, limit, offset, nil
-}
-
-// parseRead reads a /query or /count request: the query dialect plus
-// the optional shard=N parameter as the shard range [lo, hi) to run it
-// over — one segment, the replicated read path's unit of fan-out, or,
-// when absent, the whole store.
-func (s *Store) parseRead(values url.Values) (q capturedb.Query, limit, offset, lo, hi int, err error) {
-	if q, limit, offset, err = parseHTTPQuery(values); err != nil {
+// handleCompact folds every shard's tail into packs now and answers
+// what the pass packed and the store's resulting pack shape.
+func (s *Store) handleCompact(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	shard, err := parseShard(values)
-	switch {
-	case err != nil:
-	case shard < 0:
-		hi = len(s.shards)
-	case shard >= len(s.shards):
-		err = fmt.Errorf("no shard %d (store has %d)", shard, len(s.shards))
-	default:
-		lo, hi = shard, shard+1
-	}
-	return
-}
-
-// handleQuery streams matches as NDJSON with limit/offset pagination;
-// with shard=N, offset paginates within that segment's stream. The
-// request context is honoured between rows (see ctxEvery), so long
-// streams degrade by being cut, not by buffering forever.
-func (s *Store) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, limit, offset, lo, hi, err := s.parseRead(r.URL.Query())
+	packed, err := s.CompactAll()
 	if err != nil {
-		http.Error(w, "capstore: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	ctx := r.Context()
-	sent, seen := 0, 0
-	var werr error
-	_, qerr := s.run(ctx, lo, hi, q, func(c *capture.Capture) bool {
-		seen++
-		if seen <= offset {
-			return true
-		}
-		line, err := capturedb.Encode(c)
-		if err == nil {
-			_, err = w.Write(line)
-		}
-		if err != nil {
-			werr = err
-			return false
-		}
-		sent++
-		if flusher != nil && sent%flushEvery == 0 {
-			flusher.Flush()
-		}
-		return limit == 0 || sent < limit
-	})
-	if qerr == nil && werr == nil {
-		return
-	}
-	timedOut := ctx.Err() != nil
-	switch {
-	case sent > 0 && (werr == nil || timedOut):
-		// Mid-stream failure or timeout: the status line is gone; cut
-		// the connection so the client sees a torn stream, not a clean
-		// end.
-		panic(http.ErrAbortHandler)
-	case sent == 0 && timedOut:
-		// Deadline hit before the first row went out: a clean 503.
-		http.Error(w, "capstore: request timed out", http.StatusServiceUnavailable)
-	case sent == 0 && werr == nil:
-		http.Error(w, "capstore: "+qerr.Error(), http.StatusInternalServerError)
-	}
-}
-
-// handleCount answers {"count": N}; shard=N restricts to one segment.
-// A count that has to read records honours the request context as
-// /query does and answers 503 once it has expired.
-func (s *Store) handleCount(w http.ResponseWriter, r *http.Request) {
-	q, _, _, lo, hi, err := s.parseRead(r.URL.Query())
-	if err != nil {
-		http.Error(w, "capstore: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	n, err := s.run(r.Context(), lo, hi, q, nil)
-	switch {
-	case err != nil && r.Context().Err() != nil:
-		http.Error(w, "capstore: request timed out", http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		http.Error(w, "capstore: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
+	st := s.Stats()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int64{"count": n}) //nolint:errcheck
+	json.NewEncoder(w).Encode(CompactResult{PackedRecords: packed, Packs: st.Packs, Compactions: st.Compactions}) //nolint:errcheck
 }
 
 // handleManifest answers the store's per-segment content summary.
@@ -356,7 +248,7 @@ func (s *Store) handleManifest(w http.ResponseWriter, r *http.Request) {
 	values := r.URL.Query()
 	shard, err := parseShard(values)
 	if err != nil {
-		http.Error(w, "capstore: "+err.Error(), http.StatusBadRequest)
+		writeError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

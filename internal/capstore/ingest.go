@@ -1,10 +1,7 @@
 package capstore
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,30 +11,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Remote ingest: POST /ingest turns capd from a read-only query service
-// into the fleet's storage backend. The body is NDJSON in the capturedb
-// wire format, one record per line, applied in body order.
-//
-// Two delivery modes share the endpoint:
-//
-//   - Unordered (no parameters): records append as they arrive, with
-//     per-record idempotency — a record whose IngestKey was already
-//     accepted is dropped and counted, so clients may re-deliver after
-//     an ambiguous transport failure without duplicating storage.
-//
-//   - Ordered (?at=SEQ&n=N): the batch covers work items [SEQ, SEQ+N)
-//     of a coordinator-assigned total order, and batches commit in
-//     exactly that order. Out-of-order arrivals wait in a bounded
-//     reorder buffer; a batch whose range was already committed (or is
-//     already waiting) is a duplicate delivery and is dropped whole.
-//     This is what makes a fleet of workers produce a byte-identical
-//     store to a single-process run: every worker's appends land at
-//     their canonical position no matter when they arrive.
-//
-// The buffer is the ingest path's graceful-degradation valve: past
-// IngestConfig.MaxPendingBatches, out-of-order batches are shed with
-// 503 + Retry-After instead of growing memory without bound; the batch
-// that unblocks the commit cursor is always admitted.
+// Remote ingest: an Ingester turns a Store from a read-only query
+// service into the fleet's storage backend — the commit half of the
+// capd Backend behind the front door (frontdoor.go describes POST
+// /ingest and its two delivery modes). Unordered batches append as they
+// arrive with per-record idempotency; ordered batches commit through a
+// Sequencer, whose buffer IngestConfig.MaxPendingBatches bounds.
 
 // IngestKey is the per-share idempotency key, derived from the record
 // itself: after feed dedup a (seed URL, day, configuration) triple
@@ -53,8 +32,6 @@ type IngestConfig struct {
 	// out-of-order batch arriving past the bound is shed with 503
 	// (default 64).
 	MaxPendingBatches int
-	// MaxBodyBytes caps one ingest request body (default 64 MiB).
-	MaxBodyBytes int64
 	// Registry, when non-nil, receives the ingest metric families.
 	Registry *obs.Registry
 	// Tracer, when non-nil, records an ingest span for every /ingest
@@ -69,16 +46,6 @@ type IngestConfig struct {
 	// order is exact; implementations must be fast and must not call
 	// back into the ingester.
 	OnCommit func(caps []*capture.Capture)
-}
-
-func (c IngestConfig) withDefaults() IngestConfig {
-	if c.MaxPendingBatches <= 0 {
-		c.MaxPendingBatches = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	return c
 }
 
 // IngestStats is a point-in-time snapshot of the ingest path.
@@ -110,11 +77,6 @@ type IngestResult struct {
 	Pending int `json:"pending"`
 }
 
-type pendingBatch struct {
-	n    int64
-	caps []*capture.Capture
-}
-
 // Ingester applies remote batches to a Store with idempotency and
 // (optionally) coordinator-ordered commit. It is an http.Handler for
 // POST /ingest and safe for concurrent use.
@@ -122,15 +84,16 @@ type Ingester struct {
 	store *Store
 	cfg   IngestConfig
 
-	mu      sync.Mutex
-	seen    map[string]struct{}
-	nextSeq int64
-	pending map[int64]*pendingBatch
-	stats   IngestStats
+	mu    sync.Mutex
+	seen  map[string]struct{}
+	seq   *Sequencer
+	stats IngestStats
 
-	metrics *ingestMetrics
+	metrics ingestMetrics
 }
 
+// ingestMetrics is the nil-safe obs wiring (every field no-ops
+// unregistered).
 type ingestMetrics struct {
 	records    *obs.Counter
 	duplicates *obs.Counter
@@ -143,22 +106,12 @@ type ingestMetrics struct {
 // re-attaching an ingester keeps re-deliveries idempotent across capd
 // restarts.
 func NewIngester(s *Store, cfg IngestConfig) (*Ingester, error) {
-	cfg = cfg.withDefaults()
 	in := &Ingester{
-		store:   s,
-		cfg:     cfg,
-		seen:    make(map[string]struct{}),
-		pending: make(map[int64]*pendingBatch),
-	}
-	err := s.Query(capturedb.Query{IncludeFailed: true}, func(c *capture.Capture) bool {
-		in.seen[IngestKey(c)] = struct{}{}
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("capstore: seeding ingest idempotency index: %w", err)
-	}
-	if cfg.Registry != nil {
-		in.metrics = &ingestMetrics{
+		store: s,
+		cfg:   cfg,
+		seen:  make(map[string]struct{}),
+		seq:   NewSequencer(cfg.MaxPendingBatches),
+		metrics: ingestMetrics{
 			records: obs.NewCounter(cfg.Registry, "capstore_ingest_records_total",
 				"Records accepted over POST /ingest and appended to the store."),
 			duplicates: obs.NewCounter(cfg.Registry, "capstore_ingest_duplicates_total",
@@ -167,14 +120,21 @@ func NewIngester(s *Store, cfg IngestConfig) (*Ingester, error) {
 				"Ingest requests that decoded successfully."),
 			shed: obs.NewCounter(cfg.Registry, "capstore_ingest_shed_total",
 				"Out-of-order ordered batches refused with 503 at the reorder-buffer bound."),
-		}
-		obs.NewGaugeFunc(cfg.Registry, "capstore_ingest_pending_batches",
-			"Ordered batches waiting in the reorder buffer for their commit turn.",
-			func() float64 { return float64(in.Stats().PendingBatches) })
-		obs.NewGaugeFunc(cfg.Registry, "capstore_ingest_next_seq",
-			"Ordered-ingest commit cursor: work items below it are committed or skipped.",
-			func() float64 { return float64(in.Stats().NextSeq) })
+		},
 	}
+	err := s.Query(capturedb.Query{IncludeFailed: true}, func(c *capture.Capture) bool {
+		in.seen[IngestKey(c)] = struct{}{}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("capstore: seeding ingest idempotency index: %w", err)
+	}
+	obs.NewGaugeFunc(cfg.Registry, "capstore_ingest_pending_batches",
+		"Ordered batches waiting in the reorder buffer for their commit turn.",
+		func() float64 { return float64(in.Stats().PendingBatches) })
+	obs.NewGaugeFunc(cfg.Registry, "capstore_ingest_next_seq",
+		"Ordered-ingest commit cursor: work items below it are committed or skipped.",
+		func() float64 { return float64(in.Stats().NextSeq) })
 	return in, nil
 }
 
@@ -183,8 +143,8 @@ func (in *Ingester) Stats() IngestStats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	st := in.stats
-	st.NextSeq = in.nextSeq
-	st.PendingBatches = len(in.pending)
+	st.NextSeq = in.seq.Next()
+	st.PendingBatches = in.seq.Pending()
 	return st
 }
 
@@ -206,19 +166,12 @@ func (in *Ingester) apply(caps []*capture.Capture) (accepted, dups int64) {
 	}
 	in.stats.Accepted += accepted
 	in.stats.Duplicates += dups
-	in.metrics.record(accepted, dups)
+	in.metrics.records.Add(accepted)
+	in.metrics.duplicates.Add(dups)
 	if len(committed) > 0 {
 		in.cfg.OnCommit(committed)
 	}
 	return accepted, dups
-}
-
-func (m *ingestMetrics) record(accepted, dups int64) {
-	if m == nil {
-		return
-	}
-	m.records.Add(accepted)
-	m.duplicates.Add(dups)
 }
 
 // IngestBatch applies an unordered batch in order, returning how many
@@ -227,160 +180,53 @@ func (in *Ingester) IngestBatch(caps []*capture.Capture) IngestResult {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.stats.Batches++
-	if in.metrics != nil {
-		in.metrics.batches.Inc()
-	}
+	in.metrics.batches.Inc()
 	acc, dups := in.apply(caps)
-	return IngestResult{Accepted: acc, Duplicates: dups, Pending: len(in.pending)}
+	return IngestResult{Accepted: acc, Duplicates: dups, Pending: in.seq.Pending()}
 }
-
-// ErrIngestShed marks an out-of-order ordered batch refused because the
-// reorder buffer is full; the caller should retry after the cursor
-// advances.
-var ErrIngestShed = errors.New("capstore: ingest reorder buffer full")
 
 // IngestBatchAt enqueues the ordered batch covering work items
 // [at, at+n); caps are the records those items produced (possibly fewer
 // than n — dead-lettered items produce none — and possibly zero for a
 // skip marker). Batches commit strictly in range order. A batch whose
 // range is already committed or already waiting is dropped whole as a
-// duplicate delivery.
+// duplicate delivery. The result accounts for this batch's records
+// only, whatever else the push unblocked.
 func (in *Ingester) IngestBatchAt(at int64, n int64, caps []*capture.Capture) (IngestResult, error) {
-	if at < 0 || n < 1 || int64(len(caps)) > n {
-		return IngestResult{}, fmt.Errorf("capstore: bad ordered batch at=%d n=%d records=%d", at, n, len(caps))
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if at < in.nextSeq {
-		in.stats.Batches++
-		in.stats.Duplicates += int64(len(caps))
-		if in.metrics != nil {
-			in.metrics.batches.Inc()
+	var res IngestResult
+	outcome, err := in.seq.Offer(Batch{Ordered: true, At: at, N: n, Caps: caps}, func(b Batch) {
+		acc, dups := in.apply(b.Caps)
+		if b.At == at {
+			res.Accepted, res.Duplicates = acc, dups
 		}
-		in.metrics.record(0, int64(len(caps)))
-		return IngestResult{Duplicates: int64(len(caps)), Pending: len(in.pending)}, nil
+	})
+	if err != nil {
+		return res, err
 	}
-	if _, ok := in.pending[at]; ok {
-		in.stats.Batches++
-		in.stats.Duplicates += int64(len(caps))
-		if in.metrics != nil {
-			in.metrics.batches.Inc()
-		}
-		in.metrics.record(0, int64(len(caps)))
-		return IngestResult{Duplicates: int64(len(caps)), Pending: len(in.pending)}, nil
-	}
-	if at != in.nextSeq && len(in.pending) >= in.cfg.MaxPendingBatches {
+	res.Pending = in.seq.Pending()
+	switch outcome {
+	case Shed:
 		in.stats.Shed++
-		if in.metrics != nil {
-			in.metrics.shed.Inc()
-		}
-		return IngestResult{Pending: len(in.pending)}, ErrIngestShed
+		in.metrics.shed.Inc()
+		return res, ErrIngestShed
+	case Duplicate:
+		res.Duplicates = int64(len(caps))
+		in.stats.Duplicates += res.Duplicates
+		in.metrics.duplicates.Add(res.Duplicates)
+	case Buffered:
+		// Report the records as accepted even though the batch is still
+		// waiting its turn: delivery is complete from the worker's
+		// perspective, and duplicates of a waiting range are refused.
+		res.Accepted = int64(len(caps))
 	}
 	in.stats.Batches++
-	if in.metrics != nil {
-		in.metrics.batches.Inc()
-	}
-	in.pending[at] = &pendingBatch{n: n, caps: caps}
-	var acc, dups int64
-	for {
-		b, ok := in.pending[in.nextSeq]
-		if !ok {
-			break
-		}
-		delete(in.pending, in.nextSeq)
-		a, d := in.apply(b.caps)
-		acc += a
-		dups += d
-		in.nextSeq += b.n
-	}
-	// Report this request's records as accepted even when the batch is
-	// still waiting its turn: delivery is complete from the worker's
-	// perspective, and duplicates of a waiting range are refused above.
-	if acc == 0 && dups == 0 && len(caps) > 0 {
-		acc = int64(len(caps))
-	}
-	return IngestResult{Accepted: acc, Duplicates: dups, Pending: len(in.pending)}, nil
+	in.metrics.batches.Inc()
+	return res, nil
 }
 
 // ServeHTTP implements POST /ingest.
 func (in *Ingester) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "capstore: /ingest is POST-only", http.StatusMethodNotAllowed)
-		return
-	}
-	q := r.URL.Query()
-	atStr, nStr := q.Get("at"), q.Get("n")
-	ordered := atStr != "" || nStr != ""
-	var at, n int64
-	if ordered {
-		var err error
-		if at, err = strconv.ParseInt(atStr, 10, 64); err != nil || at < 0 {
-			http.Error(w, fmt.Sprintf("capstore: bad at=%q", atStr), http.StatusBadRequest)
-			return
-		}
-		if n, err = strconv.ParseInt(nStr, 10, 64); err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("capstore: bad n=%q", nStr), http.StatusBadRequest)
-			return
-		}
-	}
-	// Adopt the pusher's trace context, if any: the ingest span is the
-	// capd end of the fleetd→worker→ring→capd trace. Its identity
-	// attrs are the batch's canonical coordinates (range for ordered,
-	// size for unordered) — never per-node or per-request values — so
-	// replica re-deliveries of one batch collapse to one span at
-	// assembly and exports stay byte-identical across worker counts.
-	// A malformed or absent header leaves the request unspanned;
-	// tracing never fails an ingest.
-	if in.cfg.Tracer != nil {
-		if pctx, err := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); err == nil && pctx.Valid() {
-			var span *obs.Span
-			if ordered {
-				span = in.cfg.Tracer.StartRemote("ingest", pctx,
-					obs.A("at", strconv.FormatInt(at, 10)),
-					obs.A("n", strconv.FormatInt(n, 10)))
-			} else {
-				span = in.cfg.Tracer.StartRemote("ingest", pctx)
-			}
-			defer span.End()
-		}
-	}
-
-	body := http.MaxBytesReader(w, r.Body, in.cfg.MaxBodyBytes)
-	var caps []*capture.Capture
-	rr := capturedb.NewRecordReader(body)
-	for {
-		c, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			http.Error(w, fmt.Sprintf("capstore: /ingest line %d: %v", rr.Line(), err), http.StatusBadRequest)
-			return
-		}
-		caps = append(caps, c)
-	}
-
-	var res IngestResult
-	if ordered {
-		var err error
-		res, err = in.IngestBatchAt(at, n, caps)
-		if errors.Is(err, ErrIngestShed) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "capstore: ingest reorder buffer full, retry", http.StatusServiceUnavailable)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		res = in.IngestBatch(caps)
-	}
-	if err := in.store.Flush(); err != nil {
-		http.Error(w, fmt.Sprintf("capstore: /ingest flush: %v", err), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res) //nolint:errcheck
+	FrontDoor{storeBackend{in.store, in}}.ServeIngest(w, r)
 }

@@ -71,51 +71,33 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 		"Records excluded across all queries without a disk read.", s.counters.rowsSkipped.Load)
 	obs.NewCounterFunc(reg, "capstore_truncated_tails_total",
 		"Crash-torn segment tails detected and repaired at open.", s.counters.truncated.Load)
-	obs.NewGaugeFunc(reg, "capstore_segments",
+	// The shape gauges are read off Stats(), the one place the shards
+	// are walked under their locks; a scrape pays that walk per gauge,
+	// which only the scrape path ever does.
+	shape := func(name, help string, of func(Stats) float64) {
+		obs.NewGaugeFunc(reg, name, help, func() float64 { return of(s.Stats()) })
+	}
+	openedBy := func(st Stats, path string) float64 {
+		n := 0
+		for _, sh := range st.Shards {
+			if sh.OpenPath == path {
+				n++
+			}
+		}
+		return float64(n)
+	}
+	shape("capstore_segments",
 		"Segment files backing the store.",
-		func() float64 { return float64(len(s.shards)) })
-	obs.NewGaugeFunc(reg, "capstore_indexed_domains",
+		func(st Stats) float64 { return float64(len(st.Shards)) })
+	shape("capstore_indexed_domains",
 		"Final-domain posting keys across pack indexes and tail indexes.",
-		func() float64 {
-			n := 0
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				n += len(sh.byDomain)
-				for _, p := range sh.packs {
-					n += p.Summary.DomainKeys
-				}
-				sh.mu.Unlock()
-			}
-			return float64(n)
-		})
-	obs.NewGaugeFunc(reg, "capstore_indexed_hosts",
+		func(st Stats) float64 { return float64(st.IndexedDomains) })
+	shape("capstore_indexed_hosts",
 		"Request-host posting keys across pack indexes and tail indexes.",
-		func() float64 {
-			n := 0
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				n += len(sh.byHost)
-				for _, p := range sh.packs {
-					n += p.Summary.HostKeys
-				}
-				sh.mu.Unlock()
-			}
-			return float64(n)
-		})
-	obs.NewGaugeFunc(reg, "capstore_host_postings",
+		func(st Stats) float64 { return float64(st.IndexedHosts) })
+	shape("capstore_host_postings",
 		"Total request-host posting-list entries.",
-		func() float64 {
-			var n int64
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				n += sh.hostPostings
-				for _, p := range sh.packs {
-					n += p.Summary.HostPostings
-				}
-				sh.mu.Unlock()
-			}
-			return float64(n)
-		})
+		func(st Stats) float64 { return float64(st.HostPostings) })
 
 	// Pack engine.
 	obs.NewCounterFunc(reg, "pack_compactions_total",
@@ -132,39 +114,15 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	obs.NewGaugeFunc(reg, "pack_pace_sleep_seconds_total",
 		"Time the compactor slept to honor its write-pace bound.",
 		func() float64 { return float64(s.counters.paceSleepNanos.Load()) / 1e9 })
-	obs.NewGaugeFunc(reg, "pack_packs",
+	shape("pack_packs",
 		"Pack files across all shards.",
-		func() float64 {
-			n := 0
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				n += len(sh.packs)
-				sh.mu.Unlock()
-			}
-			return float64(n)
-		})
-	obs.NewGaugeFunc(reg, "pack_open_indexed_shards",
+		func(st Stats) float64 { return float64(st.Packs) })
+	shape("pack_open_indexed_shards",
 		"Shards whose last open loaded pack footer indexes instead of a full scan.",
-		func() float64 {
-			n := 0
-			for _, sh := range s.shards {
-				if sh.openIndexed {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	obs.NewGaugeFunc(reg, "pack_open_scan_shards",
+		func(st Stats) float64 { return openedBy(st, openPath(true)) })
+	shape("pack_open_scan_shards",
 		"Shards whose last open fell back to a full segment scan.",
-		func() float64 {
-			n := 0
-			for _, sh := range s.shards {
-				if !sh.openIndexed {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func(st Stats) float64 { return openedBy(st, openPath(false)) })
 	s.metrics.Store(NewStoreMetrics(reg))
 }
 

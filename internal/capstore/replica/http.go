@@ -1,46 +1,90 @@
 package replica
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/capstore"
 	"repro/internal/capture"
-	"repro/internal/capturedb"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
-// The replicated store's HTTP surface, served by cmd/capring. It
-// mirrors a single capd closely enough that the fleet and capq talk to
-// either interchangeably:
+// The replicated store's HTTP surface, served by cmd/capring: the
+// capstore front door (capstore/frontdoor.go — /ingest, /query and
+// /count, parsed, answered and failed by the code a single capd runs)
+// over the ring as its Backend, plus what only a ring serves:
 //
-//	POST /ingest            unordered batch, committed in arrival order
-//	POST /ingest?at=S&n=N   ordered fleet commit; 503 + Retry-After on
-//	                        reorder shedding or a missed write quorum
-//	GET  /query?…           merged stream across segments, replica
-//	                        failover hidden from the client
-//	GET  /count?…           {"count": N}
-//	GET  /ring              placement: nodes, states, segment → replicas
-//	GET  /healthz           writer snapshot (never load-shed)
+//	GET  /ring      placement: nodes, states, segment → replicas
+//	GET  /healthz   writer snapshot (never load-shed)
+//	POST /compact   the pack-engine admin trigger, fanned out to every
+//	                node (never load-shed)
+//
+// Through this backend an ordered /ingest answers 503 + Retry-After on
+// a missed write quorum as well as on reorder shedding — the batch is
+// committed but not yet safe on W replicas, so the pusher must retry
+// (it re-waits on the same commit), not ack — and /query and /count
+// hide replica failover from the client.
 
-// maxIngestBody mirrors capstore.IngestConfig's default body cap.
-const maxIngestBody = 64 << 20
+// ringBackend puts the ring behind the front door: commits are the
+// Writer's, reads the Reader's.
+type ringBackend struct {
+	*Writer
+	rd *Reader
+}
 
-// Handler exposes the writer and its reader. Wrap it in a
-// resilience.HTTPLimiter (as cmd/capring does) to bound concurrency;
-// /healthz should be mounted outside the limiter.
+// errShardOnRing refuses shard=N: segments are read on the storage
+// nodes that hold them, and answering for the whole ring instead would
+// be silently wrong.
+var errShardOnRing = fmt.Errorf("%w: shard=N reads one storage node's segment, not a ring's", capstore.ErrBadRequest)
+
+func (b ringBackend) Stream(ctx context.Context, r capstore.Read, fn func(*capture.Capture) bool) error {
+	if r.Shard >= 0 {
+		return errShardOnRing
+	}
+	return b.rd.query(ctx, r.Query, 0, 0, fn)
+}
+
+func (b ringBackend) Count(ctx context.Context, r capstore.Read) (int64, error) {
+	if r.Shard >= 0 {
+		return 0, errShardOnRing
+	}
+	n, err := b.rd.count(ctx, r.Query)
+	return int64(n), err
+}
+
+// Handler exposes the writer and its reader: the front door plus /ring.
+// NewResilientHandler is this behind a limiter, with /healthz and
+// /compact outside it.
 func Handler(w *Writer) http.Handler {
-	rd := w.Reader()
+	door := capstore.FrontDoor{Backend: ringBackend{w, w.Reader()}}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", func(rw http.ResponseWriter, r *http.Request) { handleIngest(w, rw, r) })
-	mux.HandleFunc("/query", func(rw http.ResponseWriter, r *http.Request) { handleQuery(rd, rw, r) })
-	mux.HandleFunc("/count", func(rw http.ResponseWriter, r *http.Request) { handleCount(rd, rw, r) })
-	mux.HandleFunc("/ring", func(rw http.ResponseWriter, r *http.Request) { handleRing(w, rw, r) })
+	mux.HandleFunc("/ingest", door.ServeIngest)
+	mux.HandleFunc("/query", door.ServeQuery)
+	mux.HandleFunc("/count", door.ServeCount)
+	mux.HandleFunc("/ring", w.handleRing)
+	return mux
+}
+
+// NewResilientHandler is the whole capring surface with graceful
+// degradation, as capstore.NewResilientHandler is capd's: Handler
+// behind a concurrency limiter (429 + Retry-After past maxInFlight,
+// requestTimeout per admitted request, 0 disables), and /healthz and
+// /compact outside it — probes and admin triggers must work exactly
+// when the ring is shedding.
+func NewResilientHandler(w *Writer, maxInFlight int, requestTimeout time.Duration) http.Handler {
+	lim := resilience.NewHTTPLimiter(resilience.HTTPLimiterConfig{
+		MaxInFlight: maxInFlight,
+		Timeout:     requestTimeout,
+	})
+	mux := http.NewServeMux()
+	mux.Handle("/healthz", HealthzHandler(w))
+	mux.HandleFunc("/compact", w.handleCompact)
+	mux.Handle("/", lim.Wrap(Handler(w)))
 	return mux
 }
 
@@ -71,119 +115,40 @@ func HealthzHandler(w *Writer) http.Handler {
 	})
 }
 
-func handleIngest(w *Writer, rw http.ResponseWriter, r *http.Request) {
+// handleCompact fans POST /compact out to every node — one call
+// compacts the whole ring. Per-node failures are reported, not fatal (a
+// down node compacts on its own at restart or via its background
+// compactor).
+func (w *Writer) handleCompact(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(rw, "replica: /ingest wants POST", http.StatusMethodNotAllowed)
+		rw.Header().Set("Allow", http.MethodPost)
+		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	values := r.URL.Query()
-	ordered := values.Get("at") != "" || values.Get("n") != ""
-	var at, n int64
-	if ordered {
-		var err error
-		if at, err = strconv.ParseInt(values.Get("at"), 10, 64); err != nil || at < 0 {
-			http.Error(rw, fmt.Sprintf("replica: bad at=%q", values.Get("at")), http.StatusBadRequest)
-			return
-		}
-		if n, err = strconv.ParseInt(values.Get("n"), 10, 64); err != nil || n <= 0 {
-			http.Error(rw, fmt.Sprintf("replica: bad n=%q", values.Get("n")), http.StatusBadRequest)
-			return
-		}
+	type nodeResult struct {
+		Node          string `json:"node"`
+		PackedRecords int64  `json:"packed_records"`
+		Packs         int    `json:"packs"`
+		Error         string `json:"error,omitempty"`
 	}
-	body := http.MaxBytesReader(rw, r.Body, maxIngestBody)
-	rr := capturedb.NewRecordReader(body)
-	var caps []*capture.Capture
-	for {
-		c, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			http.Error(rw, "replica: bad ingest body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		caps = append(caps, c)
+	results := make([]nodeResult, len(w.nodes))
+	var wg sync.WaitGroup
+	for i, n := range w.nodes {
+		wg.Add(1)
+		go func(res *nodeResult, n *node) {
+			defer wg.Done()
+			res.Node = n.name
+			cr, err := n.cl.Compact()
+			if err != nil {
+				res.Error = err.Error()
+				return
+			}
+			res.PackedRecords, res.Packs = cr.PackedRecords, cr.Packs
+		}(&results[i], n)
 	}
-	var res capstore.IngestResult
-	var err error
-	trace := r.Header.Get(obs.TraceparentHeader)
-	if ordered {
-		res, err = w.RecordBatchAtTrace(trace, at, n, caps)
-	} else {
-		res, err = w.RecordBatchTrace(trace, caps)
-	}
-	switch {
-	case errors.Is(err, capstore.ErrIngestShed):
-		rw.Header().Set("Retry-After", "1")
-		http.Error(rw, "replica: ingest reorder buffer full, retry", http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, ErrQuorumTimeout):
-		// Committed but not yet safe on W replicas: the pusher must
-		// retry (it will re-wait on the same commit), not ack.
-		rw.Header().Set("Retry-After", "1")
-		http.Error(rw, "replica: write quorum not reached, retry", http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		http.Error(rw, "replica: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
+	wg.Wait()
 	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(res) //nolint:errcheck
-}
-
-// flushEvery matches capstore's streaming cadence.
-const flushEvery = 256
-
-func handleQuery(rd *Reader, rw http.ResponseWriter, r *http.Request) {
-	q, limit, offset, err := capstore.ParseHTTPQuery(r.URL.Query())
-	if err != nil {
-		http.Error(rw, "replica: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := rw.(http.Flusher)
-	sent := 0
-	var werr error
-	qerr := rd.query(r.Context(), q, limit, offset, func(c *capture.Capture) bool {
-		line, err := capturedb.Encode(c)
-		if err == nil {
-			_, err = rw.Write(line)
-		}
-		if err != nil {
-			werr = err
-			return false
-		}
-		sent++
-		if flusher != nil && sent%flushEvery == 0 {
-			flusher.Flush()
-		}
-		return true
-	})
-	if qerr != nil && sent == 0 && werr == nil {
-		http.Error(rw, "replica: "+qerr.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if qerr != nil && sent > 0 && werr == nil {
-		// Mid-stream replica exhaustion: the status line is gone; cut
-		// the connection so the client sees a torn stream, not a clean
-		// short read.
-		panic(http.ErrAbortHandler)
-	}
-}
-
-func handleCount(rd *Reader, rw http.ResponseWriter, r *http.Request) {
-	q, _, _, err := capstore.ParseHTTPQuery(r.URL.Query())
-	if err != nil {
-		http.Error(rw, "replica: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	n, err := rd.count(r.Context(), q)
-	if err != nil {
-		http.Error(rw, "replica: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(map[string]int{"count": n}) //nolint:errcheck
+	json.NewEncoder(rw).Encode(map[string]any{"nodes": results}) //nolint:errcheck
 }
 
 // RingInfo is the /ring payload: the deterministic placement plus the
@@ -197,7 +162,7 @@ type RingInfo struct {
 	Placement [][]string `json:"placement"`
 }
 
-func handleRing(w *Writer, rw http.ResponseWriter, r *http.Request) {
+func (w *Writer) handleRing(rw http.ResponseWriter, r *http.Request) {
 	info := RingInfo{
 		Seed:     w.cfg.Seed,
 		Replicas: w.ring.Replicas(),

@@ -108,22 +108,11 @@ func (r *Reader) query(ctx context.Context, q capturedb.Query, limit, offset int
 		plan = planRouted
 	}
 	defer r.observe(plan, len(segs), time.Now())
-	seen, sent := 0, 0
 	return mergeSegments(ctx, r, segs, rowBudget,
 		func(ctx context.Context, nd *node, s, got int, emit func(*capture.Capture) bool) error {
 			return nd.cl.QueryShardContext(ctx, s, q, 0, got, emit)
 		},
-		func(c *capture.Capture) bool {
-			seen++
-			if seen <= offset {
-				return true
-			}
-			if !fn(c) {
-				return false
-			}
-			sent++
-			return limit == 0 || sent < limit
-		})
+		capstore.Page(limit, offset, fn))
 }
 
 // Count sums per-segment counts over the segments Query would visit.
@@ -280,7 +269,7 @@ func (f *fanout) serve(s int, op func(context.Context, *node) error) error {
 			lastErr = err
 		}
 	}
-	return fmt.Errorf("replica: segment %d unavailable on all replicas: %w", s, lastErr)
+	return fmt.Errorf("replica: segment %d unavailable on all replicas (%w): %w", s, capstore.ErrUnavailable, lastErr)
 }
 
 // onLane runs op against nd once nd's lane is free. A stream holding a

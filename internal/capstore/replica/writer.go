@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -57,7 +56,7 @@ import (
 // (its position in the canonical order is taken and its deliveries
 // remain queued); the pusher should retry, which re-waits on the same
 // commit.
-var ErrQuorumTimeout = errors.New("replica: write quorum not reached")
+var ErrQuorumTimeout = fmt.Errorf("replica: write quorum not reached: %w", capstore.ErrUnavailable)
 
 // ErrClosed is returned for pushes after Close.
 var ErrClosed = errors.New("replica: writer closed")
@@ -78,8 +77,6 @@ type Config struct {
 	Seed uint64
 	// Replicas is the ring's replication factor R (default 2).
 	Replicas int
-	// VirtualNodes tunes ring smoothness (default ring.DefaultVirtualNodes).
-	VirtualNodes int
 	// Quorum is the per-shard write quorum W (default 1, clamped to
 	// [1, Replicas]). With R=2, W=1 keeps ingest available through any
 	// single-node loss.
@@ -122,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Quorum > c.Replicas {
 		c.Quorum = c.Replicas
-	}
-	if c.MaxPendingBatches <= 0 {
-		c.MaxPendingBatches = 64
 	}
 	if c.MaxHandoff <= 0 {
 		c.MaxHandoff = 256
@@ -205,12 +199,6 @@ type commitWait struct {
 	span      *obs.Span // ring.ingest span, ended when the quorum lands
 }
 
-type pendingBatch struct {
-	n     int64
-	caps  []*capture.Capture
-	trace string // pusher's traceparent, replayed when the batch commits
-}
-
 type nodeState int
 
 const (
@@ -258,9 +246,10 @@ type Writer struct {
 	byName map[string]*node
 	m      metrics
 
-	mu          sync.Mutex
-	nextSeq     int64
-	pending     map[int64]pendingBatch
+	mu sync.Mutex
+	// seq orders the fleet's commits; a buffered batch keeps its
+	// pusher's trace context and commits under it when the gap fills.
+	seq         *capstore.Sequencer
 	awaiting    map[int64]*commitWait
 	shardCounts []int64 // canonical records committed per shard
 	committed   int64
@@ -287,7 +276,10 @@ func NewWriter(cfg Config) (*Writer, error) {
 		}
 		names[i] = nc.Name
 	}
-	rg, err := ring.New(ring.Config{Seed: cfg.Seed, Nodes: names, Replicas: cfg.Replicas, VirtualNodes: cfg.VirtualNodes})
+	// The ring's point count is ring.DefaultVirtualNodes, not a knob:
+	// placement is derived from it, so it may never differ between a
+	// capring and its restart.
+	rg, err := ring.New(ring.Config{Seed: cfg.Seed, Nodes: names, Replicas: cfg.Replicas})
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +288,7 @@ func NewWriter(cfg Config) (*Writer, error) {
 		ring:        rg,
 		byName:      make(map[string]*node, len(cfg.Nodes)),
 		m:           newMetrics(cfg.Registry),
-		pending:     make(map[int64]pendingBatch),
+		seq:         capstore.NewSequencer(cfg.MaxPendingBatches),
 		awaiting:    make(map[int64]*commitWait),
 		shardCounts: make([]int64, cfg.Shards),
 		done:        make(chan struct{}),
@@ -395,136 +387,84 @@ func (w *Writer) Close() error {
 // RecordBatch commits caps immediately in arrival order (unordered
 // mode) and waits for the write quorum.
 func (w *Writer) RecordBatch(caps []*capture.Capture) (capstore.IngestResult, error) {
-	return w.RecordBatchTrace("", caps)
-}
-
-// RecordBatchTrace is RecordBatch with the pusher's traceparent: when
-// the writer has a Tracer, the commit records a ring.ingest span
-// parented by trace and forwards its context on every node delivery.
-func (w *Writer) RecordBatchTrace(trace string, caps []*capture.Capture) (capstore.IngestResult, error) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return capstore.IngestResult{}, ErrClosed
-	}
-	sp := w.ringSpan(trace, -1, 0)
-	wait := w.fanOutLocked(-1, caps, sp)
-	if wait == nil && sp != nil {
-		sp.End() // empty batch: nothing fans out
-	}
-	w.mu.Unlock()
-	res := capstore.IngestResult{Accepted: int64(len(caps))}
-	return w.await(wait, res)
+	return w.Commit(capstore.Batch{Caps: caps})
 }
 
 // RecordBatchAt commits the ordered batch covering work items
 // [at, at+n) — the fleet's commit path, with the same contract as a
-// single capd's ordered /ingest: batches commit strictly in range
-// order, out-of-order arrivals buffer (bounded, shedding with
-// ErrIngestShed beyond the bound), and re-delivered ranges are dropped
-// whole as duplicates. In-order pushes additionally wait for the write
-// quorum of their own records.
+// single capd's ordered /ingest because the same Sequencer decides it:
+// batches commit strictly in range order, out-of-order arrivals buffer
+// (bounded, shedding with ErrIngestShed beyond the bound), and
+// re-delivered ranges are dropped whole as duplicates. In-order pushes
+// additionally wait for the write quorum of their own records.
 func (w *Writer) RecordBatchAt(at, n int64, caps []*capture.Capture) (capstore.IngestResult, error) {
-	return w.RecordBatchAtTrace("", at, n, caps)
+	return w.Commit(capstore.Batch{Ordered: true, At: at, N: n, Caps: caps})
 }
 
-// RecordBatchAtTrace is RecordBatchAt with the pusher's traceparent.
-// Buffered out-of-order batches remember their trace and commit under
-// it when the gap fills.
-func (w *Writer) RecordBatchAtTrace(trace string, at, n int64, caps []*capture.Capture) (capstore.IngestResult, error) {
-	if at < 0 || n <= 0 {
-		return capstore.IngestResult{}, fmt.Errorf("replica: bad ordered range at=%d n=%d", at, n)
+// Commit is the write path behind both: it gives the batch its place in
+// the canonical order, fans it out, and waits for its write quorum.
+// When the writer has a Tracer and the batch a trace context, each
+// commit records a ring.ingest span parented by it and forwards the
+// span's context on every node delivery.
+func (w *Writer) Commit(b capstore.Batch) (capstore.IngestResult, error) {
+	res, wait, err := w.place(b)
+	if err != nil {
+		return capstore.IngestResult{}, err
 	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return capstore.IngestResult{}, ErrClosed
-	}
-	switch {
-	case at < w.nextSeq:
-		// Already committed. If its quorum is still outstanding, the
-		// re-pusher waits on it (an ambiguous earlier failure must not
-		// ack before the records are actually safe).
-		wait := w.awaiting[at]
-		w.mu.Unlock()
-		return w.await(wait, capstore.IngestResult{Duplicates: int64(len(caps))})
-	case at > w.nextSeq:
-		if _, dup := w.pending[at]; dup {
-			res := capstore.IngestResult{Duplicates: int64(len(caps)), Pending: len(w.pending)}
-			w.mu.Unlock()
-			return res, nil
-		}
-		if len(w.pending) >= w.cfg.MaxPendingBatches {
-			w.mu.Unlock()
-			w.m.shed.Inc()
-			return capstore.IngestResult{}, capstore.ErrIngestShed
-		}
-		w.pending[at] = pendingBatch{n: n, caps: caps, trace: trace}
-		res := capstore.IngestResult{Accepted: int64(len(caps)), Pending: len(w.pending)}
-		w.mu.Unlock()
-		return res, nil
-	}
-	// at == nextSeq: commit, then drain whatever it unblocked.
-	wait := w.commitLocked(at, n, caps, trace)
-	for {
-		pb, ok := w.pending[w.nextSeq]
-		if !ok {
-			break
-		}
-		seq := w.nextSeq
-		delete(w.pending, seq)
-		w.commitLocked(seq, pb.n, pb.caps, pb.trace)
-	}
-	res := capstore.IngestResult{Accepted: int64(len(caps)), Pending: len(w.pending)}
-	w.mu.Unlock()
 	return w.await(wait, res)
 }
 
-// commitLocked assigns the batch its canonical position and fans it
-// out. Caller holds w.mu.
-func (w *Writer) commitLocked(seq, n int64, caps []*capture.Capture, trace string) *commitWait {
-	sp := w.ringSpan(trace, seq, n)
-	wait := w.fanOutLocked(seq, caps, sp)
-	if wait == nil && sp != nil {
-		sp.End() // skip-range commit: no records to wait for
+// place is Commit up to the wait: the reply the batch has earned and
+// the quorum, if any, it must still see.
+func (w *Writer) place(b capstore.Batch) (res capstore.IngestResult, wait *commitWait, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return res, nil, ErrClosed
 	}
-	w.nextSeq = seq + n
-	return wait
+	res.Accepted = int64(len(b.Caps))
+	if !b.Ordered {
+		return res, w.fanOutLocked(b), nil
+	}
+	outcome, err := w.seq.Offer(b, func(due capstore.Batch) {
+		if cw := w.fanOutLocked(due); due.At == b.At {
+			wait = cw
+		}
+	})
+	switch {
+	case err != nil:
+		return res, nil, err
+	case outcome == capstore.Shed:
+		w.m.shed.Inc()
+		return res, nil, capstore.ErrIngestShed
+	case outcome == capstore.Duplicate:
+		// If the range is committed but its quorum still outstanding,
+		// the re-pusher waits on it (an ambiguous earlier failure must
+		// not ack before the records are actually safe).
+		wait = w.awaiting[b.At]
+		res = capstore.IngestResult{Duplicates: int64(len(b.Caps))}
+	}
+	res.Pending = w.seq.Pending()
+	return res, wait, nil
 }
 
-// ringSpan starts the commit's ring.ingest span when the pusher
-// carried a trace context. Attrs are canonical coordinates only —
-// never node names, queue depths, or retry counts — so propagated
-// traces stay byte-identical across worker counts and replica
-// layouts.
-func (w *Writer) ringSpan(trace string, seq, n int64) *obs.Span {
-	if w.cfg.Tracer == nil || trace == "" {
-		return nil
-	}
-	pctx, err := obs.ParseTraceparent(trace)
-	if err != nil || !pctx.Valid() {
-		return nil
-	}
-	if seq >= 0 {
-		return w.cfg.Tracer.StartRemote("ring.ingest", pctx,
-			obs.A("at", strconv.FormatInt(seq, 10)),
-			obs.A("n", strconv.FormatInt(n, 10)))
-	}
-	return w.cfg.Tracer.StartRemote("ring.ingest", pctx)
-}
-
-// fanOutLocked splits caps by shard, enqueues each node's sub-batch on
-// its sender, and registers the commit's quorum accounting. Caller
-// holds w.mu; enqueue order across nodes is the canonical order
+// fanOutLocked splits the batch by shard, enqueues each node's sub-batch
+// on its sender, and registers the commit's quorum accounting; nil
+// means nothing fanned out (an empty batch, a skip-range commit).
+// Caller holds w.mu; enqueue order across nodes is the canonical order
 // because this lock serializes all commits.
-func (w *Writer) fanOutLocked(seq int64, caps []*capture.Capture, sp *obs.Span) *commitWait {
+func (w *Writer) fanOutLocked(b capstore.Batch) *commitWait {
+	sp := b.Span(w.cfg.Tracer, "ring.ingest")
+	caps := b.Caps
 	if len(caps) == 0 {
+		sp.End() // no records to wait for
 		return nil
 	}
-	tp := ""
-	if sp != nil {
-		tp = sp.Context().Traceparent()
+	seq := int64(-1)
+	if b.Ordered {
+		seq = b.At
 	}
+	tp := sp.Context().Traceparent()
 	perNode := make(map[string]*item)
 	nodeShards := make(map[string]map[int]bool)
 	touched := make(map[int]bool)
@@ -607,9 +547,7 @@ func (w *Writer) ackDelivery(it item) {
 	if wait.remaining == 0 && !isClosedChan(wait.done) {
 		close(wait.done)
 		w.m.quorumSeconds.Observe(time.Since(wait.start).Seconds())
-		if wait.span != nil {
-			wait.span.End() // span brackets commit → write quorum
-		}
+		wait.span.End() // span brackets commit → write quorum
 		if wait.seq >= 0 {
 			delete(w.awaiting, wait.seq)
 		}
@@ -664,7 +602,7 @@ type Stats struct {
 // Stats snapshots the writer.
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
-	st := Stats{NextSeq: w.nextSeq, Committed: w.committed, Pending: len(w.pending), Awaiting: len(w.awaiting)}
+	st := Stats{NextSeq: w.seq.Next(), Committed: w.committed, Pending: w.seq.Pending(), Awaiting: len(w.awaiting)}
 	w.mu.Unlock()
 	for i, nc := range w.cfg.Nodes {
 		n := w.nodes[i]
@@ -685,7 +623,7 @@ func (w *Writer) Converged() (bool, error) {
 	w.mu.Lock()
 	counts := append([]int64(nil), w.shardCounts...)
 	awaiting := len(w.awaiting)
-	pending := len(w.pending)
+	pending := w.seq.Pending()
 	w.mu.Unlock()
 	if awaiting > 0 || pending > 0 {
 		return false, nil

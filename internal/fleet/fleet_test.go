@@ -16,8 +16,6 @@ import (
 	"repro/internal/capstore"
 	"repro/internal/capture"
 	"repro/internal/crawler"
-	"repro/internal/resilience"
-	"repro/internal/simtime"
 	"repro/internal/socialfeed"
 	"repro/internal/webworld"
 )
@@ -39,9 +37,19 @@ func fleetFeed(w *webworld.World) *socialfeed.Feed {
 	return socialfeed.New(w, socialfeed.Config{Seed: fleetSeed, SharesPerDay: fleetShares})
 }
 
-// baselineStore runs the single-process StreamPlatform reference:
-// Workers=1 records captures in share order — the canonical byte
-// layout the fleet must reproduce.
+// fleetRun is the crawl both the baseline and the fleet's workers (via
+// the coordinator's /config) are parameterized by.
+var fleetRun = RunConfig{
+	WorldSeed:     fleetSeed,
+	WorldDomains:  fleetDomains,
+	CrawlSeed:     fleetSeed,
+	RetryAttempts: fleetRetries,
+	PolitenessMS:  1,
+}
+
+// baselineStore runs the single-process reference — CrawlItems over the
+// whole window, which is what every worker runs per chunk — into a
+// fresh store: the canonical byte layout the fleet must reproduce.
 func baselineStore(t *testing.T) (dir string, stats crawler.StreamStats) {
 	t.Helper()
 	dir = t.TempDir()
@@ -50,32 +58,15 @@ func baselineStore(t *testing.T) (dir string, stats crawler.StreamStats) {
 		t.Fatal(err)
 	}
 	w := fleetWorld()
-	feed := fleetFeed(w)
-	p := crawler.NewStreamPlatform(w, crawler.StreamConfig{
-		Seed:           fleetSeed,
-		Workers:        1,
-		PerDomainDelay: time.Millisecond,
-		Retry:          resilience.RetryPolicy{MaxAttempts: fleetRetries, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
-	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.Run(context.Background(), st)
-	}()
-	ctx := context.Background()
-	for day := simtime.Day(0); day < fleetDays; day++ {
-		for _, s := range feed.Day(day) {
-			if err := p.Submit(ctx, day, s); err != nil {
-				t.Errorf("baseline submit: %v", err)
-			}
-		}
+	items := WorkFromFeed(fleetFeed(w), 0, fleetDays-1)
+	stats = CrawlItems(context.Background(), w, fleetRun, crawler.StreamConfig{}, items, st).Stats()
+	if stats.Submitted != int64(len(items)) {
+		t.Errorf("baseline submitted %d of %d items", stats.Submitted, len(items))
 	}
-	p.Close()
-	<-done
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, p.Stats()
+	return dir, stats
 }
 
 func readSegs(t *testing.T, dir string) map[string]string {
@@ -131,14 +122,9 @@ func runFleet(t *testing.T, n int, crashStage string) (dir string, ledger Ledger
 	if err != nil {
 		t.Fatal(err)
 	}
-	coordSrv := httptest.NewServer(NewHandler(co, RunConfig{
-		WorldSeed:     fleetSeed,
-		WorldDomains:  fleetDomains,
-		CrawlSeed:     fleetSeed,
-		RetryAttempts: fleetRetries,
-		PolitenessMS:  1,
-		IngestURL:     capdMux.URL,
-	}, ServerConfig{}))
+	rc := fleetRun
+	rc.IngestURL = capdMux.URL
+	coordSrv := httptest.NewServer(NewHandler(co, rc, ServerConfig{}))
 	defer coordSrv.Close()
 
 	sweepStop := make(chan struct{})
@@ -159,7 +145,7 @@ func runFleet(t *testing.T, n int, crashStage string) (dir string, ledger Ledger
 	}()
 
 	coord := NewClient(coordSrv.URL)
-	rc, err := coord.Config()
+	rc, err = coord.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,24 +165,22 @@ func runFleet(t *testing.T, n int, crashStage string) (dir string, ledger Ledger
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		w := newWorker(fmt.Sprintf("worker-%d", i))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
 	// The doomed worker crashes on its first lease and never returns —
-	// the in-process stand-in for a SIGKILLed node.
+	// the in-process stand-in for a SIGKILLed node. It starts first and
+	// the healthy workers wait behind a barrier until it holds a lease:
+	// started last, it loses the race for the window at GOMAXPROCS ≥ 2
+	// and the crash path goes unexercised.
 	doomed := newWorker("doomed")
 	var crashed atomic.Bool
+	granted := make(chan struct{})
+	var grantedOnce sync.Once
 	doomed.crash = func(stage string, first int64) bool {
+		if stage == "granted" {
+			grantedOnce.Do(func() { close(granted) })
+		}
 		return stage == crashStage && crashed.CompareAndSwap(false, true)
 	}
+	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -205,6 +189,21 @@ func runFleet(t *testing.T, n int, crashStage string) (dir string, ledger Ledger
 			t.Errorf("doomed worker: %v", err)
 		}
 	}()
+	for i := 0; i < n; i++ {
+		w := newWorker(fmt.Sprintf("worker-%d", i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-granted:
+			case <-ctx.Done():
+				return
+			}
+			if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
 
 	select {
 	case <-co.Done():

@@ -273,46 +273,58 @@ func (w *Worker) heartbeat(ctx context.Context, grant *Frame, cancel context.Can
 	}
 }
 
-// processChunk crawls the chunk through a fresh single-worker
-// StreamPlatform — the exact retry/politeness/vantage path of the
-// single-process pipeline. Workers=1 makes the sink receive captures in
-// share order, so the captures slice is already in canonical order for
-// the ordered push. Breakers follow RunConfig.BreakerThreshold
-// (0 disables; their state is cross-share order-dependent, so
-// determinism runs keep them off).
-func (w *Worker) processChunk(ctx context.Context, grant *Frame, tctx obs.SpanContext) ([]Result, []*capture.Capture) {
-	sink := capture.NewMemStore()
-	dead := resilience.NewMemDeadLetter()
-	p := crawler.NewStreamPlatform(w.world, crawler.StreamConfig{
-		Seed:           w.run.CrawlSeed,
-		Workers:        1,
-		QueueDepth:     grant.N,
-		Tracer:         w.tracer,
-		TraceContext:   tctx,
-		PerDomainDelay: time.Duration(w.run.PolitenessMS) * time.Millisecond,
-		Retry: resilience.RetryPolicy{
-			MaxAttempts: w.run.RetryAttempts,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    10 * time.Millisecond,
-			Multiplier:  2,
-			Jitter:      0.5,
-		},
-		Breaker:    resilience.BreakerConfig{Threshold: w.run.BreakerThreshold},
-		Visitor:    w.visitor,
-		DeadLetter: dead,
-	})
+// CrawlItems drives items, in order, through a fresh single-worker
+// StreamPlatform over world and returns it once every item has reached
+// its terminal — the exact retry/politeness/vantage path of the
+// single-process pipeline, and the one definition of it: a worker runs
+// it per chunk, and the byte-identity references (the fleet tests'
+// baseline, cmd/smoke's) run it per window, so the reference cannot
+// drift from what a worker does. Every byte-affecting field of the
+// pipeline is derived from run; wiring carries only what is the
+// caller's own (Visitor, Tracer, TraceContext). Workers=1 makes the
+// sink receive captures in item order. Breakers follow
+// RunConfig.BreakerThreshold (0 disables; their state is cross-share
+// order-dependent, so determinism runs keep them off). Backoff timing
+// is byte-neutral. A cancelled ctx stops submitting; what was
+// submitted still drains.
+func CrawlItems(ctx context.Context, world *webworld.World, run RunConfig, wiring crawler.StreamConfig, items []WorkItem, sink capture.Sink) *crawler.StreamPlatform {
+	wiring.Seed = run.CrawlSeed
+	wiring.Workers = 1
+	wiring.QueueDepth = len(items)
+	wiring.PerDomainDelay = time.Duration(run.PolitenessMS) * time.Millisecond
+	wiring.Retry = resilience.RetryPolicy{
+		MaxAttempts: run.RetryAttempts,
+		BaseDelay:   time.Millisecond,
+		MaxDelay:    10 * time.Millisecond,
+		Multiplier:  2,
+		Jitter:      0.5,
+	}
+	wiring.Breaker = resilience.BreakerConfig{Threshold: run.BreakerThreshold}
+	p := crawler.NewStreamPlatform(world, wiring)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		p.Run(context.Background(), sink)
 	}()
-	for _, it := range grant.Items {
+	for _, it := range items {
 		if err := p.Submit(ctx, it.Day, crawlShare(it)); err != nil {
 			break // cancelled: the lease is lost, outcomes are moot
 		}
 	}
 	p.Close()
 	<-done
+	return p
+}
+
+// processChunk crawls the chunk through CrawlItems; the captures slice
+// is already in canonical order for the ordered push.
+func (w *Worker) processChunk(ctx context.Context, grant *Frame, tctx obs.SpanContext) ([]Result, []*capture.Capture) {
+	sink := capture.NewMemStore()
+	p := CrawlItems(ctx, w.world, w.run, crawler.StreamConfig{
+		Tracer:       w.tracer,
+		TraceContext: tctx,
+		Visitor:      w.visitor,
+	}, grant.Items, sink)
 
 	// Map outcomes back to sequence numbers. Every submitted item
 	// reached exactly one terminal: a recorded capture or a dead-letter
@@ -330,7 +342,7 @@ func (w *Worker) processChunk(ctx context.Context, grant *Frame, tctx obs.SpanCo
 			Captured: true,
 		})
 	}
-	for _, e := range dead.Entries() {
+	for _, e := range p.DeadLetters().Entries() {
 		results = append(results, Result{
 			Seq:      seqOf[e.URL+"\x1f"+e.Day.String()],
 			Attempts: e.Attempts,
