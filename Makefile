@@ -28,9 +28,9 @@ OBS_COUNT     ?= 4
 
 SMOKES = obs-smoke fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke
 
-.PHONY: check vet build test race chaos fleet-determinism bin bench bench-smoke benchdiff bench-capstore obs-overhead fuzz loc $(SMOKES)
+.PHONY: check vet build test race chaos fleet-determinism analyze-determinism bin bench bench-smoke benchdiff bench-capstore obs-overhead fuzz loc $(SMOKES)
 
-check: vet build race chaos fleet-determinism $(SMOKES) bench-smoke
+check: vet build race chaos fleet-determinism analyze-determinism $(SMOKES) bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +56,14 @@ chaos:
 # granted its lease, and so crash, whatever GOMAXPROCS is.
 fleet-determinism:
 	for p in 1 2 4 8 16; do GOMAXPROCS=$$p $(GO) test ./internal/fleet/ -run TestFleetDeterminism -count=2 || exit 1; done
+
+# The report must not depend on crawl concurrency or map order: the
+# -quick study prints the same bytes at one and at eight workers, bar
+# the final "Campaign cache: … (N workers)" line, which names the count.
+analyze-determinism:
+	$(GO) build -o bin/ ./cmd/analyze
+	for w in 1 8; do ./bin/analyze -quick -workers $$w > bin/analyze-w$$w.out || exit 1; grep -v '^Campaign cache: ' bin/analyze-w$$w.out > bin/analyze-w$$w.txt; done
+	cmp bin/analyze-w1.txt bin/analyze-w8.txt
 
 # Tier-1 benchmark suite → JSON snapshot. Runs every root-package
 # benchmark at a fixed BENCHTIME, repeated BENCHCOUNT times (the

@@ -228,11 +228,15 @@ func Customization(statsByCMP map[cmps.ID]*analysis.CustomizationStats) string {
 			continue
 		}
 		out += fmt.Sprintf("%s (%d websites):\n", c, s.Websites)
-		var names []string
+		var names, footers []string
 		for v := range s.Variants {
 			names = append(names, v)
 		}
 		sort.Strings(names)
+		for text := range s.FooterTexts {
+			footers = append(footers, text)
+		}
+		sort.Strings(footers)
 		out += table(func(w *tabwriter.Writer) {
 			for _, v := range names {
 				fmt.Fprintf(w, "  %s\t%d\t%.1f%%\n", v, s.Variants[v], 100*s.VariantShare(v))
@@ -244,8 +248,8 @@ func Customization(statsByCMP map[cmps.ID]*analysis.CustomizationStats) string {
 				fmt.Fprintf(w, "  affirmative / freeform accept wording\t%d / %d\t\n",
 					s.AffirmativeAccept, s.FreeformAccept)
 			}
-			for text, n := range s.FooterTexts {
-				fmt.Fprintf(w, "  footer link %q\t%d\t\n", text, n)
+			for _, text := range footers {
+				fmt.Fprintf(w, "  footer link %q\t%d\t\n", text, s.FooterTexts[text])
 			}
 		})
 	}

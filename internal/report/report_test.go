@@ -129,6 +129,34 @@ func TestCustomizationRendering(t *testing.T) {
 	}
 }
 
+// The footer-link rows come from a map; rendering must sort them so
+// the report is the same bytes on every run.
+func TestCustomizationFooterRowsSorted(t *testing.T) {
+	stats := map[cmps.ID]*analysis.CustomizationStats{
+		cmps.OneTrust: {
+			CMP: cmps.OneTrust, Websites: 30,
+			Variants: map[string]int{"footer-link": 30},
+			FooterTexts: map[string]int{
+				"Do Not Sell My Personal Information": 15,
+				"Cookie Settings":                     11,
+				"Cookie Preferences":                  4,
+			},
+		},
+	}
+	first := Customization(stats)
+	for i := 0; i < 20; i++ {
+		if got := Customization(stats); got != first {
+			t.Fatalf("render %d differs from the first:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+	prefs := strings.Index(first, "Cookie Preferences")
+	settings := strings.Index(first, "Cookie Settings")
+	sell := strings.Index(first, "Do Not Sell")
+	if prefs < 0 || !(prefs < settings && settings < sell) {
+		t.Errorf("footer rows not in sorted order:\n%s", first)
+	}
+}
+
 func TestMissingDataRendering(t *testing.T) {
 	out := MissingData(&analysis.MissingData{ToplistSize: 10_000, NeverShared: 1076, Unreachable: 315})
 	if !strings.Contains(out, "1076") || !strings.Contains(out, "315") {
