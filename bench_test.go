@@ -280,7 +280,7 @@ func BenchmarkAblationSiteHeuristic(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				classifiedDays := 0
 				for _, d := range domains {
-					for _, o := range s.Observations.DayObservationsWithThreshold(d, tc.threshold) {
+					for _, o := range s.Observations.DayObservations(d, tc.threshold) {
 						if o.CMP != cmps.None {
 							classifiedDays++
 						}
@@ -530,10 +530,9 @@ func benchStreamVisit(b *testing.B, live bool) {
 		}
 	}
 	cfg := crawler.StreamConfig{
-		Seed:           1,
-		Workers:        4,
-		PerDomainDelay: time.Nanosecond,
-		Retry:          resilience.RetryPolicy{MaxAttempts: 2},
+		Seed:    1,
+		Workers: 4,
+		Retry:   resilience.RetryPolicy{MaxAttempts: 2},
 	}
 	if live {
 		cfg.Metrics = crawler.NewStreamMetrics(obs.NewRegistry())

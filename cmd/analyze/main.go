@@ -12,8 +12,8 @@
 //
 // -quick runs at test scale (seconds); the default scale is ≈1/100 of
 // the paper's capture volume and takes a few minutes. -telemetry meters
-// the detector, the aggregation sink and the campaign-memoization cache
-// and dumps the Prometheus text exposition after the report.
+// the detector and the campaign-memoization cache and dumps the
+// Prometheus text exposition after the report.
 //
 // -store switches to batch-over-store mode: instead of simulating a
 // world, analyze folds an existing capture store through the same
@@ -93,7 +93,6 @@ func main() {
 	if *telemetry {
 		reg = obs.NewRegistry()
 		s.Detector.SetMetrics(detect.NewMetrics(reg))
-		s.Observations.RegisterMetrics(reg)
 		s.RegisterMetrics(reg)
 	}
 

@@ -4,24 +4,26 @@
 //
 // Usage:
 //
-//	crawl [-domains N] [-shares N] [-seed N] [-from YYYY-MM-DD] [-to YYYY-MM-DD]
+//	crawl [-domains N] [-shares N] [-seed N] [-workers N] [-from YYYY-MM-DD] [-to YYYY-MM-DD]
 //	      [-out captures.jsonl] [-store capdir [-store-shards N]]
-//	      [-stream [-retries N] [-breaker N] [-chaos SPEC]] [-telemetry]
+//	      [-retries N] [-breaker N] [-chaos SPEC] [-telemetry]
 //	crawl -fleet http://COORD [-worker-id NAME]
 //
-// The default mode is the batch pipeline (CrawlWindow) used for
-// reproducible analysis runs. -stream switches to the deployment
-// architecture: the continuously-running StreamPlatform with
-// per-domain politeness, retry/backoff (-retries), per-domain circuit
-// breakers (-breaker) and a dead-letter ledger for shares that exhaust
-// their chances. -chaos injects deterministic faults into the
+// The crawl runs the deployment architecture, the StreamPlatform: a
+// bounded capture queue feeding -workers browser workers, with
+// retry/backoff (-retries), per-domain circuit breakers (-breaker) and
+// a dead-letter ledger for shares that exhaust their chances. The
+// defaults (-retries 1 -breaker 0) record every capture on its first
+// attempt. -out and -store receive captures as workers finish them:
+// in share order at -workers 1, which makes that archive
+// byte-reproducible. -chaos injects deterministic faults into the
 // substrate, e.g.:
 //
-//	crawl -stream -retries 4 -breaker 8 -chaos '5xx=0.05,drop=0.02,antibot=0.01,seed=7'
+//	crawl -retries 4 -breaker 8 -chaos '5xx=0.05,drop=0.02,antibot=0.01,seed=7'
 //
-// -telemetry attaches the unified metrics registry to the detector,
-// the aggregation sink and (with -stream) the pipeline, and dumps the
-// Prometheus text exposition when the run finishes.
+// -telemetry attaches the unified metrics registry to the detector and
+// the pipeline, and dumps the Prometheus text exposition when the run
+// finishes.
 //
 // -fleet turns the process into a worker node of a distributed crawl:
 // it pulls leases from the fleetd coordinator at the given URL, crawls
@@ -59,16 +61,15 @@ func main() {
 		domains   = flag.Int("domains", 20_000, "universe size")
 		shares    = flag.Int("shares", 800, "social-feed shares per day")
 		seed      = flag.Uint64("seed", 1, "root seed")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "crawl concurrency")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "crawl concurrency (1 writes -out/-store in share order)")
 		fromStr   = flag.String("from", "", "crawl start date (YYYY-MM-DD, default window start)")
 		toStr     = flag.String("to", "", "crawl end date (YYYY-MM-DD, default window end)")
 		outPath   = flag.String("out", "", "also persist raw captures to this JSONL file (query with capq -file)")
 		storeDir  = flag.String("store", "", "also persist raw captures to a sharded capture store directory (serve with capd)")
 		shards    = flag.Int("store-shards", capstore.DefaultShards, "segment count for -store")
-		stream    = flag.Bool("stream", false, "use the streaming deployment pipeline instead of the batch crawl")
-		telemetry = flag.Bool("telemetry", false, "meter the run (detector, sinks, stream pipeline) and dump the Prometheus exposition on exit")
-		retries   = flag.Int("retries", 1, "total attempt budget per share for transient failures (-stream only; 1 disables retrying)")
-		breaker   = flag.Int("breaker", 0, "per-domain circuit breaker: consecutive failures before opening (-stream only; 0 disables)")
+		telemetry = flag.Bool("telemetry", false, "meter the run (detector, stream pipeline) and dump the Prometheus exposition on exit")
+		retries   = flag.Int("retries", 1, "total attempt budget per share for transient failures (1 disables retrying)")
+		breaker   = flag.Int("breaker", 0, "per-domain circuit breaker: consecutive failures before opening (0 disables)")
 		chaosSpec = flag.String("chaos", "", "inject deterministic faults, e.g. '5xx=0.05,drop=0.02,antibot=0.01,latency=0.05,torn=0.01,seed=7'")
 		fleetURL  = flag.String("fleet", "", "run as a fleet worker against this coordinator (fleetd) URL; most other flags are ignored — run parameters come from the coordinator's /config")
 		workerID  = flag.String("worker-id", "", "worker name in the fleet protocol (default: host.pid)")
@@ -109,8 +110,7 @@ func main() {
 	feed := socialfeed.New(world, socialfeed.Config{Seed: *seed, SharesPerDay: *shares})
 	det := detect.Default()
 	det.SetMetrics(detect.NewMetrics(reg))
-	observations := detect.NewObservations(det)
-	observations.RegisterMetrics(reg)
+	observations := analysis.NewPresenceFold(det, interp.Options{})
 
 	sinks := capture.MultiSink{observations}
 	if *outPath != "" {
@@ -164,51 +164,37 @@ func main() {
 	fmt.Printf("Crawling %s … %s (%d days), %d shares/day over %d shareable domains\n",
 		from, to, int(to-from)+1, *shares, feed.NumShareable())
 
-	var streamStats *crawler.StreamStats
-	var deadByReason map[string]int
-	if *stream {
-		scfg := crawler.StreamConfig{
-			Seed:    *seed,
-			Workers: *workers,
-			Retry:   resilience.RetryPolicy{MaxAttempts: *retries},
-			Breaker: resilience.BreakerConfig{Threshold: *breaker},
-			Metrics: crawler.NewStreamMetrics(reg),
-		}
-		if inj != nil {
-			scfg.Visitor = inj.Visitor(world)
-		}
-		platform := crawler.NewStreamPlatform(world, scfg)
-		platform.RegisterMetrics(reg)
-		ctx := context.Background()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			platform.Run(ctx, sink)
-		}()
-		for day := from; day <= to; day++ {
-			for _, s := range feed.Day(day) {
-				if err := platform.Submit(ctx, day, s); err != nil {
-					fmt.Fprintln(os.Stderr, "crawl: submit:", err)
-					os.Exit(1)
-				}
-			}
-			if int(day)%100 == 0 {
-				fmt.Fprintf(os.Stderr, "  %s: %d captures\n", day, platform.Captures())
-			}
-		}
-		platform.Close()
-		<-done
-		st := platform.Stats()
-		streamStats = &st
-		deadByReason = platform.DeadLetters().ByReason()
-	} else {
-		platform := crawler.NewPlatform(world, crawler.Config{Seed: *seed, Workers: *workers})
-		platform.CrawlWindow(feed, from, to, sink, func(day simtime.Day, captures int64) {
-			if int(day)%100 == 0 {
-				fmt.Fprintf(os.Stderr, "  %s: %d captures\n", day, captures)
-			}
-		})
+	scfg := crawler.StreamConfig{
+		Seed:    *seed,
+		Workers: *workers,
+		Retry:   resilience.RetryPolicy{MaxAttempts: *retries},
+		Breaker: resilience.BreakerConfig{Threshold: *breaker},
+		Metrics: crawler.NewStreamMetrics(reg),
 	}
+	if inj != nil {
+		scfg.Visitor = inj.Visitor(world)
+	}
+	platform := crawler.NewStreamPlatform(world, scfg)
+	platform.RegisterMetrics(reg)
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		platform.Run(ctx, sink)
+	}()
+	for day := from; day <= to; day++ {
+		for _, s := range feed.Day(day) {
+			if err := platform.Submit(ctx, day, s); err != nil {
+				fmt.Fprintln(os.Stderr, "crawl: submit:", err)
+				os.Exit(1)
+			}
+		}
+		if int(day)%100 == 0 {
+			fmt.Fprintf(os.Stderr, "  %s: %d captures\n", day, platform.Captures())
+		}
+	}
+	platform.Close()
+	<-done
 	elapsed := time.Since(start)
 
 	fmt.Printf("\nDataset statistics:\n")
@@ -219,14 +205,17 @@ func main() {
 	fmt.Printf("  multi-CMP captures:  %d (%.4f%%; paper: 0.01%%)\n",
 		observations.MultiCMP, 100*float64(observations.MultiCMP)/float64(observations.Total))
 
-	if streamStats != nil {
-		st := *streamStats
+	// The ledger has news only when retries, breakers or injected faults
+	// can end a share other than as a capture recorded on its first
+	// attempt.
+	if *retries > 1 || *breaker > 0 || inj != nil {
+		st := platform.Stats()
 		fmt.Printf("\nResilience (stream pipeline):\n")
 		fmt.Printf("  submitted:           %d\n", st.Submitted)
 		fmt.Printf("  succeeded:           %d (%.2f%%)\n", st.Succeeded, 100*float64(st.Succeeded)/float64(st.Submitted))
 		fmt.Printf("  failed (recorded):   %d\n", st.FailedRecorded)
 		fmt.Printf("  retries:             %d\n", st.Retries)
-		fmt.Printf("  dead-lettered:       %d %v\n", st.DeadLettered+st.Dropped, deadByReason)
+		fmt.Printf("  dead-lettered:       %d %v\n", st.DeadLettered+st.Dropped, platform.DeadLetters().ByReason())
 		fmt.Printf("  breakers open now:   %d\n", st.BreakersOpenNow)
 	}
 	if inj != nil {
@@ -244,7 +233,7 @@ func main() {
 			100*float64(below+above)/float64(total))
 	}
 
-	db := analysis.BuildPresence(observations, interp.Options{})
+	db := observations.Presence()
 	fmt.Printf("  domains with CMP presence: %d\n", db.Len())
 
 	if reg != nil {

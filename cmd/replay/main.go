@@ -38,11 +38,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	obs := detect.NewObservations(detect.Default())
+	fold := analysis.NewPresenceFold(detect.Default(), interp.Options{})
 	var lastDay simtime.Day
 	n := 0
 	err := capturedb.ScanFile(*file, capturedb.Query{}, func(c *capture.Capture) bool {
-		obs.Record(c)
+		fold.Fold(c)
 		if c.Day > lastDay {
 			lastDay = c.Day
 		}
@@ -53,7 +53,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("Replayed %d captures of %d domains (last day %s)\n", n, obs.NumDomains(), lastDay)
+	fmt.Printf("Replayed %d captures of %d domains (last day %s)\n", n, fold.NumDomains(), lastDay)
 
 	at := lastDay
 	if *atStr != "" {
@@ -65,7 +65,7 @@ func main() {
 		at = simtime.FromTime(t)
 	}
 
-	db := analysis.BuildPresence(obs, interp.Options{})
+	db := fold.Presence()
 	counts := map[cmps.ID]int{}
 	type row struct {
 		domain string

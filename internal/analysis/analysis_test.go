@@ -19,18 +19,17 @@ func fakePresence(m map[string][]interp.Interval) *PresenceDB {
 func end() simtime.Day { return simtime.Day(simtime.NumDays) }
 
 func TestPresenceDB(t *testing.T) {
-	det := detect.Default()
-	obs := detect.NewObservations(det)
+	fold := NewPresenceFold(detect.Default(), interp.Options{})
 	rec := func(domain string, day simtime.Day, host string) {
 		c := &capture.Capture{FinalDomain: domain, Day: day, Status: 200}
 		c.Requests = append(c.Requests, capture.Request{Host: host})
-		obs.Record(c)
+		fold.Record(c)
 	}
 	rec("a.com", 100, "cdn.cookielaw.org")
 	rec("a.com", 150, "cdn.cookielaw.org")
 	rec("b.com", 100, "www.b.com") // never a CMP
 
-	db := BuildPresence(obs, interp.Options{})
+	db := fold.Presence()
 	if db.Len() != 1 {
 		t.Fatalf("Len = %d", db.Len())
 	}

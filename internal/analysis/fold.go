@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/capture"
 	"repro/internal/cmps"
@@ -43,24 +44,39 @@ type foldDomain struct {
 	dirty  bool
 }
 
-// PresenceFold is the incremental form of the Observations →
-// BuildPresence pipeline: it accumulates per-domain detection records
-// capture by capture and maintains a presence-interval cache that is
-// re-interpolated only for domains that changed since the last
-// snapshot. Folding a whole store and then snapshotting yields exactly
-// what NewObservations + BuildPresence yield on the same captures.
+// sortedRecs returns the domain's records sorted by day, sorting
+// lazily. Callers hold the fold's lock.
+func (d *foldDomain) sortedRecs() []detect.Rec {
+	if !d.sorted {
+		sort.Slice(d.recs, func(i, j int) bool { return d.recs[i].Day < d.recs[j].Day })
+		d.sorted = true
+	}
+	return d.recs
+}
+
+// PresenceFold is the one presence implementation: it accumulates
+// per-domain detection records capture by capture and maintains a
+// presence-interval cache that is re-interpolated only for domains
+// that changed since the last snapshot. The social crawl records into
+// it as the StreamPlatform's sink, and the analytics engine folds
+// committed store records into it. Only an 8-byte record per capture
+// is retained, mirroring how the paper's analyses consume the capture
+// database rather than raw page data.
 //
-// PresenceFold is not safe for concurrent use; callers serialize Fold
-// and snapshot calls (the analytics engine holds one lock).
+// PresenceFold is safe for concurrent use. Detection, the expensive
+// part of a fold, runs outside its one mutex; under it a fold is a map
+// lookup and an append (DESIGN.md §7 "One presence lock").
 type PresenceFold struct {
 	det  *detect.Detector
 	opts interp.Options
 
+	mu       sync.Mutex
 	domains  map[string]*foldDomain
 	presence map[string][]interp.Interval // domains with ≥1 interval
 
 	// Total counts folded non-failed captures; MultiCMP those matching
-	// more than one CMP (the paper's overcount quantification).
+	// more than one CMP (the paper's overcount quantification, Section
+	// 3.5: 0.01% of captures). Read them once folding has quiesced.
 	Total    int64
 	MultiCMP int64
 }
@@ -77,12 +93,13 @@ func NewPresenceFold(det *detect.Detector, opts interp.Options) *PresenceFold {
 }
 
 // Fold advances the state by one capture. Failed and domain-less
-// captures fold to a no-op, mirroring Observations.Record.
+// captures fold to a no-op.
 func (f *PresenceFold) Fold(c *capture.Capture) {
 	if c.Failed || c.FinalDomain == "" {
 		return
 	}
 	id, mask := f.det.DetectMask(c)
+	f.mu.Lock()
 	f.Total++
 	if bits.OnesCount32(mask) > 1 {
 		f.MultiCMP++
@@ -95,20 +112,21 @@ func (f *PresenceFold) Fold(c *capture.Capture) {
 	d.recs = append(d.recs, detect.Rec{Day: int32(c.Day), CMP: int8(id)})
 	d.sorted = false
 	d.dirty = true
+	f.mu.Unlock()
 }
 
+// Record implements capture.Sink, so a crawl records straight into
+// the fold.
+func (f *PresenceFold) Record(c *capture.Capture) { f.Fold(c) }
+
 // refresh re-interpolates every dirty domain, leaving the interval
-// cache consistent with the folded records.
+// cache consistent with the folded records. Callers hold f.mu.
 func (f *PresenceFold) refresh() {
 	for domain, d := range f.domains {
 		if !d.dirty {
 			continue
 		}
-		if !d.sorted {
-			sort.Slice(d.recs, func(i, j int) bool { return d.recs[i].Day < d.recs[j].Day })
-			d.sorted = true
-		}
-		ivs := interp.Build(detect.ClassifyRecs(d.recs, detect.SiteHeuristicThreshold), f.opts)
+		ivs := interp.Build(detect.ClassifyRecs(d.sortedRecs(), detect.SiteHeuristicThreshold), f.opts)
 		if len(ivs) > 0 {
 			f.presence[domain] = ivs
 		} else {
@@ -123,12 +141,105 @@ func (f *PresenceFold) refresh() {
 // returned DB aliases the fold's interval cache and is valid until the
 // next Fold call.
 func (f *PresenceFold) Presence() *PresenceDB {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.refresh()
 	return &PresenceDB{intervals: f.presence}
 }
 
+// Rebuild interpolates every folded domain afresh under opts (the
+// interpolation ablations) into a new PresenceDB. The fold's own
+// interval cache, and so every DB Presence returned, is untouched.
+func (f *PresenceFold) Rebuild(opts interp.Options) *PresenceDB {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	db := &PresenceDB{intervals: make(map[string][]interp.Interval)}
+	for domain, d := range f.domains {
+		if ivs := interp.Build(detect.ClassifyRecs(d.sortedRecs(), detect.SiteHeuristicThreshold), opts); len(ivs) > 0 {
+			db.intervals[domain] = ivs
+		}
+	}
+	return db
+}
+
 // NumDomains returns how many distinct final domains were folded.
-func (f *PresenceFold) NumDomains() int { return len(f.domains) }
+func (f *PresenceFold) NumDomains() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.domains)
+}
+
+// Observed reports whether the domain ever appeared as a final domain
+// in the folded stream.
+func (f *PresenceFold) Observed(domain string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.domains[domain]
+	return ok
+}
+
+// Domains returns the observed domain names, sorted.
+func (f *PresenceFold) Domains() []string {
+	f.mu.Lock()
+	out := make([]string, 0, len(f.domains))
+	for d := range f.domains {
+		out = append(out, d)
+	}
+	f.mu.Unlock()
+	sort.Strings(out)
+	return out
+}
+
+// DayObservations returns a domain's classified days in ascending
+// order under a per-day share threshold: detect.SiteHeuristicThreshold
+// for the paper's ≥⅓-captures rule, others for the site-heuristic
+// ablation. Returns nil for unobserved domains.
+func (f *PresenceFold) DayObservations(domain string, threshold float64) []detect.DayObservation {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	d := f.domains[domain]
+	if d == nil {
+		return nil
+	}
+	return detect.ClassifyRecs(d.sortedRecs(), threshold)
+}
+
+// DailyShareDistribution reports, over all domain-days with at least
+// minCaptures, how many had a CMP-capture share below lo, above hi, or
+// in between. The paper reports that for 99.8% of all domains the
+// daily share is consistently below 5% or above 95%.
+func (f *PresenceFold) DailyShareDistribution(minCaptures int, lo, hi float64) (below, between, above int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, d := range f.domains {
+		recs := d.sortedRecs()
+		for i := 0; i < len(recs); {
+			j := i
+			withCMP := 0
+			for j < len(recs) && recs[j].Day == recs[i].Day {
+				if recs[j].CMP != 0 {
+					withCMP++
+				}
+				j++
+			}
+			total := j - i
+			i = j
+			if total < minCaptures {
+				continue
+			}
+			share := float64(withCMP) / float64(total)
+			switch {
+			case share < lo:
+				below++
+			case share > hi:
+				above++
+			default:
+				between++
+			}
+		}
+	}
+	return below, between, above
+}
 
 // presenceFoldState is the checkpoint wire form of a PresenceFold:
 // per-domain records as flat [day, cmp, day, cmp, …] arrays.
@@ -141,6 +252,8 @@ type presenceFoldState struct {
 // MarshalState serializes the fold for checkpointing. The interval
 // cache is derived state and is rebuilt on restore.
 func (f *PresenceFold) MarshalState() ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	st := presenceFoldState{
 		Total:    f.Total,
 		MultiCMP: f.MultiCMP,
@@ -164,6 +277,8 @@ func (f *PresenceFold) UnmarshalState(b []byte) error {
 	if err := json.Unmarshal(b, &st); err != nil {
 		return fmt.Errorf("analysis: presence fold state: %w", err)
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.Total, f.MultiCMP = st.Total, st.MultiCMP
 	f.domains = make(map[string]*foldDomain, len(st.Domains))
 	f.presence = make(map[string][]interp.Interval)
@@ -237,36 +352,12 @@ func (f *CoverageFold) Months() []simtime.Day {
 // VantageTable (Configs sorted lexicographically — the store-driven
 // tables list whatever columns the stream contained).
 func tableOf(configs map[string]map[string]cmps.ID) *VantageTable {
-	t := &VantageTable{
-		Counts:   make(map[cmps.ID]map[string]int),
-		Totals:   make(map[string]int),
-		Coverage: make(map[string]float64),
-	}
-	for _, c := range cmps.All() {
-		t.Counts[c] = make(map[string]int)
-	}
+	var keys []string
 	for key := range configs {
-		t.Configs = append(t.Configs, key)
+		keys = append(keys, key)
 	}
-	sort.Strings(t.Configs)
-	for _, key := range t.Configs {
-		for _, id := range configs[key] {
-			t.Counts[id][key]++
-			t.Totals[key]++
-		}
-	}
-	max := 0
-	for _, total := range t.Totals {
-		if total > max {
-			max = total
-		}
-	}
-	for key, total := range t.Totals {
-		if max > 0 {
-			t.Coverage[key] = float64(total) / float64(max)
-		}
-	}
-	return t
+	sort.Strings(keys)
+	return tally(keys, configs)
 }
 
 // MonthTable snapshots one month's vantage table.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -65,18 +66,51 @@ func syntheticStream(n int) []*capture.Capture {
 	return out
 }
 
-// TestPresenceFoldMatchesBatch proves the fold refactor: folding a
-// stream record-by-record yields exactly the presence DB the batch
-// Observations → BuildPresence pipeline computes.
+// hostCap fabricates a capture of domain on day whose page requested
+// the given hosts.
+func hostCap(domain string, day simtime.Day, hosts ...string) *capture.Capture {
+	c := &capture.Capture{FinalDomain: domain, Day: day, Status: 200}
+	for _, h := range hosts {
+		c.Requests = append(c.Requests, capture.Request{Host: h, Status: 200})
+	}
+	return c
+}
+
+// referencePresence is the batch definition of presence the fold must
+// reproduce: group captures by final domain, detect, sort each domain's
+// records by day, classify, interpolate. It also counts the recorded
+// and the multi-CMP captures.
+func referencePresence(det *detect.Detector, caps []*capture.Capture) (ivs map[string][]interp.Interval, total, multi int64) {
+	byDomain := make(map[string][]detect.Rec)
+	for _, c := range caps {
+		if c.Failed || c.FinalDomain == "" {
+			continue
+		}
+		id, mask := det.DetectMask(c)
+		total++
+		if bits.OnesCount32(mask) > 1 {
+			multi++
+		}
+		byDomain[c.FinalDomain] = append(byDomain[c.FinalDomain], detect.Rec{Day: int32(c.Day), CMP: int8(id)})
+	}
+	ivs = make(map[string][]interp.Interval)
+	for domain, recs := range byDomain {
+		sort.Slice(recs, func(i, j int) bool { return recs[i].Day < recs[j].Day })
+		if built := interp.Build(detect.ClassifyRecs(recs, detect.SiteHeuristicThreshold), interp.Options{}); len(built) > 0 {
+			ivs[domain] = built
+		}
+	}
+	return ivs, total, multi
+}
+
+// TestPresenceFoldMatchesBatch proves the fold against the batch
+// definition of presence: folding a stream record-by-record, with a
+// snapshot mid-stream, yields exactly the reference intervals and
+// counters, and Rebuild reproduces them without disturbing the cache.
 func TestPresenceFoldMatchesBatch(t *testing.T) {
 	caps := syntheticStream(600)
 	det := detect.Default()
-
-	obs := detect.NewObservations(det)
-	for _, c := range caps {
-		obs.Record(c)
-	}
-	batch := BuildPresence(obs, interp.Options{})
+	want, total, multi := referencePresence(det, caps)
 
 	fold := NewPresenceFold(det, interp.Options{})
 	for i, c := range caps {
@@ -88,21 +122,21 @@ func TestPresenceFoldMatchesBatch(t *testing.T) {
 		}
 	}
 	inc := fold.Presence()
+	fold.Rebuild(interp.Options{NoInterpolation: true, FadeOut: -1})
+	rebuilt := fold.Rebuild(interp.Options{})
 
-	wantDomains := batch.Domains()
-	gotDomains := inc.Domains()
-	sort.Strings(wantDomains)
-	sort.Strings(gotDomains)
-	if !reflect.DeepEqual(wantDomains, gotDomains) {
-		t.Fatalf("domains: got %v want %v", gotDomains, wantDomains)
-	}
-	for _, d := range wantDomains {
-		if !reflect.DeepEqual(batch.Intervals(d), inc.Intervals(d)) {
-			t.Errorf("%s: intervals differ\n got %+v\nwant %+v", d, inc.Intervals(d), batch.Intervals(d))
+	for name, db := range map[string]*PresenceDB{"fold": inc, "rebuild": rebuilt} {
+		if db.Len() != len(want) {
+			t.Fatalf("%s: %d domains, want %d", name, db.Len(), len(want))
+		}
+		for d, ivs := range want {
+			if !reflect.DeepEqual(db.Intervals(d), ivs) {
+				t.Errorf("%s %s: intervals differ\n got %+v\nwant %+v", name, d, db.Intervals(d), ivs)
+			}
 		}
 	}
-	if fold.Total != obs.Total || fold.MultiCMP != obs.MultiCMP {
-		t.Errorf("counters: fold %d/%d, batch %d/%d", fold.Total, fold.MultiCMP, obs.Total, obs.MultiCMP)
+	if fold.Total != total || fold.MultiCMP != multi {
+		t.Errorf("counters: fold %d/%d, reference %d/%d", fold.Total, fold.MultiCMP, total, multi)
 	}
 }
 
@@ -189,6 +223,17 @@ func TestPresenceFoldCheckpointRoundTrip(t *testing.T) {
 	if resumed.Total != straight.Total || resumed.MultiCMP != straight.MultiCMP {
 		t.Errorf("counters diverged: %d/%d vs %d/%d",
 			resumed.Total, resumed.MultiCMP, straight.Total, straight.MultiCMP)
+	}
+}
+
+// Folding stays allocation-free beyond the amortized growth of the
+// per-domain record slice.
+func TestPresenceFoldRecordAllocs(t *testing.T) {
+	f := NewPresenceFold(detect.Default(), interp.Options{})
+	c := hostCap("a.com", 12, "x.com", cmps.TrustArc.Hostname())
+	f.Record(c) // warm the domain slice
+	if n := testing.AllocsPerRun(100, func() { f.Record(c) }); n > 1 {
+		t.Errorf("Record allocs %v, want <=1 (amortized slice growth)", n)
 	}
 }
 

@@ -7,60 +7,16 @@
 package analysis
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/cmps"
-	"repro/internal/detect"
 	"repro/internal/interp"
 	"repro/internal/simtime"
 )
 
 // PresenceDB holds reconstructed per-domain CMP presence intervals —
 // the longitudinal core dataset every social-feed analysis consumes.
+// PresenceFold builds it.
 type PresenceDB struct {
 	intervals map[string][]interp.Interval
-}
-
-// BuildPresence reconstructs presence for every observed domain. The
-// per-domain interpolation is independent, so it fans out across
-// GOMAXPROCS workers over contiguous slices of the (sorted) domain
-// list; the result is identical to a serial build.
-func BuildPresence(obs *detect.Observations, opts interp.Options) *PresenceDB {
-	domains := obs.Domains()
-	db := &PresenceDB{intervals: make(map[string][]interp.Interval, len(domains))}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(domains) {
-		workers = len(domains)
-	}
-	if workers <= 1 {
-		for _, domain := range domains {
-			if ivs := interp.Build(obs.DayObservations(domain), opts); len(ivs) > 0 {
-				db.intervals[domain] = ivs
-			}
-		}
-		return db
-	}
-	built := make([][]interp.Interval, len(domains))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(domains) / workers
-		hi := (w + 1) * len(domains) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				built[i] = interp.Build(obs.DayObservations(domains[i]), opts)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	for i, domain := range domains {
-		if len(built[i]) > 0 {
-			db.intervals[domain] = built[i]
-		}
-	}
-	return db
 }
 
 // CMPAt returns the domain's CMP at the given day, or cmps.None.

@@ -26,17 +26,11 @@ type VantageTable struct {
 // ComputeVantageTable classifies each campaign store with the detector
 // and tallies distinct websites (by final registrable domain) per CMP.
 func ComputeVantageTable(res *crawler.CampaignResult, det *detect.Detector) *VantageTable {
-	t := &VantageTable{
-		Counts:   make(map[cmps.ID]map[string]int),
-		Totals:   make(map[string]int),
-		Coverage: make(map[string]float64),
-	}
-	for _, c := range cmps.All() {
-		t.Counts[c] = make(map[string]int)
-	}
+	var configs []string
+	firstSeen := make(map[string]map[string]cmps.ID)
 	for _, tc := range crawler.ToplistConfigs() {
 		key := crawler.ConfigKey(tc)
-		t.Configs = append(t.Configs, key)
+		configs = append(configs, key)
 		store, ok := res.Stores[key]
 		if !ok {
 			continue
@@ -52,7 +46,27 @@ func ComputeVantageTable(res *crawler.CampaignResult, det *detect.Detector) *Van
 				}
 			}
 		}
-		for _, id := range seen {
+		firstSeen[key] = seen
+	}
+	return tally(configs, firstSeen)
+}
+
+// tally builds the table with columns in configs order from each
+// column's domain → first detected CMP map: per-CMP counts, the Σ row
+// and coverage against the best column. It is the one tally behind
+// Table 1 and the coverage fold's monthly and cumulative views.
+func tally(configs []string, firstSeen map[string]map[string]cmps.ID) *VantageTable {
+	t := &VantageTable{
+		Configs:  configs,
+		Counts:   make(map[cmps.ID]map[string]int),
+		Totals:   make(map[string]int),
+		Coverage: make(map[string]float64),
+	}
+	for _, c := range cmps.All() {
+		t.Counts[c] = make(map[string]int)
+	}
+	for _, key := range configs {
+		for _, id := range firstSeen[key] {
 			t.Counts[id][key]++
 			t.Totals[key]++
 		}

@@ -132,44 +132,10 @@ type Health struct {
 	Limiter        resilience.LimiterStats `json:"limiter"`
 	// Ingest reports the ingest path (commit cursor, accepted counts)
 	// when the node serves /ingest.
-	Ingest    *IngestStats     `json:"ingest,omitempty"`
-	Telemetry *HealthTelemetry `json:"telemetry,omitempty"`
-}
-
-// HealthTelemetry summarizes the live registry for health probes that
-// don't want to parse a full /metrics exposition.
-type HealthTelemetry struct {
-	// UptimeSeconds counts from handler construction.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// SlowestQueryBuckets are the highest-latency non-empty buckets of
-	// the query-latency histogram, slowest first, at most three.
-	SlowestQueryBuckets []QueryBucket `json:"slowest_query_buckets,omitempty"`
-}
-
-// QueryBucket is one histogram bucket in the health summary.
-type QueryBucket struct {
-	// LE is the bucket's inclusive upper bound in seconds ("+Inf" for
-	// the overflow bucket).
-	LE    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// slowestBuckets converts a cumulative snapshot back to per-bucket
-// counts and returns the n highest non-empty ones, slowest first.
-func slowestBuckets(snap obs.HistogramSnapshot, n int) []QueryBucket {
-	counts := make([]int64, len(snap.Buckets))
-	var prev int64
-	for i, b := range snap.Buckets {
-		counts[i] = b.Count - prev
-		prev = b.Count
-	}
-	var out []QueryBucket
-	for i := len(counts) - 1; i >= 0 && len(out) < n; i-- {
-		if counts[i] > 0 {
-			out = append(out, QueryBucket{LE: snap.Buckets[i].Label, Count: counts[i]})
-		}
-	}
-	return out
+	Ingest *IngestStats `json:"ingest,omitempty"`
+	// Telemetry is the uptime and the three slowest non-empty buckets
+	// of the query-latency histogram, when the handler has metrics.
+	Telemetry *obs.TelemetrySummary `json:"telemetry,omitempty"`
 }
 
 // maxQueryBody caps request bodies under the limiter; the API there is
@@ -210,10 +176,7 @@ func NewResilientHandler(s *Store, cfg ServeConfig) http.Handler {
 			h.Ingest = &ist
 		}
 		if cfg.Metrics != nil {
-			h.Telemetry = &HealthTelemetry{
-				UptimeSeconds:       cfg.Now().Sub(started).Seconds(),
-				SlowestQueryBuckets: slowestBuckets(cfg.Metrics.QuerySeconds.Snapshot(), 3),
-			}
+			h.Telemetry = obs.Summarize(cfg.Now().Sub(started), cfg.Metrics.QuerySeconds.Snapshot(), 3)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(h) //nolint:errcheck

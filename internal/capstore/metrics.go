@@ -13,7 +13,7 @@ var rowBuckets = obs.ExponentialBuckets(1, 4, 10)
 // rows-scanned/skipped histograms. A nil *StoreMetrics (what
 // NewStoreMetrics returns for a nil registry) is the no-op recorder.
 // The latency histogram also feeds the /healthz telemetry summary —
-// see HealthTelemetry.
+// see obs.Summarize.
 type StoreMetrics struct {
 	// QuerySeconds is the wall time of one Query call, dispatch to
 	// completion.

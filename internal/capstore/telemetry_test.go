@@ -135,7 +135,7 @@ func TestClientHealthTelemetryRoundTrip(t *testing.T) {
 	if h.Telemetry.UptimeSeconds <= 0 {
 		t.Errorf("uptime = %v, want > 0", h.Telemetry.UptimeSeconds)
 	}
-	want := []QueryBucket{{LE: "2.5", Count: 1}, {LE: "1", Count: 2}}
+	want := []obs.SummaryBucket{{LE: "2.5", Count: 1}, {LE: "1", Count: 2}}
 	got := h.Telemetry.SlowestQueryBuckets
 	if len(got) != len(want) {
 		t.Fatalf("slowest buckets = %+v, want %+v", got, want)
@@ -158,18 +158,18 @@ func TestClientHealthTelemetryRoundTrip(t *testing.T) {
 	}
 }
 
-// Exercise the slowest-bucket helper's edge cases directly.
+// Exercise the health digest's slowest-bucket edge cases directly.
 func TestSlowestBuckets(t *testing.T) {
 	reg := obs.NewRegistry()
 	hist := obs.NewHistogram(reg, "h_seconds", "", []float64{0.1, 1, 10})
-	if got := slowestBuckets(hist.Snapshot(), 3); len(got) != 0 {
+	if got := obs.Summarize(0, hist.Snapshot(), 3).SlowestQueryBuckets; len(got) != 0 {
 		t.Errorf("empty histogram → %+v, want none", got)
 	}
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 100} {
 		hist.Observe(v)
 	}
-	got := slowestBuckets(hist.Snapshot(), 2)
-	want := []QueryBucket{{LE: "+Inf", Count: 1}, {LE: "10", Count: 1}}
+	got := obs.Summarize(0, hist.Snapshot(), 2).SlowestQueryBuckets
+	want := []obs.SummaryBucket{{LE: "+Inf", Count: 1}, {LE: "10", Count: 1}}
 	if len(got) != len(want) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -77,12 +78,13 @@ func TestConfig() Config {
 
 // Study bundles the whole measurement apparatus.
 type Study struct {
-	Config       Config
-	World        *webworld.World
-	Feed         *socialfeed.Feed
-	Platform     *crawler.Platform
-	Detector     *detect.Detector
-	Observations *detect.Observations
+	Config   Config
+	World    *webworld.World
+	Feed     *socialfeed.Feed
+	Detector *detect.Detector
+	// Observations is the social crawl's sink: every capture folds into
+	// it, and Presence is its snapshot.
+	Observations *analysis.PresenceFold
 	// Presence is available after RunSocialCrawl.
 	Presence *analysis.PresenceDB
 	// Toplist is the Tranco-style list (created 30 January 2020, as
@@ -131,9 +133,8 @@ func NewStudy(cfg Config) *Study {
 		Config:       cfg,
 		World:        world,
 		Feed:         socialfeed.New(world, socialfeed.Config{Seed: cfg.Seed, SharesPerDay: cfg.SharesPerDay}),
-		Platform:     crawler.NewPlatform(world, crawler.Config{Seed: cfg.Seed, Workers: cfg.Workers}),
 		Detector:     det,
-		Observations: detect.NewObservations(det),
+		Observations: analysis.NewPresenceFold(det, interp.Options{}),
 		GVL:          gvl.GenerateHistory(gvl.HistoryConfig{Seed: cfg.Seed, Versions: 215, InitialVendors: 150, PeakVendors: 650}),
 	}
 	// The list covers the full universe so rank-based analyses can
@@ -143,18 +144,41 @@ func NewStudy(cfg Config) *Study {
 	return s
 }
 
-// RunSocialCrawl executes the longitudinal social-media crawl and
-// builds the presence database. progress may be nil.
+// RunSocialCrawl executes the longitudinal social-media crawl — every
+// feed day from CrawlFrom through CrawlTo submitted to one
+// StreamPlatform that records into Observations — and builds the
+// presence database. progress, if non-nil, is called once per day,
+// after the day's shares are submitted. Workers record in completion
+// order; the fold is order-independent, so the result is the same at
+// any worker count.
 func (s *Study) RunSocialCrawl(progress func(day simtime.Day, captures int64)) {
-	s.Platform.CrawlWindow(s.Feed, s.Config.CrawlFrom, s.Config.CrawlTo, s.Observations, progress)
-	s.Presence = analysis.BuildPresence(s.Observations, interp.Options{})
+	p := crawler.NewStreamPlatform(s.World, crawler.StreamConfig{Seed: s.Config.Seed, Workers: s.Config.Workers})
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Run(ctx, s.Observations)
+	}()
+	for day := s.Config.CrawlFrom; day <= s.Config.CrawlTo; day++ {
+		for _, share := range s.Feed.Day(day) {
+			// Submit fails only on a cancelled context or a stopped
+			// platform, and neither can happen before Close.
+			_ = p.Submit(ctx, day, share)
+		}
+		if progress != nil {
+			progress(day, p.Captures())
+		}
+	}
+	p.Close()
+	<-done
+	s.Presence = s.Observations.Presence()
 	s.crawled = true
 }
 
 // RebuildPresence rebuilds the presence database with different
 // interpolation options (ablations).
 func (s *Study) RebuildPresence(opts interp.Options) *analysis.PresenceDB {
-	return analysis.BuildPresence(s.Observations, opts)
+	return s.Observations.Rebuild(opts)
 }
 
 // RunToplistCampaign crawls the top-N toplist domains with all six

@@ -2,12 +2,11 @@ package crawler
 
 import (
 	"bytes"
-	"sync"
+	"context"
 	"testing"
 
 	"repro/internal/capture"
 	"repro/internal/capturedb"
-	"repro/internal/detect"
 	"repro/internal/simtime"
 	"repro/internal/socialfeed"
 	"repro/internal/webworld"
@@ -21,11 +20,23 @@ func crawlWorld(t *testing.T) *webworld.World {
 func TestCrawlDayVantageSplit(t *testing.T) {
 	w := crawlWorld(t)
 	feed := socialfeed.New(w, socialfeed.Config{Seed: 1, SharesPerDay: 2_000})
-	p := NewPlatform(w, Config{Seed: 1, Workers: 8})
+	p := NewStreamPlatform(w, StreamConfig{Seed: 1, Workers: 8})
 	store := capture.NewMemStore()
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Run(ctx, store)
+	}()
 	for day := simtime.Day(0); day < 3; day++ {
-		p.CrawlDay(day, feed.Day(day), store)
+		for _, s := range feed.Day(day) {
+			if err := p.Submit(ctx, day, s); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	p.Close()
+	<-done
 	us, eu := 0, 0
 	for _, c := range store.All() {
 		switch c.Vantage.Name {
@@ -48,44 +59,8 @@ func TestCrawlDayVantageSplit(t *testing.T) {
 	if usShare < 0.45 || usShare > 0.55 {
 		t.Errorf("US share = %.2f, want ≈0.50 (paper: 50%% of crawls from the EU)", usShare)
 	}
-	if p.Captures != int64(total) {
-		t.Errorf("Captures counter = %d, stored %d", p.Captures, total)
-	}
-}
-
-func TestCrawlDayDeterministicOrder(t *testing.T) {
-	w := crawlWorld(t)
-	run := func() []string {
-		feed := socialfeed.New(w, socialfeed.Config{Seed: 2, SharesPerDay: 300})
-		p := NewPlatform(w, Config{Seed: 2, Workers: 4})
-		store := capture.NewMemStore()
-		p.CrawlDay(0, feed.Day(0), store)
-		var out []string
-		for _, c := range store.All() {
-			out = append(out, c.SeedURL+"|"+c.Vantage.Name)
-		}
-		return out
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("capture %d differs despite identical seeds", i)
-		}
-	}
-}
-
-func TestCrawlWindowProgress(t *testing.T) {
-	w := crawlWorld(t)
-	feed := socialfeed.New(w, socialfeed.Config{Seed: 3, SharesPerDay: 50})
-	p := NewPlatform(w, Config{Seed: 3})
-	store := capture.NewMemStore()
-	days := 0
-	p.CrawlWindow(feed, 0, 4, store, func(day simtime.Day, captures int64) { days++ })
-	if days != 5 {
-		t.Errorf("progress callbacks = %d, want 5", days)
+	if p.Captures() != int64(total) {
+		t.Errorf("Captures counter = %d, stored %d", p.Captures(), total)
 	}
 }
 
@@ -179,62 +154,6 @@ func TestCampaignWorkerDeterminism(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestObservationsConcurrentCrawl drives the lock-striped Observations
-// from concurrent CrawlDay workers; run under -race it is the
-// regression test for the striping.
-func TestObservationsConcurrentCrawl(t *testing.T) {
-	w := crawlWorld(t)
-	feed := socialfeed.New(w, socialfeed.Config{Seed: 4, SharesPerDay: 400})
-	obs := detect.NewObservations(detect.Default())
-	const days = 8
-	// Feed.Day is stateful (cross-day dedup) — generate the share
-	// stream serially up front, then crawl and record concurrently.
-	sharesByDay := make([][]socialfeed.Share, days)
-	for day := simtime.Day(0); day < days; day++ {
-		sharesByDay[day] = feed.Day(day)
-	}
-	var wg sync.WaitGroup
-	for day := simtime.Day(0); day < days; day++ {
-		wg.Add(1)
-		go func(day simtime.Day) {
-			defer wg.Done()
-			p := NewPlatform(w, Config{Seed: 4, Workers: 2})
-			store := capture.NewMemStore()
-			p.CrawlDay(day, sharesByDay[day], store)
-			var inner sync.WaitGroup
-			caps := store.All()
-			for half := 0; half < 2; half++ {
-				inner.Add(1)
-				go func(caps []*capture.Capture) {
-					defer inner.Done()
-					for _, c := range caps {
-						obs.Record(c)
-					}
-				}(caps[half*len(caps)/2 : (half+1)*len(caps)/2])
-			}
-			inner.Wait()
-		}(day)
-	}
-	wg.Wait()
-	if obs.Total == 0 || obs.NumDomains() == 0 {
-		t.Fatalf("no observations recorded: total=%d domains=%d", obs.Total, obs.NumDomains())
-	}
-	// The striped store must agree with a serial re-record.
-	serial := detect.NewObservations(detect.Default())
-	for day := simtime.Day(0); day < days; day++ {
-		p := NewPlatform(w, Config{Seed: 4, Workers: 2})
-		store := capture.NewMemStore()
-		p.CrawlDay(day, sharesByDay[day], store)
-		for _, c := range store.All() {
-			serial.Record(c)
-		}
-	}
-	if obs.Total != serial.Total || obs.NumDomains() != serial.NumDomains() {
-		t.Fatalf("concurrent totals diverge: total %d vs %d, domains %d vs %d",
-			obs.Total, serial.Total, obs.NumDomains(), serial.NumDomains())
 	}
 }
 

@@ -1,3 +1,9 @@
+// Package crawler implements the Netograph-style measurement platform
+// (Figure 3): StreamPlatform, a capture queue seeded from the
+// social-media feed that feeds pools of instrumented browsers in US and
+// EU data centers (each URL assigned randomly, 50% crawled from within
+// the EU), and the toplist-based campaign infrastructure used for
+// Tables 1 and A.3.
 package crawler
 
 import (
@@ -17,13 +23,15 @@ import (
 	"repro/internal/webworld"
 )
 
-// StreamPlatform is the continuously-running variant of the pipeline
-// in Figure 3: URLs flow from the social-media ingestor through a
-// bounded capture queue into browser worker pools, with per-domain
-// politeness limits and graceful cancellation. CrawlDay/CrawlWindow
-// batch per day for reproducible analysis runs; StreamPlatform is the
-// deployment architecture — "URLs are visited once within a couple of
-// minutes after submission".
+// StreamPlatform is the social-media pipeline of Figure 3 and the one
+// social-crawl engine: URLs flow from the social-media ingestor
+// through a bounded capture queue into browser worker pools, with
+// per-domain politeness limits and graceful cancellation — "URLs are
+// visited once within a couple of minutes after submission".
+// core.Study's in-process crawl, cmd/crawl and every fleet worker run
+// it. With one worker the sink receives captures in submission order;
+// with more, in completion order, which order-independent sinks such as
+// analysis.PresenceFold do not observe.
 //
 // The deployment path is hardened for the hostile substrate the paper
 // describes (~9% of toplist loads failed, Section 3.5): transient
@@ -71,9 +79,10 @@ type StreamConfig struct {
 	// QueueDepth bounds the capture queue (default 1024).
 	QueueDepth int
 	// PerDomainDelay is the politeness interval between captures of
-	// the same registrable domain (default 10ms of real time at
-	// simulation speed; the paper's platform enforces its one-hour
-	// rule at the feed level, this guards the crawler itself).
+	// the same registrable domain; zero means no wait. The paper's
+	// platform enforces its one-hour rule at the feed level, this
+	// guards the crawler itself; deployments set it explicitly
+	// (fleetd -politeness).
 	PerDomainDelay time.Duration
 	// Retry is the transient-failure retry policy. The zero value
 	// disables retrying: every capture, failed or not, is recorded on
@@ -145,9 +154,6 @@ func NewStreamPlatform(w *webworld.World, cfg StreamConfig) *StreamPlatform {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
-	}
-	if cfg.PerDomainDelay <= 0 {
-		cfg.PerDomainDelay = 10 * time.Millisecond
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -245,6 +251,9 @@ func (p *StreamPlatform) politenessReserve(domain string) time.Duration {
 // politenessWait blocks until the domain may be hit again, respecting
 // cancellation.
 func (p *StreamPlatform) politenessWait(ctx context.Context, domain string) error {
+	if p.cfg.PerDomainDelay <= 0 {
+		return nil
+	}
 	d := p.politenessReserve(domain)
 	if d <= 0 {
 		return nil

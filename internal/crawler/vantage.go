@@ -12,9 +12,10 @@ import (
 // Section 3.4). The draw is keyed by (URL, day) on a dedicated rng
 // stream, so the assignment is a pure function of the root seed and the
 // share — independent of worker count, submission order, retries, and
-// of which component performs the crawl. CrawlDay, StreamPlatform, and
-// fleet workers all draw through these two helpers, which is what lets
-// a distributed fleet reproduce a single-process run byte for byte.
+// of which component performs the crawl. Every StreamPlatform, in
+// process or on a fleet worker, draws through these two helpers, which
+// is what lets a distributed fleet reproduce a single-process run byte
+// for byte.
 
 // VantageSource derives the dedicated vantage stream for a root seed.
 // Every pipeline that wants to agree on vantage assignment must derive

@@ -145,77 +145,3 @@ func TestHasConsentLanguage(t *testing.T) {
 		t.Error("GDPR phrase matching broken")
 	}
 }
-
-func TestObservationsAggregation(t *testing.T) {
-	det := Default()
-	obs := NewObservations(det)
-	// Day 5: two captures with the CMP, one without → classified
-	// OneTrust (share 2/3 ≥ 1/3).
-	obs.Record(capWithHosts("a.com", 5, "cdn.cookielaw.org"))
-	obs.Record(capWithHosts("a.com", 5, "cdn.cookielaw.org"))
-	obs.Record(capWithHosts("a.com", 5, "www.a.com"))
-	// Day 9: one of four captures has it → below the ⅓ heuristic.
-	obs.Record(capWithHosts("a.com", 9, "cdn.cookielaw.org"))
-	obs.Record(capWithHosts("a.com", 9, "www.a.com"))
-	obs.Record(capWithHosts("a.com", 9, "www.a.com"))
-	obs.Record(capWithHosts("a.com", 9, "www.a.com"))
-	// Failed captures are ignored.
-	obs.Record(&capture.Capture{FinalDomain: "a.com", Failed: true})
-
-	if obs.Total != 7 {
-		t.Errorf("Total = %d", obs.Total)
-	}
-	if obs.NumDomains() != 1 {
-		t.Errorf("NumDomains = %d", obs.NumDomains())
-	}
-	days := obs.DayObservations("a.com")
-	if len(days) != 2 {
-		t.Fatalf("days = %+v", days)
-	}
-	if days[0].Day != 5 || days[0].CMP != cmps.OneTrust || days[0].Captures != 3 {
-		t.Errorf("day 5: %+v", days[0])
-	}
-	if days[1].Day != 9 || days[1].CMP != cmps.None || days[1].Captures != 4 {
-		t.Errorf("day 9: %+v", days[1])
-	}
-	// With a lower threshold the day-9 observation flips.
-	loose := obs.DayObservationsWithThreshold("a.com", 0.2)
-	if loose[1].CMP != cmps.OneTrust {
-		t.Error("threshold override not applied")
-	}
-	if obs.DayObservations("unknown.com") != nil {
-		t.Error("unknown domains must return nil")
-	}
-}
-
-func TestObservationsMultiCMP(t *testing.T) {
-	obs := NewObservations(Default())
-	obs.Record(capWithHosts("a.com", 1, "cdn.cookielaw.org", "consent.trustarc.com"))
-	if obs.MultiCMP != 1 {
-		t.Errorf("MultiCMP = %d", obs.MultiCMP)
-	}
-}
-
-func TestDailyShareDistribution(t *testing.T) {
-	obs := NewObservations(Default())
-	// Domain with 10/10 CMP captures on one day.
-	for i := 0; i < 10; i++ {
-		obs.Record(capWithHosts("high.com", 3, "consent.cookiebot.com"))
-	}
-	// Domain with 0/10.
-	for i := 0; i < 10; i++ {
-		obs.Record(capWithHosts("low.com", 3, "www.low.com"))
-	}
-	// Domain with 5/10 — the anomalous middle.
-	for i := 0; i < 10; i++ {
-		hosts := []string{"www.mid.com"}
-		if i%2 == 0 {
-			hosts = []string{"consent.cookiebot.com"}
-		}
-		obs.Record(capWithHosts("mid.com", 3, hosts...))
-	}
-	below, between, above := obs.DailyShareDistribution(5, 0.05, 0.95)
-	if below != 1 || between != 1 || above != 1 {
-		t.Errorf("distribution = %d/%d/%d, want 1/1/1", below, between, above)
-	}
-}

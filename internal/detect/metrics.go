@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/cmps"
 	"repro/internal/obs"
@@ -63,28 +62,3 @@ func (m *Metrics) masked(first cmps.ID, mask uint32) {
 // paths. Call before sharing the detector across goroutines; nil
 // detaches.
 func (d *Detector) SetMetrics(m *Metrics) { d.m = m }
-
-// RegisterMetrics publishes the aggregate's live state on reg,
-// complementing the per-classification counters a Detector records:
-// the sink's own ledger under a detect_sink_ prefix so both can share
-// one registry.
-func (o *Observations) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	obs.NewCounterFunc(reg, "detect_sink_recorded_total",
-		"Non-failed captures aggregated by the observations sink.",
-		func() int64 { return atomic.LoadInt64(&o.Total) })
-	obs.NewCounterFunc(reg, "detect_sink_multi_cmp_total",
-		"Aggregated captures matching more than one CMP.",
-		func() int64 { return atomic.LoadInt64(&o.MultiCMP) })
-	obs.NewGaugeFunc(reg, "detect_sink_domains",
-		"Distinct final domains observed by the sink.",
-		func() float64 { return float64(o.NumDomains()) })
-}
-
-// SetTracer attaches a tracer emitting one root "detect" span per
-// recorded capture (identity: final domain and day; the classified
-// CMP is a display attribute). Call before recording starts; nil
-// detaches. Record stays allocation-free while no tracer is attached.
-func (o *Observations) SetTracer(tr *obs.Tracer) { o.tracer = tr }

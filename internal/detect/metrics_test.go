@@ -54,50 +54,6 @@ func TestDetectorMetrics(t *testing.T) {
 	}
 }
 
-func TestObservationsTracerAndSinkMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(obs.TracerConfig{})
-	o := NewObservations(Default())
-	o.SetTracer(tr)
-	o.RegisterMetrics(reg)
-
-	o.Record(reqCapture("a.com", cmps.Cookiebot.Hostname()))
-	o.Record(reqCapture("b.com", "www.b.com"))
-	failed := reqCapture("c.com", cmps.OneTrust.Hostname())
-	failed.Failed = true
-	o.Record(failed) // failed captures are not aggregated, not traced
-
-	if tr.Len() != 2 {
-		t.Errorf("spans = %d, want 2", tr.Len())
-	}
-	var spans bytes.Buffer
-	if err := tr.WriteNDJSON(&spans, "detect"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(spans.String(), `"id":"detect[domain=a.com;day=day 12]"`) &&
-		!strings.Contains(spans.String(), `"domain","v":"a.com"`) {
-		t.Errorf("detect span for a.com missing:\n%s", spans.String())
-	}
-	if !strings.Contains(spans.String(), `{"k":"cmp","v":"Cookiebot"}`) {
-		t.Errorf("classified CMP should be a display attribute:\n%s", spans.String())
-	}
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"detect_sink_recorded_total 2",
-		"detect_sink_domains 2",
-		"detect_sink_multi_cmp_total 0",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // The hot paths must stay allocation-free with telemetry off and
 // allocation-free per classification with counters attached.
 func TestDetectHotPathAllocs(t *testing.T) {
@@ -112,10 +68,5 @@ func TestDetectHotPathAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { d.DetectMask(c) }); n != 0 {
 			t.Errorf("%s: DetectMask allocs %v, want 0", name, n)
 		}
-	}
-	o := NewObservations(Default())
-	o.Record(c) // warm the domain slice
-	if n := testing.AllocsPerRun(100, func() { o.Record(c) }); n > 1 {
-		t.Errorf("Record allocs %v, want <=1 (amortized slice growth)", n)
 	}
 }

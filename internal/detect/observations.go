@@ -1,158 +1,17 @@
 package detect
 
 import (
-	"math/bits"
-	"sort"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/capture"
 	"repro/internal/cmps"
-	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
-// numShards is the lock-stripe count of an Observations aggregate.
-// Domains hash onto shards, so concurrent recorders only contend when
-// two captures land on the same stripe; 64 stripes keep the collision
-// probability low for any realistic worker count.
-const numShards = 64
-
-// Observations is a streaming capture sink that aggregates detection
-// results into compact per-domain records. The social-media pipeline
-// records millions of captures; only an 8-byte record per capture is
-// retained, mirroring how the paper's analyses consume the capture
-// database rather than raw page data.
-//
-// Recording is safe for concurrent use and lock-striped by domain
-// hash: crawl workers recording different domains do not serialize on
-// a global mutex.
-type Observations struct {
-	det    *Detector
-	tracer *obs.Tracer // nil = tracing off; see SetTracer
-
-	shards [numShards]obsShard
-
-	// MultiCMP counts captures matching more than one CMP (overcount
-	// quantification, Section 3.5: 0.01% of captures). Updated
-	// atomically; read it only after recording has quiesced (or via
-	// atomic.LoadInt64 while recorders are live).
-	MultiCMP int64
-	// Total counts all recorded (non-failed) captures. Updated
-	// atomically, like MultiCMP.
-	Total int64
-}
-
-// obsShard is one lock stripe: a mutex plus the domains hashing onto
-// it. The pad spaces shards a cache line apart so that stripes used by
-// different workers do not false-share.
-type obsShard struct {
-	mu      sync.Mutex
-	domains map[string]*domainObs
-	_       [40]byte
-}
-
 // Rec is one capture's compact detection record: the day it was taken
 // and the first detected CMP (0 = none). Eight bytes per capture is all
-// the longitudinal analyses retain; the incremental fold layer
-// (internal/analysis.PresenceFold) accumulates the same records so the
-// batch and streaming paths classify through one implementation.
+// the longitudinal analyses retain; internal/analysis.PresenceFold
+// accumulates them per domain and classifies them through ClassifyRecs.
 type Rec struct {
 	Day int32
 	CMP int8 // cmps.ID of the first detected CMP; 0 = none
-}
-
-type domainObs struct {
-	recs   []Rec
-	sorted bool
-}
-
-// NewObservations returns an empty aggregate fed by the detector.
-func NewObservations(det *Detector) *Observations {
-	o := &Observations{det: det}
-	for i := range o.shards {
-		o.shards[i].domains = make(map[string]*domainObs)
-	}
-	return o
-}
-
-// shard returns the lock stripe responsible for the domain (FNV-1a,
-// inlined to keep Record allocation-free).
-func (o *Observations) shard(domain string) *obsShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(domain); i++ {
-		h ^= uint32(domain[i])
-		h *= 16777619
-	}
-	return &o.shards[h%numShards]
-}
-
-// Record implements capture.Sink. It performs no allocations beyond
-// the amortized growth of the per-domain record slice.
-func (o *Observations) Record(c *capture.Capture) {
-	if c.Failed || c.FinalDomain == "" {
-		return
-	}
-	var span *obs.Span
-	if o.tracer != nil {
-		span = o.tracer.Start("detect", obs.A("domain", c.FinalDomain), obs.A("day", c.Day.String()))
-	}
-	id, mask := o.det.DetectMask(c)
-	atomic.AddInt64(&o.Total, 1)
-	if bits.OnesCount32(mask) > 1 {
-		atomic.AddInt64(&o.MultiCMP, 1)
-	}
-	sh := o.shard(c.FinalDomain)
-	sh.mu.Lock()
-	dom := sh.domains[c.FinalDomain]
-	if dom == nil {
-		dom = &domainObs{}
-		sh.domains[c.FinalDomain] = dom
-	}
-	dom.recs = append(dom.recs, Rec{Day: int32(c.Day), CMP: int8(id)})
-	dom.sorted = false
-	sh.mu.Unlock()
-	if span != nil {
-		span.Attr("cmp", id.String())
-		span.End()
-	}
-}
-
-// Observed reports whether the domain ever appeared as a final domain
-// in the capture stream.
-func (o *Observations) Observed(domain string) bool {
-	sh := o.shard(domain)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.domains[domain]
-	return ok
-}
-
-// NumDomains returns how many distinct final domains were observed.
-func (o *Observations) NumDomains() int {
-	n := 0
-	for i := range o.shards {
-		sh := &o.shards[i]
-		sh.mu.Lock()
-		n += len(sh.domains)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Domains returns the observed domain names, sorted.
-func (o *Observations) Domains() []string {
-	var out []string
-	for i := range o.shards {
-		sh := &o.shards[i]
-		sh.mu.Lock()
-		for d := range sh.domains {
-			out = append(out, d)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DayObservation is a domain's classification on one observed day.
@@ -169,27 +28,14 @@ type DayObservation struct {
 	Captures int
 }
 
-// DayObservations returns a domain's classified days in ascending
-// order, applying the ≥⅓-captures heuristic per day. Returns nil for
-// unobserved domains.
-func (o *Observations) DayObservations(domain string) []DayObservation {
-	return o.DayObservationsWithThreshold(domain, SiteHeuristicThreshold)
-}
-
-// DayObservationsWithThreshold applies a custom per-day share
-// threshold; used by the site-heuristic ablation.
-func (o *Observations) DayObservationsWithThreshold(domain string, threshold float64) []DayObservation {
-	return ClassifyRecs(o.sortedRecs(domain), threshold)
-}
-
 // ClassifyRecs aggregates a domain's detection records (sorted by day)
 // into classified day observations, applying the per-day share
 // threshold (pass SiteHeuristicThreshold for the paper's ≥⅓ rule).
 // The classification is count-based per day, so any record order
 // within a day yields the same result; ties between CMPs break in
 // cmps.All order. This is the single day-classification
-// implementation, shared by the striped Observations aggregate and the
-// incremental presence fold.
+// implementation, used by the presence fold for both its intervals and
+// its per-day queries.
 func ClassifyRecs(recs []Rec, threshold float64) []DayObservation {
 	if recs == nil {
 		return nil
@@ -218,56 +64,4 @@ func ClassifyRecs(recs []Rec, threshold float64) []DayObservation {
 		i = j
 	}
 	return out
-}
-
-// sortedRecs returns the domain's records sorted by day, sorting
-// lazily under the shard lock.
-func (o *Observations) sortedRecs(domain string) []Rec {
-	sh := o.shard(domain)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	dom := sh.domains[domain]
-	if dom == nil {
-		return nil
-	}
-	if !dom.sorted {
-		sort.Slice(dom.recs, func(i, j int) bool { return dom.recs[i].Day < dom.recs[j].Day })
-		dom.sorted = true
-	}
-	return dom.recs
-}
-
-// DailyShareDistribution reports, over all domain-days with at least
-// minCaptures, how many had a CMP-capture share below lo, above hi, or
-// in between. The paper reports that for 99.8% of all domains the
-// daily share is consistently below 5% or above 95%.
-func (o *Observations) DailyShareDistribution(minCaptures int, lo, hi float64) (below, between, above int) {
-	for _, d := range o.Domains() {
-		recs := o.sortedRecs(d)
-		for i := 0; i < len(recs); {
-			j := i
-			withCMP := 0
-			for j < len(recs) && recs[j].Day == recs[i].Day {
-				if recs[j].CMP != 0 {
-					withCMP++
-				}
-				j++
-			}
-			total := j - i
-			i = j
-			if total < minCaptures {
-				continue
-			}
-			share := float64(withCMP) / float64(total)
-			switch {
-			case share < lo:
-				below++
-			case share > hi:
-				above++
-			default:
-				between++
-			}
-		}
-	}
-	return below, between, above
 }
