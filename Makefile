@@ -58,12 +58,11 @@ fleet-determinism:
 	for p in 1 2 4 8 16; do GOMAXPROCS=$$p $(GO) test ./internal/fleet/ -run TestFleetDeterminism -count=2 || exit 1; done
 
 # The report must not depend on crawl concurrency or map order: the
-# -quick study prints the same bytes at one and at eight workers, bar
-# the final "Campaign cache: … (N workers)" line, which names the count.
+# -quick study prints the same bytes at one and at eight workers.
 analyze-determinism:
 	$(GO) build -o bin/ ./cmd/analyze
-	for w in 1 8; do ./bin/analyze -quick -workers $$w > bin/analyze-w$$w.out || exit 1; grep -v '^Campaign cache: ' bin/analyze-w$$w.out > bin/analyze-w$$w.txt; done
-	cmp bin/analyze-w1.txt bin/analyze-w8.txt
+	for w in 1 8; do ./bin/analyze -quick -workers $$w > bin/analyze-w$$w.out || exit 1; done
+	cmp bin/analyze-w1.out bin/analyze-w8.out
 
 # Tier-1 benchmark suite → JSON snapshot. Runs every root-package
 # benchmark at a fixed BENCHTIME, repeated BENCHCOUNT times (the
@@ -135,8 +134,10 @@ obs-overhead:
 # webworld/chaos error strings, the fleet wire-protocol decoder, both
 # TCF consent-string codecs, the compiled-vs-naive decision kernel
 # differential, the placement-ring invariants, the durable append-log
-# scan behind the fleet checkpoint and handoff logs, and the analytics
-# checkpoint header.
+# scan behind the fleet checkpoint and handoff logs, the analytics
+# checkpoint header, and the analysis folds' checkpointed state
+# (FuzzFoldState caps input minimization at 1s: at the 60s default,
+# minimizing its first new inputs takes the whole budget).
 fuzz:
 	$(GO) test ./internal/capturedb/ -run '^$$' -fuzz FuzzScan -fuzztime 30s
 	$(GO) test ./internal/ring/ -run '^$$' -fuzz FuzzRingPlacement -fuzztime 20s
@@ -147,6 +148,7 @@ fuzz:
 	$(GO) test ./internal/decision/ -run '^$$' -fuzz FuzzDecideDifferential -fuzztime 30s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogScan -fuzztime 15s
 	$(GO) test ./internal/analytics/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 15s
+	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzFoldState -fuzztime 15s -fuzzminimizetime 1s
 
 # Go line counts by class — non-test code outside bench/, tests, and
 # bench/ — the measure a simplicity PR's "net negative" is held to.

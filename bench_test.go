@@ -53,10 +53,12 @@ import (
 var (
 	benchOnce     sync.Once
 	benchStudy    *core.Study
-	benchCampaign *crawler.CampaignResult
+	benchCampaign []*capture.Capture // Table 1: May 2020, top 1k
+	benchJanuary  []*capture.Capture // Table A.3: January 2020, top 1k
 )
 
-// benchSetup crawls once at a scale sized for benchmarking.
+// benchSetup crawls once at a scale sized for benchmarking: the social
+// window and the Table 1 and A.3 toplist campaigns.
 func benchSetup(b *testing.B) *core.Study {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -64,6 +66,7 @@ func benchSetup(b *testing.B) *core.Study {
 		benchStudy = core.NewStudy(cfg)
 		benchStudy.RunSocialCrawl(nil)
 		benchCampaign = benchStudy.RunToplistCampaign(simtime.Table1Snapshot, 1_000)
+		benchJanuary = benchStudy.RunToplistCampaign(simtime.TableA3Snapshot, 1_000)
 	})
 	b.ResetTimer()
 	return benchStudy
@@ -79,23 +82,25 @@ func BenchmarkFigure1PriorWork(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1Vantage regenerates Table 1: CMP occurrence across
-// the six vantage configurations at the May 2020 snapshot.
+// BenchmarkTable1Vantage regenerates Table 1 from its crawled
+// campaign: CMP occurrence across the six vantage configurations at
+// the May 2020 snapshot.
 func BenchmarkTable1Vantage(b *testing.B) {
 	s := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		vt := s.VantageTable(simtime.Table1Snapshot, 1_000)
+		vt := analysis.ComputeVantageTable(benchCampaign, s.Detector)
 		if vt.Totals[analysis.EUUniversityExtendedKey()] == 0 {
 			b.Fatal("empty table")
 		}
 	}
 }
 
-// BenchmarkTableA3VantageJan regenerates Table A.3 (January 2020).
+// BenchmarkTableA3VantageJan regenerates Table A.3 (January 2020) from
+// its crawled campaign.
 func BenchmarkTableA3VantageJan(b *testing.B) {
 	s := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		vt := s.VantageTable(simtime.TableA3Snapshot, 1_000)
+		vt := analysis.ComputeVantageTable(benchJanuary, s.Detector)
 		if vt.Totals[analysis.EUUniversityExtendedKey()] == 0 {
 			b.Fatal("empty table")
 		}
@@ -292,6 +297,18 @@ func BenchmarkAblationSiteHeuristic(b *testing.B) {
 	}
 }
 
+// configCaptures filters a campaign's captures to one configuration
+// column, keeping campaign order.
+func configCaptures(caps []*capture.Capture, key string) []*capture.Capture {
+	var out []*capture.Capture
+	for _, c := range caps {
+		if analysis.ConfigKeyOf(c) == key {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // BenchmarkAblationDetectorKind compares hostname-fingerprint
 // detection against DOM matching. The paper found DOM parsing "much
 // more unreliable": it fails whenever the site's configuration does
@@ -302,8 +319,8 @@ func BenchmarkAblationDetectorKind(b *testing.B) {
 	benchSetup(b)
 	det := detect.Default()
 	stores := map[string][]*capture.Capture{
-		"eu-university": core.EUUniversityStore(benchCampaign).All(),
-		"us-cloud":      benchCampaign.Stores["us-cloud/default"].All(),
+		"eu-university": core.EUUniversityStore(benchCampaign),
+		"us-cloud":      configCaptures(benchCampaign, analysis.USCloudKey()),
 	}
 	for vantage, caps := range stores {
 		b.Run("network/"+vantage, func(b *testing.B) {
@@ -338,10 +355,10 @@ func BenchmarkAblationSampling(b *testing.B) {
 	top := s.Toplist.Top(1_000)
 	det := detect.Default()
 	b.Run("toplist-frontpage", func(b *testing.B) {
-		store := core.EUUniversityStore(benchCampaign)
+		caps := core.EUUniversityStore(benchCampaign)
 		for i := 0; i < b.N; i++ {
 			found := map[string]bool{}
-			for _, c := range store.All() {
+			for _, c := range caps {
 				if det.DetectOne(c) != cmps.None {
 					found[c.FinalDomain] = true
 				}
@@ -363,7 +380,8 @@ func BenchmarkAblationSampling(b *testing.B) {
 }
 
 // BenchmarkCoverageSeries measures the monthly vantage-coverage series
-// (continuous Tables 1/A.3).
+// (continuous Tables 1/A.3): each iteration crawls its eight monthly
+// toplist campaigns and tallies them.
 func BenchmarkCoverageSeries(b *testing.B) {
 	s := benchSetup(b)
 	var rise float64
@@ -390,10 +408,10 @@ func BenchmarkSubsiteCoverage(b *testing.B) {
 // BenchmarkTracking measures the identifying-storage analysis.
 func BenchmarkTracking(b *testing.B) {
 	benchSetup(b)
-	store := core.EUUniversityStore(benchCampaign)
+	caps := core.EUUniversityStore(benchCampaign)
 	var share float64
 	for i := 0; i < b.N; i++ {
-		share = analysis.ComputeTracking(store).IdentifyingShare()
+		share = analysis.ComputeTracking(caps).IdentifyingShare()
 	}
 	b.ReportMetric(100*share, "identifying-%")
 }
@@ -425,8 +443,7 @@ func BenchmarkPromptChanges(b *testing.B) {
 // BenchmarkCaptureDB measures capture persistence throughput.
 func BenchmarkCaptureDB(b *testing.B) {
 	s := benchSetup(b)
-	store := core.EUUniversityStore(benchCampaign)
-	caps := store.All()
+	caps := core.EUUniversityStore(benchCampaign)
 	b.Run("write", func(b *testing.B) {
 		// Write one representative record per iteration; throughput is
 		// its encoded size, fixed before the loop so MB/s is exact
@@ -491,7 +508,7 @@ func BenchmarkDetectOneNop(b *testing.B) {
 
 func benchDetectOne(b *testing.B, det *detect.Detector) {
 	benchSetup(b)
-	caps := core.EUUniversityStore(benchCampaign).All()
+	caps := core.EUUniversityStore(benchCampaign)
 	b.ReportAllocs()
 	b.ResetTimer()
 	found := 0
@@ -765,7 +782,7 @@ func BenchmarkDecideBatch(b *testing.B) {
 // fan-out), and that host's count (answered from the posting lists).
 func BenchmarkReplicatedQueryFanout(b *testing.B) {
 	benchSetup(b)
-	caps := core.EUUniversityStore(benchCampaign).All()
+	caps := core.EUUniversityStore(benchCampaign)
 	const shards = 8
 	// The keys come from the data: a domain from the middle of the
 	// corpus and the most requested host (ties broken by name).

@@ -12,8 +12,8 @@
 //
 // -quick runs at test scale (seconds); the default scale is ≈1/100 of
 // the paper's capture volume and takes a few minutes. -telemetry meters
-// the detector and the campaign-memoization cache and dumps the
-// Prometheus text exposition after the report.
+// the detector and dumps the Prometheus text exposition after the
+// report.
 //
 // -store switches to batch-over-store mode: instead of simulating a
 // world, analyze folds an existing capture store through the same
@@ -93,7 +93,6 @@ func main() {
 	if *telemetry {
 		reg = obs.NewRegistry()
 		s.Detector.SetMetrics(detect.NewMetrics(reg))
-		s.RegisterMetrics(reg)
 	}
 
 	fmt.Println("Crawling the social-media feed, March 2018 – September 2020 …")
@@ -114,10 +113,12 @@ func main() {
 
 	fmt.Println(report.PriorWork())
 
-	// Tables 1 and A.3.
+	// Tables 1 and A.3. The Table 1 campaign is crawled once and kept:
+	// the customization, tracking and time-cost sections read it too.
+	campaign := s.RunToplistCampaign(simtime.Table1Snapshot, cfg.ToplistSize)
 	fmt.Println(report.VantageTable(
 		"Table 1 — CMP occurrence in the toplist by vantage point (May 2020)",
-		s.VantageTable(simtime.Table1Snapshot, cfg.ToplistSize)))
+		analysis.ComputeVantageTable(campaign, s.Detector)))
 	fmt.Println(report.VantageTable(
 		"Table A.3 — same measurement in January 2020",
 		s.VantageTable(simtime.TableA3Snapshot, cfg.ToplistSize)))
@@ -175,7 +176,6 @@ func main() {
 	fmt.Println(report.MissingData(md))
 
 	// Item I3 customization.
-	campaign := s.RunToplistCampaign(simtime.Table1Snapshot, cfg.ToplistSize)
 	fmt.Println(report.Customization(s.Customization(campaign)))
 
 	// Tracking context and subsite coverage (Sections 3.5 and 6).
@@ -228,9 +228,6 @@ func main() {
 		adoptionAt, s.Customization(campaign),
 		exp.DirectReject.MedianAcceptSec, exp.DirectReject.MedianRejectSec,
 		exp.MoreOptions.MedianRejectSec, optOutSec)))
-
-	hits, misses := s.CampaignCacheStats()
-	fmt.Printf("Campaign cache: %d hits, %d misses (%d workers)\n", hits, misses, *workers)
 
 	if reg != nil {
 		fmt.Printf("\nTelemetry (Prometheus exposition):\n")

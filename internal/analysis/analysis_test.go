@@ -158,9 +158,9 @@ func TestSwitchingFlows(t *testing.T) {
 
 func TestComputeCustomization(t *testing.T) {
 	det := detect.Default()
-	store := capture.NewMemStore()
+	var caps []*capture.Capture
 	add := func(domain, dom string, host string) {
-		store.Record(&capture.Capture{
+		caps = append(caps, &capture.Capture{
 			FinalDomain: domain, Status: 200, DOM: dom,
 			Requests: []capture.Request{{Host: host}},
 		})
@@ -173,7 +173,7 @@ func TestComputeCustomization(t *testing.T) {
 	// Duplicate capture of a.com must not double count.
 	add("a.com", `<div class="qc-cmp-ui" data-variant="direct-reject" data-confirm=false>I ACCEPT</div>`, "quantcast.mgr.consensu.org")
 
-	stats := ComputeCustomization(store, det)
+	stats := ComputeCustomization(caps, det)
 	qc := stats[cmps.Quantcast]
 	if qc.Websites != 2 || qc.Variants["direct-reject"] != 1 || qc.Variants["more-options"] != 1 {
 		t.Errorf("Quantcast stats: %+v", qc)

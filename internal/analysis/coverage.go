@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"repro/internal/crawler"
+	"repro/internal/capture"
 	"repro/internal/detect"
 	"repro/internal/webworld"
 )
@@ -56,10 +56,11 @@ func ComputeMissingData(w *webworld.World, toplistDomains []string, observed fun
 }
 
 // TimeoutLoss quantifies the Section 3.5 "Crawler Timeouts" effect by
-// comparing default-timing and extended-timeout university stores: the
-// fraction of CMP websites only visible with relaxed timeouts (~2%).
-func TimeoutLoss(res *crawler.CampaignResult, det *detect.Detector) float64 {
-	t := ComputeVantageTable(res, det)
+// comparing a campaign's default-timing and extended-timeout university
+// columns: the fraction of CMP websites only visible with relaxed
+// timeouts (~2%).
+func TimeoutLoss(caps []*capture.Capture, det *detect.Detector) float64 {
+	t := ComputeVantageTable(caps, det)
 	def := t.Totals[EUUniversityDefaultKey()]
 	ext := t.Totals[EUUniversityExtendedKey()]
 	if ext == 0 {

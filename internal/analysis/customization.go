@@ -56,9 +56,10 @@ var (
 // consent wording.
 var affirmative = regexp.MustCompile(`(?i)\b(agree|consent|accept)\b`)
 
-// ComputeCustomization scrapes the DOM trees of an EU-university
-// capture store and tallies customization per CMP.
-func ComputeCustomization(store *capture.MemStore, det *detect.Detector) map[cmps.ID]*CustomizationStats {
+// ComputeCustomization scrapes the DOM trees of EU-university captures
+// and tallies customization per CMP; a domain counts once, by its first
+// detected capture.
+func ComputeCustomization(caps []*capture.Capture, det *detect.Detector) map[cmps.ID]*CustomizationStats {
 	out := make(map[cmps.ID]*CustomizationStats, cmps.Count)
 	for _, c := range cmps.All() {
 		out[c] = &CustomizationStats{
@@ -68,7 +69,7 @@ func ComputeCustomization(store *capture.MemStore, det *detect.Detector) map[cmp
 		}
 	}
 	seen := make(map[string]bool)
-	for _, cap := range store.All() {
+	for _, cap := range caps {
 		if cap.Failed || seen[cap.FinalDomain] {
 			continue
 		}

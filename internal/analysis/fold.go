@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/capture"
@@ -271,27 +272,35 @@ func (f *PresenceFold) MarshalState() ([]byte, error) {
 
 // UnmarshalState restores a checkpointed fold, replacing any folded
 // state. Every restored domain is dirty: intervals rebuild on the
-// first snapshot.
+// first snapshot. A record whose day lies outside the observation
+// window or whose CMP is not 0..cmps.Count is rejected, since the
+// snapshot would index out of range on it; a rejected state leaves
+// the fold untouched.
 func (f *PresenceFold) UnmarshalState(b []byte) error {
 	var st presenceFoldState
 	if err := json.Unmarshal(b, &st); err != nil {
 		return fmt.Errorf("analysis: presence fold state: %w", err)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.Total, f.MultiCMP = st.Total, st.MultiCMP
-	f.domains = make(map[string]*foldDomain, len(st.Domains))
-	f.presence = make(map[string][]interp.Interval)
+	domains := make(map[string]*foldDomain, len(st.Domains))
 	for domain, flat := range st.Domains {
 		if len(flat)%2 != 0 {
 			return fmt.Errorf("analysis: presence fold state: odd record array for %q", domain)
 		}
 		d := &foldDomain{recs: make([]detect.Rec, 0, len(flat)/2), dirty: true}
 		for i := 0; i < len(flat); i += 2 {
-			d.recs = append(d.recs, detect.Rec{Day: flat[i], CMP: int8(flat[i+1])})
+			day, id := flat[i], flat[i+1]
+			if !simtime.Day(day).Valid() || id < 0 || id > cmps.Count {
+				return fmt.Errorf("analysis: presence fold state: bad record [%d,%d] for %q", day, id, domain)
+			}
+			d.recs = append(d.recs, detect.Rec{Day: day, CMP: int8(id)})
 		}
-		f.domains[domain] = d
+		domains[domain] = d
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.Total, f.MultiCMP = st.Total, st.MultiCMP
+	f.domains = domains
+	f.presence = make(map[string][]interp.Interval)
 	return nil
 }
 
@@ -407,32 +416,41 @@ func (f *CoverageFold) MarshalState() ([]byte, error) {
 			}
 			mc[key] = md
 		}
-		st.Months[fmt.Sprintf("%d", int(month))] = mc
+		st.Months[strconv.Itoa(int(month))] = mc
 	}
 	return json.Marshal(st)
 }
 
-// UnmarshalState restores a checkpointed fold.
+// UnmarshalState restores a checkpointed fold. A month key must be
+// the canonical decimal first day of a month inside the observation
+// window (so no two keys name one month), and every CMP one of
+// 1..cmps.Count (a slot only ever holds a detection); anything else is
+// rejected and leaves the fold untouched.
 func (f *CoverageFold) UnmarshalState(b []byte) error {
 	var st coverageFoldState
 	if err := json.Unmarshal(b, &st); err != nil {
 		return fmt.Errorf("analysis: coverage fold state: %w", err)
 	}
-	f.months = make(map[simtime.Day]map[string]map[string]cmps.ID, len(st.Months))
+	months := make(map[simtime.Day]map[string]map[string]cmps.ID, len(st.Months))
 	for monthStr, configs := range st.Months {
-		var month int
-		if _, err := fmt.Sscanf(monthStr, "%d", &month); err != nil {
+		m, err := strconv.Atoi(monthStr)
+		month := simtime.Day(m)
+		if err != nil || strconv.Itoa(m) != monthStr || !month.Valid() || month.Month() != month {
 			return fmt.Errorf("analysis: coverage fold state: bad month %q", monthStr)
 		}
 		mc := make(map[string]map[string]cmps.ID, len(configs))
 		for key, domains := range configs {
 			md := make(map[string]cmps.ID, len(domains))
 			for domain, id := range domains {
+				if id < 1 || id > cmps.Count {
+					return fmt.Errorf("analysis: coverage fold state: bad CMP %d for %q", id, domain)
+				}
 				md[domain] = cmps.ID(id)
 			}
 			mc[key] = md
 		}
-		f.months[simtime.Day(month)] = mc
+		months[month] = mc
 	}
+	f.months = months
 	return nil
 }

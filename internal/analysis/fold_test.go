@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/capture"
@@ -302,4 +304,91 @@ func TestCoverageFold(t *testing.T) {
 			t.Errorf("month %d table diverged after checkpoint restore", m)
 		}
 	}
+}
+
+// Checkpoints that decode as JSON but name records a snapshot cannot
+// index are rejected, not restored.
+func TestFoldStateRejectsOutOfRange(t *testing.T) {
+	last := strconv.Itoa(simtime.NumDays)
+	for _, st := range []string{
+		`{"total":1,"multi_cmp":0,"domains":{"a.com":[100,9]}}`,
+		`{"total":1,"multi_cmp":0,"domains":{"a.com":[100,-1]}}`,
+		`{"total":1,"multi_cmp":0,"domains":{"a.com":[-1,1]}}`,
+		`{"total":1,"multi_cmp":0,"domains":{"a.com":[` + last + `,1]}}`,
+	} {
+		if err := NewPresenceFold(detect.Default(), interp.Options{}).UnmarshalState([]byte(st)); err == nil {
+			t.Errorf("presence state accepted: %s", st)
+		}
+	}
+	feb := strconv.Itoa(int(simtime.Date(2019, 2, 1)))
+	for _, st := range []string{
+		`{"months":{"12x":{"us-cloud/default":{"a.com":1}}}}`,
+		`{"months":{"12":{"us-cloud/default":{"a.com":1}}}}`,
+		`{"months":{"+0":{"us-cloud/default":{"a.com":1}}}}`,
+		`{"months":{"-31":{"us-cloud/default":{"a.com":1}}}}`,
+		`{"months":{"` + feb + `":{"us-cloud/default":{"a.com":0}}}}`,
+		`{"months":{"` + feb + `":{"us-cloud/default":{"a.com":9}}}}`,
+	} {
+		if err := NewCoverageFold(detect.Default()).UnmarshalState([]byte(st)); err == nil {
+			t.Errorf("coverage state accepted: %s", st)
+		}
+	}
+}
+
+// FuzzFoldState feeds arbitrary bytes to both folds' UnmarshalState.
+// Whatever a fold accepts must snapshot without panicking and must
+// round-trip: Marshal → Unmarshal → Marshal yields the same bytes.
+func FuzzFoldState(f *testing.F) {
+	det := detect.Default()
+	f.Add([]byte(`{"total":1,"multi_cmp":0,"domains":{"a.com":[100,9]}}`))
+	f.Add([]byte(`{"months":{"12x":{"us-cloud/default":{"a.com":9}}}}`))
+	presence, coverage := NewPresenceFold(det, interp.Options{}), NewCoverageFold(det)
+	// A short stream keeps the valid seeds small: the fuzzer minimizes
+	// every new input, and minimizing a large one stalls the run.
+	for _, c := range syntheticStream(24) {
+		presence.Fold(c)
+		coverage.Fold(c)
+	}
+	for _, fold := range []interface{ MarshalState() ([]byte, error) }{presence, coverage} {
+		b, err := fold.MarshalState()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p := NewPresenceFold(det, interp.Options{})
+		if p.UnmarshalState(b) == nil {
+			p.Presence()
+			first, err := p.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := NewPresenceFold(det, interp.Options{})
+			if err := q.UnmarshalState(first); err != nil {
+				t.Fatalf("presence re-restore: %v", err)
+			}
+			if again, _ := q.MarshalState(); !bytes.Equal(first, again) {
+				t.Fatalf("presence round trip:\n%s\n%s", first, again)
+			}
+		}
+		c := NewCoverageFold(det)
+		if c.UnmarshalState(b) == nil {
+			c.Cumulative()
+			for _, m := range c.Months() {
+				c.MonthTable(m)
+			}
+			first, err := c.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := NewCoverageFold(det)
+			if err := d.UnmarshalState(first); err != nil {
+				t.Fatalf("coverage re-restore: %v", err)
+			}
+			if again, _ := d.MarshalState(); !bytes.Equal(first, again) {
+				t.Fatalf("coverage round trip:\n%s\n%s", first, again)
+			}
+		}
+	})
 }

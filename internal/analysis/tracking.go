@@ -47,13 +47,13 @@ func (s *TrackingStats) TrackerShare() float64 {
 	return float64(s.WithThirdPartyTracker) / float64(s.Websites)
 }
 
-// ComputeTracking derives tracking statistics from a capture store,
+// ComputeTracking derives tracking statistics from captures,
 // considering one capture per final domain.
-func ComputeTracking(store *capture.MemStore) *TrackingStats {
+func ComputeTracking(caps []*capture.Capture) *TrackingStats {
 	stats := &TrackingStats{}
 	seen := map[string]bool{}
 	thirdPartyTotal := 0
-	for _, c := range store.All() {
+	for _, c := range caps {
 		if c.Failed || c.Status != 200 || seen[c.FinalDomain] {
 			continue
 		}

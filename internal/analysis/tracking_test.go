@@ -10,9 +10,10 @@ import (
 )
 
 func TestComputeTrackingSynthetic(t *testing.T) {
-	store := capture.NewMemStore()
+	var caps []*capture.Capture
+	record := func(c *capture.Capture) { caps = append(caps, c) }
 	// Site with an identifying tracker cookie and two trackers.
-	store.Record(&capture.Capture{
+	record(&capture.Capture{
 		FinalDomain: "a.com", FinalURL: "https://www.a.com/", Status: 200,
 		Requests: []capture.Request{
 			{Host: "www.a.com"}, {Host: "www.google-analytics.com"}, {Host: "cdn.jsdelivr.net"},
@@ -20,17 +21,17 @@ func TestComputeTrackingSynthetic(t *testing.T) {
 		Cookies: []webworld.Cookie{{Domain: "www.google-analytics.com", Name: "uid", Value: "u-1"}},
 	})
 	// Clean site: first-party only, no identifying state.
-	store.Record(&capture.Capture{
+	record(&capture.Capture{
 		FinalDomain: "b.com", FinalURL: "https://www.b.com/", Status: 200,
 		Requests: []capture.Request{{Host: "www.b.com"}},
 	})
 	// Duplicate capture of a.com must not double count.
-	store.Record(&capture.Capture{
+	record(&capture.Capture{
 		FinalDomain: "a.com", FinalURL: "https://www.a.com/", Status: 200,
 		Requests: []capture.Request{{Host: "www.a.com"}},
 	})
 
-	stats := ComputeTracking(store)
+	stats := ComputeTracking(caps)
 	if stats.Websites != 2 {
 		t.Fatalf("websites = %d", stats.Websites)
 	}
@@ -55,9 +56,13 @@ func TestTrackingOnSyntheticWeb(t *testing.T) {
 		domains = append(domains, d.Name)
 	}
 	c := &crawler.Campaign{World: world, Domains: domains, Day: simtime.Table1Snapshot}
-	res := c.Run()
-	store := res.Stores["eu-university/default"]
-	stats := ComputeTracking(store)
+	var uni []*capture.Capture
+	for _, cap := range c.Run() {
+		if ConfigKeyOf(cap) == EUUniversityDefaultKey() {
+			uni = append(uni, cap)
+		}
+	}
+	stats := ComputeTracking(uni)
 	if stats.Websites < 300 {
 		t.Fatalf("websites = %d", stats.Websites)
 	}

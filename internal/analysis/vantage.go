@@ -23,30 +23,29 @@ type VantageTable struct {
 	Coverage map[string]float64
 }
 
-// ComputeVantageTable classifies each campaign store with the detector
-// and tallies distinct websites (by final registrable domain) per CMP.
-func ComputeVantageTable(res *crawler.CampaignResult, det *detect.Detector) *VantageTable {
+// ComputeVantageTable buckets a campaign's captures by configuration
+// (ConfigKeyOf), classifies each with the detector and tallies distinct
+// websites (by final registrable domain) per CMP. Columns follow
+// crawler.ToplistConfigs order; within a column the first detected
+// capture of a domain, in campaign order, decides its CMP.
+func ComputeVantageTable(caps []*capture.Capture, det *detect.Detector) *VantageTable {
 	var configs []string
 	firstSeen := make(map[string]map[string]cmps.ID)
 	for _, tc := range crawler.ToplistConfigs() {
 		key := crawler.ConfigKey(tc)
 		configs = append(configs, key)
-		store, ok := res.Stores[key]
-		if !ok {
+		firstSeen[key] = make(map[string]cmps.ID)
+	}
+	for _, c := range caps {
+		seen, ok := firstSeen[ConfigKeyOf(c)]
+		if !ok || c.Failed {
 			continue
 		}
-		seen := make(map[string]cmps.ID)
-		for _, c := range store.All() {
-			if c.Failed {
-				continue
-			}
-			if id := det.DetectOne(c); id != cmps.None {
-				if _, dup := seen[c.FinalDomain]; !dup {
-					seen[c.FinalDomain] = id
-				}
+		if id := det.DetectOne(c); id != cmps.None {
+			if _, dup := seen[c.FinalDomain]; !dup {
+				seen[c.FinalDomain] = id
 			}
 		}
-		firstSeen[key] = seen
 	}
 	return tally(configs, firstSeen)
 }

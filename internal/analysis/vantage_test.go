@@ -11,34 +11,31 @@ import (
 	"repro/internal/webworld"
 )
 
-// craftCampaign builds a CampaignResult with hand-made captures:
-// domain a.com shows OneTrust everywhere; b.com shows Quantcast only
-// at the EU university; c.com never shows a CMP.
-func craftCampaign() *crawler.CampaignResult {
-	res := &crawler.CampaignResult{Stores: map[string]*capture.MemStore{}}
-	add := func(key, domain, host string) {
-		store := res.Stores[key]
-		if store == nil {
-			store = capture.NewMemStore()
-			res.Stores[key] = store
-		}
-		c := &capture.Capture{FinalDomain: domain, Status: 200}
-		if host != "" {
-			c.Requests = append(c.Requests, capture.Request{Host: host})
-		}
-		store.Record(c)
-	}
-	for _, tc := range crawler.ToplistConfigs() {
-		key := crawler.ConfigKey(tc)
-		add(key, "a.com", "cdn.cookielaw.org")
-		add(key, "c.com", "")
-		if tc.Vantage.Name == capture.EUUniversity.Name {
-			add(key, "b.com", "quantcast.mgr.consensu.org")
-		} else {
-			add(key, "b.com", "")
+// craftCampaign builds a campaign capture list with hand-made
+// captures, laid out as Campaign.Run lays it out (domain by domain,
+// six configurations each): domain a.com shows OneTrust everywhere;
+// b.com shows Quantcast only at the EU university; c.com never shows
+// a CMP.
+func craftCampaign() []*capture.Capture {
+	var caps []*capture.Capture
+	for _, domain := range []string{"a.com", "c.com", "b.com"} {
+		for _, tc := range crawler.ToplistConfigs() {
+			c := &capture.Capture{FinalDomain: domain, Status: 200,
+				Vantage: tc.Vantage, Config: tc.Opts.ConfigLabel()}
+			host := ""
+			switch {
+			case domain == "a.com":
+				host = "cdn.cookielaw.org"
+			case domain == "b.com" && tc.Vantage.Name == capture.EUUniversity.Name:
+				host = "quantcast.mgr.consensu.org"
+			}
+			if host != "" {
+				c.Requests = append(c.Requests, capture.Request{Host: host})
+			}
+			caps = append(caps, c)
 		}
 	}
-	return res
+	return caps
 }
 
 func TestComputeVantageTableUnit(t *testing.T) {
@@ -100,8 +97,7 @@ func TestTimeoutLossUnit(t *testing.T) {
 		domains = append(domains, d.Name)
 	}
 	c := &crawler.Campaign{World: w, Domains: domains, Day: simtime.Table1Snapshot}
-	res := c.Run()
-	loss := TimeoutLoss(res, detect.Default())
+	loss := TimeoutLoss(c.Run(), detect.Default())
 	if loss < 0 || loss > 0.10 {
 		t.Errorf("timeout loss = %.3f, want ≈0.02", loss)
 	}

@@ -84,18 +84,18 @@ func (m MultiSink) Record(c *Capture) {
 	}
 }
 
-// MemStore retains all captures in memory with a by-domain index. It
-// backs the toplist campaigns, whose volume is small; the social-media
-// pipeline streams into aggregating sinks instead.
+// MemStore retains all captures in memory, in recording order. It
+// collects a fleet worker's chunk and a benchmark corpus, whose volume
+// is small; the social-media pipeline streams into aggregating sinks
+// instead.
 type MemStore struct {
 	mu       sync.Mutex
 	captures []*Capture
-	byDomain map[string][]*Capture
 }
 
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore {
-	return &MemStore{byDomain: make(map[string][]*Capture)}
+	return &MemStore{}
 }
 
 // Record implements Sink.
@@ -103,42 +103,6 @@ func (s *MemStore) Record(c *Capture) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.captures = append(s.captures, c)
-	if c.FinalDomain != "" {
-		s.byDomain[c.FinalDomain] = append(s.byDomain[c.FinalDomain], c)
-	}
-}
-
-// RecordAll appends a batch of captures in order under a single lock
-// acquisition. Workers that buffer captures locally use this to avoid
-// per-capture lock traffic on a shared store.
-func (s *MemStore) RecordAll(caps []*Capture) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range caps {
-		s.captures = append(s.captures, c)
-		if c.FinalDomain != "" {
-			s.byDomain[c.FinalDomain] = append(s.byDomain[c.FinalDomain], c)
-		}
-	}
-}
-
-// Merge appends every capture of `from` to s, preserving from's
-// recording order. The campaign engine records into private per-worker
-// stores and merges them in shard order once the pool drains, so the
-// merged store is byte-identical to a serial run. `from` must be
-// quiescent (no concurrent Record calls on it).
-func (s *MemStore) Merge(from *MemStore) {
-	from.mu.Lock()
-	caps := from.captures
-	from.mu.Unlock()
-	s.RecordAll(caps)
-}
-
-// Len returns the number of stored captures.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.captures)
 }
 
 // All returns all captures. The returned slice is a snapshot copy; the
@@ -147,22 +111,4 @@ func (s *MemStore) All() []*Capture {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Capture(nil), s.captures...)
-}
-
-// ByDomain returns the captures whose final registrable domain is d.
-func (s *MemStore) ByDomain(d string) []*Capture {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Capture(nil), s.byDomain[d]...)
-}
-
-// Domains returns all observed final domains.
-func (s *MemStore) Domains() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.byDomain))
-	for d := range s.byDomain {
-		out = append(out, d)
-	}
-	return out
 }

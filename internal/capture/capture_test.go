@@ -8,24 +8,22 @@ import (
 
 func TestMemStore(t *testing.T) {
 	s := NewMemStore()
-	if s.Len() != 0 {
+	if len(s.All()) != 0 {
 		t.Fatal("fresh store not empty")
 	}
 	s.Record(&Capture{FinalDomain: "a.com"})
 	s.Record(&Capture{FinalDomain: "a.com"})
 	s.Record(&Capture{FinalDomain: "b.com"})
-	s.Record(&Capture{Failed: true}) // no final domain: kept, unindexed
-	if s.Len() != 4 {
-		t.Errorf("Len = %d", s.Len())
+	s.Record(&Capture{Failed: true}) // no final domain: kept all the same
+	all := s.All()
+	if len(all) != 4 {
+		t.Fatalf("All = %d", len(all))
 	}
-	if got := len(s.ByDomain("a.com")); got != 2 {
-		t.Errorf("ByDomain(a.com) = %d", got)
-	}
-	if got := len(s.Domains()); got != 2 {
-		t.Errorf("Domains = %d", got)
-	}
-	if got := len(s.All()); got != 4 {
-		t.Errorf("All = %d", got)
+	// All keeps recording order.
+	for i, want := range []string{"a.com", "a.com", "b.com", ""} {
+		if all[i].FinalDomain != want {
+			t.Errorf("All[%d] = %q, want %q", i, all[i].FinalDomain, want)
+		}
 	}
 }
 
@@ -42,22 +40,15 @@ func TestMemStoreConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if s.Len() != 1000 {
-		t.Errorf("Len = %d, want 1000", s.Len())
-	}
-	total := 0
-	for _, d := range s.Domains() {
-		total += len(s.ByDomain(d))
-	}
-	if total != 1000 {
-		t.Errorf("indexed total = %d", total)
+	if n := len(s.All()); n != 1000 {
+		t.Errorf("All = %d, want 1000", n)
 	}
 }
 
 func TestMultiSink(t *testing.T) {
 	a, b := NewMemStore(), NewMemStore()
 	MultiSink{a, b}.Record(&Capture{FinalDomain: "x.com"})
-	if a.Len() != 1 || b.Len() != 1 {
+	if len(a.All()) != 1 || len(b.All()) != 1 {
 		t.Error("MultiSink must fan out")
 	}
 }

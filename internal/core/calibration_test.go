@@ -11,16 +11,12 @@ import (
 	"repro/internal/stats"
 )
 
-// TestCalibrationReport runs the reduced-scale end-to-end study and
-// prints the key aggregates next to the paper's values. It asserts
-// only weakly; the strong shape assertions live in the dedicated
+// TestCalibrationReport prints the key aggregates of the shared
+// reduced-scale study next to the paper's values. It asserts only
+// weakly; the strong shape assertions live in the dedicated
 // integration tests. Run with -v to see the report.
 func TestCalibrationReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	s := NewStudy(TestConfig())
-	s.RunSocialCrawl(nil)
+	s := sharedStudy(t)
 
 	t.Logf("captures=%d domains-observed=%d multiCMP=%d",
 		s.Observations.Total, s.Observations.NumDomains(), s.Observations.MultiCMP)
@@ -60,11 +56,11 @@ func TestCalibrationReport(t *testing.T) {
 			flows.Adoptions(c), flows.Abandons(c))
 	}
 
-	vt := s.VantageTable(simtime.Table1Snapshot, 1000)
+	vt := sharedVantageTable(t, simtime.Table1Snapshot, 1000)
 	for _, key := range vt.Configs {
 		t.Logf("vantage %-32s total=%3d coverage=%.2f", key, vt.Totals[key], vt.Coverage[key])
 	}
-	vtJan := s.VantageTable(simtime.TableA3Snapshot, 1000)
+	vtJan := sharedVantageTable(t, simtime.TableA3Snapshot, 1000)
 	t.Logf("Jan2020 US coverage=%.2f EUcloud=%.2f",
 		vtJan.Coverage[analysis.USCloudKey()], vtJan.Coverage[analysis.EUCloudKey()])
 	for _, c := range cmps.All() {
@@ -74,8 +70,7 @@ func TestCalibrationReport(t *testing.T) {
 			vtJan.Count(c, analysis.EUUniversityExtendedKey()))
 	}
 
-	res := s.RunToplistCampaign(simtime.Table1Snapshot, 1000)
-	cust := s.Customization(res)
+	cust := s.Customization(sharedCampaign(t, simtime.Table1Snapshot, 1000))
 	for _, c := range cmps.All() {
 		st := cust[c]
 		t.Logf("customization %s: n=%d variants=%v api=%d", c, st.Websites, st.Variants, st.APIOnly)

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/browser"
@@ -40,12 +39,6 @@ type Config struct {
 	// analyses (the paper uses the top 10k for Tables 1/A.3 and
 	// Figure 6, and the top 1M for Figure 5).
 	ToplistSize int
-	// CampaignCache bounds the campaign memoization: RunToplistCampaign
-	// results are kept in an LRU keyed by (day, topN) so repeated
-	// analyses (VantageTable, Customization, CoverageSeries) reuse
-	// crawls instead of redoing them. 0 means the default of 8 entries;
-	// negative disables memoization.
-	CampaignCache int
 	// CrawlFrom / CrawlTo bound the social crawl; zero values mean the
 	// full observation window.
 	CrawlFrom, CrawlTo simtime.Day
@@ -94,30 +87,7 @@ type Study struct {
 	GVL *gvl.History
 
 	crawled bool
-
-	// Campaign memoization (see Config.CampaignCache). campOrder holds
-	// the cached keys in LRU order, most recently used last.
-	campMu     sync.Mutex
-	campCache  map[campaignKey]*crawler.CampaignResult
-	campOrder  []campaignKey
-	campHits   int64
-	campMisses int64
 }
-
-// campaignKey identifies one memoized toplist campaign. The world,
-// toplist and seed are fixed per Study, so (day, topN) fully
-// determines a campaign's result and entries never go stale; the only
-// eviction is the LRU size bound.
-type campaignKey struct {
-	day  simtime.Day
-	topN int
-}
-
-// defaultCampaignCache is the memoization bound when
-// Config.CampaignCache is zero. Sized to hold a typical monthly
-// CoverageSeries window; campaigns retain full captures (DOM included)
-// so the bound also caps memory.
-const defaultCampaignCache = 8
 
 // NewStudy builds all components; no crawling happens yet.
 func NewStudy(cfg Config) *Study {
@@ -182,108 +152,23 @@ func (s *Study) RebuildPresence(opts interp.Options) *analysis.PresenceDB {
 }
 
 // RunToplistCampaign crawls the top-N toplist domains with all six
-// vantage configurations at a snapshot day. Results are memoized in a
-// bounded LRU keyed by (day, topN) — the world and toplist are fixed
-// per Study, so a repeated call returns the cached (shared, read-only)
-// result instead of re-crawling. Crawl concurrency follows
-// Config.Workers (≤0 means GOMAXPROCS).
-func (s *Study) RunToplistCampaign(day simtime.Day, topN int) *crawler.CampaignResult {
-	key := campaignKey{day: day, topN: topN}
-	if res := s.campaignLookup(key); res != nil {
-		return res
-	}
+// vantage configurations at a snapshot day and returns the campaign's
+// ordered capture list (see crawler.Campaign.Run). Every call crawls;
+// a caller that needs one campaign for several analyses keeps the
+// list. Crawl concurrency follows Config.Workers (≤0 means GOMAXPROCS).
+func (s *Study) RunToplistCampaign(day simtime.Day, topN int) []*capture.Capture {
 	c := &crawler.Campaign{
 		World:   s.World,
 		Domains: s.Toplist.Top(topN),
 		Day:     day,
 		Workers: s.Config.Workers,
 	}
-	res := c.Run()
-	s.campaignInsert(key, res)
-	return res
+	return c.Run()
 }
 
-// campaignLookup returns the memoized campaign for key, updating LRU
-// order and the hit/miss counters.
-func (s *Study) campaignLookup(key campaignKey) *crawler.CampaignResult {
-	if s.campaignCacheSize() == 0 {
-		return nil
-	}
-	s.campMu.Lock()
-	defer s.campMu.Unlock()
-	res, ok := s.campCache[key]
-	if !ok {
-		s.campMisses++
-		return nil
-	}
-	s.campHits++
-	for i, k := range s.campOrder {
-		if k == key {
-			s.campOrder = append(append(s.campOrder[:i:i], s.campOrder[i+1:]...), key)
-			break
-		}
-	}
-	return res
-}
-
-// campaignInsert memoizes a campaign result, evicting the least
-// recently used entry beyond the size bound. Concurrent misses for the
-// same key may both crawl; the later insert simply overwrites with an
-// identical (deterministic) result.
-func (s *Study) campaignInsert(key campaignKey, res *crawler.CampaignResult) {
-	size := s.campaignCacheSize()
-	if size == 0 {
-		return
-	}
-	s.campMu.Lock()
-	defer s.campMu.Unlock()
-	if s.campCache == nil {
-		s.campCache = make(map[campaignKey]*crawler.CampaignResult, size)
-	}
-	if _, ok := s.campCache[key]; !ok {
-		s.campOrder = append(s.campOrder, key)
-	}
-	s.campCache[key] = res
-	for len(s.campOrder) > size {
-		evict := s.campOrder[0]
-		s.campOrder = s.campOrder[1:]
-		delete(s.campCache, evict)
-	}
-}
-
-// campaignCacheSize resolves Config.CampaignCache (0 → default,
-// negative → disabled).
-func (s *Study) campaignCacheSize() int {
-	switch {
-	case s.Config.CampaignCache < 0:
-		return 0
-	case s.Config.CampaignCache == 0:
-		return defaultCampaignCache
-	default:
-		return s.Config.CampaignCache
-	}
-}
-
-// CampaignCacheStats returns the memoization hit/miss counters, for
-// observability in cmd/analyze and benchmarks.
-func (s *Study) CampaignCacheStats() (hits, misses int64) {
-	s.campMu.Lock()
-	defer s.campMu.Unlock()
-	return s.campHits, s.campMisses
-}
-
-// FlushCampaignCache drops all memoized campaigns (the counters are
-// kept). Entries never go stale — the world and toplist are immutable
-// per Study — so this exists only to release memory.
-func (s *Study) FlushCampaignCache() {
-	s.campMu.Lock()
-	defer s.campMu.Unlock()
-	s.campCache = nil
-	s.campOrder = nil
-}
-
-// VantageTable computes Table 1 (day = simtime.Table1Snapshot) or
-// Table A.3 (day = simtime.TableA3Snapshot).
+// VantageTable crawls the top-N campaign at day and computes Table 1
+// (day = simtime.Table1Snapshot) or Table A.3 (day =
+// simtime.TableA3Snapshot).
 func (s *Study) VantageTable(day simtime.Day, topN int) *analysis.VantageTable {
 	return analysis.ComputeVantageTable(s.RunToplistCampaign(day, topN), s.Detector)
 }
@@ -313,9 +198,9 @@ func (s *Study) SwitchingFlows() (*analysis.FlowMatrix, error) {
 }
 
 // Customization computes the item-I3 statistics from the default
-// EU-university store of a toplist campaign.
-func (s *Study) Customization(res *crawler.CampaignResult) map[cmps.ID]*analysis.CustomizationStats {
-	return analysis.ComputeCustomization(EUUniversityStore(res), s.Detector)
+// EU-university captures of a toplist campaign.
+func (s *Study) Customization(caps []*capture.Capture) map[cmps.ID]*analysis.CustomizationStats {
+	return analysis.ComputeCustomization(EUUniversityStore(caps), s.Detector)
 }
 
 func (s *Study) needPresence() error {
@@ -393,8 +278,16 @@ func (s *Study) TrustArcOptOut() []*consent.OptOutRun {
 	return consent.NewTrustArcFlow(s.Config.Seed).HourlySeries(consent.MeasurementWindowDays)
 }
 
-// EUUniversityStore extracts the default-configuration EU-university
-// store from a campaign result (the I3 data source).
-func EUUniversityStore(res *crawler.CampaignResult) *capture.MemStore {
-	return res.Stores[capture.EUUniversity.Name+"/default"]
+// EUUniversityStore filters a campaign's captures down to the
+// default-configuration EU-university column (the I3 data source),
+// keeping campaign order.
+func EUUniversityStore(caps []*capture.Capture) []*capture.Capture {
+	var out []*capture.Capture
+	key := analysis.EUUniversityDefaultKey()
+	for _, c := range caps {
+		if analysis.ConfigKeyOf(c) == key {
+			out = append(out, c)
+		}
+	}
+	return out
 }

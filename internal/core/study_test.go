@@ -5,17 +5,28 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/capture"
 	"repro/internal/cmps"
 	"repro/internal/interp"
 	"repro/internal/simtime"
 )
 
-// The integration tests share one crawled study; crawling the full
-// window once takes a few seconds at TestConfig scale.
+// The integration tests share one crawled study and its toplist
+// campaigns: crawling the full window once takes a few seconds at
+// TestConfig scale, and no test crawls a (day, topN) campaign another
+// test already crawled.
 var (
 	studyOnce sync.Once
 	study     *Study
+
+	campaignsMu sync.Mutex
+	campaigns   = map[campaignKey][]*capture.Capture{}
 )
+
+type campaignKey struct {
+	day  simtime.Day
+	topN int
+}
 
 func sharedStudy(t *testing.T) *Study {
 	t.Helper()
@@ -27,6 +38,28 @@ func sharedStudy(t *testing.T) *Study {
 		study.RunSocialCrawl(nil)
 	})
 	return study
+}
+
+// sharedCampaign returns the shared study's toplist campaign at
+// (day, topN), crawling it on first use.
+func sharedCampaign(t *testing.T, day simtime.Day, topN int) []*capture.Capture {
+	t.Helper()
+	s := sharedStudy(t)
+	campaignsMu.Lock()
+	defer campaignsMu.Unlock()
+	key := campaignKey{day, topN}
+	caps, ok := campaigns[key]
+	if !ok {
+		caps = s.RunToplistCampaign(day, topN)
+		campaigns[key] = caps
+	}
+	return caps
+}
+
+// sharedVantageTable tallies Table 1 / A.3 over a shared campaign.
+func sharedVantageTable(t *testing.T, day simtime.Day, topN int) *analysis.VantageTable {
+	t.Helper()
+	return analysis.ComputeVantageTable(sharedCampaign(t, day, topN), sharedStudy(t).Detector)
 }
 
 func TestStudyPipelineBasics(t *testing.T) {
@@ -161,8 +194,7 @@ func TestFigure4SwitchingShape(t *testing.T) {
 // university vantage beats both clouds (anti-bot interstitials ≈10%);
 // extended timeouts recover ≈2%; language has no effect (Table 1).
 func TestTable1VantageShape(t *testing.T) {
-	s := sharedStudy(t)
-	vt := s.VantageTable(simtime.Table1Snapshot, 1_000)
+	vt := sharedVantageTable(t, simtime.Table1Snapshot, 1_000)
 	us := vt.Coverage[analysis.USCloudKey()]
 	eu := vt.Coverage[analysis.EUCloudKey()]
 	uniDef := vt.Coverage[analysis.EUUniversityDefaultKey()]
@@ -203,9 +235,8 @@ func TestTable1VantageShape(t *testing.T) {
 // January 2020 than in May 2020 (CCPA adoption outside the EU), and
 // Crownpeak collapses between the snapshots (Table A.3 vs Table 1).
 func TestTableA3JanuaryComparison(t *testing.T) {
-	s := sharedStudy(t)
-	may := s.VantageTable(simtime.Table1Snapshot, 1_000)
-	jan := s.VantageTable(simtime.TableA3Snapshot, 1_000)
+	may := sharedVantageTable(t, simtime.Table1Snapshot, 1_000)
+	jan := sharedVantageTable(t, simtime.TableA3Snapshot, 1_000)
 	if jan.Coverage[analysis.USCloudKey()] >= may.Coverage[analysis.USCloudKey()] {
 		t.Errorf("US coverage must rise Jan→May: %.2f → %.2f",
 			jan.Coverage[analysis.USCloudKey()], may.Coverage[analysis.USCloudKey()])
@@ -222,8 +253,7 @@ func TestTableA3JanuaryComparison(t *testing.T) {
 // Section 4.1 at the EU-university vantage.
 func TestCustomizationI3(t *testing.T) {
 	s := sharedStudy(t)
-	res := s.RunToplistCampaign(simtime.Table1Snapshot, 2_000)
-	stats := s.Customization(res)
+	stats := s.Customization(sharedCampaign(t, simtime.Table1Snapshot, 2_000))
 	qc := stats[cmps.Quantcast]
 	if qc.Websites < 20 {
 		t.Skipf("too few Quantcast sites (%d) for distribution checks", qc.Websites)
@@ -368,60 +398,4 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// TestCampaignMemoization pins the RunToplistCampaign cache contract:
-// repeated calls share the memoized result, the LRU bound evicts the
-// least recently used key, touching an entry protects it, and a
-// negative CampaignCache disables memoization entirely.
-func TestCampaignMemoization(t *testing.T) {
-	cfg := TestConfig()
-	cfg.Domains = 3_000
-	cfg.ToplistSize = 300
-	cfg.CampaignCache = 2
-	s := NewStudy(cfg)
-	day := simtime.Table1Snapshot
-
-	a := s.RunToplistCampaign(day, 100)
-	if b := s.RunToplistCampaign(day, 100); b != a {
-		t.Fatal("repeated call must return the cached pointer")
-	}
-	if h, m := s.CampaignCacheStats(); h != 1 || m != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", h, m)
-	}
-
-	// Fill past the bound of 2: keys (day,200) and (day,300) push
-	// (day,100) out; re-requesting it must recompute.
-	s.RunToplistCampaign(day, 200)
-	s.RunToplistCampaign(day, 300)
-	c := s.RunToplistCampaign(day, 100)
-	if c == a {
-		t.Fatal("evicted entry must be recomputed, not resurrected")
-	}
-	if len(c.Probes) != len(a.Probes) {
-		t.Fatalf("recomputed campaign diverged: %d probes vs %d", len(c.Probes), len(a.Probes))
-	}
-
-	// LRU, not FIFO: cache now holds {300, 100}; touching 300 makes
-	// 100 the eviction victim when 500 is inserted.
-	d300 := s.RunToplistCampaign(day, 300)
-	s.RunToplistCampaign(day, 500)
-	if got := s.RunToplistCampaign(day, 300); got != d300 {
-		t.Fatal("recently touched entry must survive eviction")
-	}
-
-	s.FlushCampaignCache()
-	if got := s.RunToplistCampaign(day, 300); got == d300 {
-		t.Fatal("flush must drop memoized campaigns")
-	}
-
-	cfg.CampaignCache = -1
-	s2 := NewStudy(cfg)
-	x := s2.RunToplistCampaign(day, 100)
-	if y := s2.RunToplistCampaign(day, 100); y == x {
-		t.Fatal("negative CampaignCache must disable memoization")
-	}
-	if h, m := s2.CampaignCacheStats(); h != 0 || m != 0 {
-		t.Fatalf("disabled cache counted %d hits / %d misses", h, m)
-	}
 }

@@ -105,49 +105,3 @@ func (p *StreamPlatform) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(cap(p.queue)) })
 	p.breakers.RegisterMetrics(reg)
 }
-
-// CampaignMetrics is the toplist-campaign recorder.
-type CampaignMetrics struct {
-	// VisitSeconds is the wall time of one (domain, config) capture,
-	// including the week of retry offsets.
-	VisitSeconds *obs.Histogram
-	// Retries counts loads beyond the first retryOffset.
-	Retries *obs.Counter
-
-	// probes pre-resolves the four probe outcomes.
-	probes map[ProbeOutcome]*obs.Counter
-}
-
-// NewCampaignMetrics registers the campaign metric families on reg;
-// returns nil (the no-op recorder) when reg is nil.
-func NewCampaignMetrics(reg *obs.Registry) *CampaignMetrics {
-	if reg == nil {
-		return nil
-	}
-	vec := obs.NewCounterVec(reg, "campaign_probes_total",
-		"Seed-URL probe results, by outcome.", "outcome")
-	m := &CampaignMetrics{
-		VisitSeconds: obs.NewHistogram(reg, "campaign_visit_seconds",
-			"Wall time of one (domain, configuration) capture, retry offsets included.",
-			obs.LatencyBuckets),
-		Retries: obs.NewCounter(reg, "campaign_retries_total",
-			"Campaign loads beyond each capture's first retry offset."),
-		probes: make(map[ProbeOutcome]*obs.Counter, 4),
-	}
-	for _, o := range []ProbeOutcome{ProbeHTTPSWWW, ProbeHTTPWWW, ProbeHTTPApex, ProbeUnreachable} {
-		m.probes[o] = vec.With(o.String())
-	}
-	return m
-}
-
-func (m *CampaignMetrics) probe(o ProbeOutcome) {
-	if m != nil {
-		m.probes[o].Inc()
-	}
-}
-
-func (m *CampaignMetrics) retry() {
-	if m != nil {
-		m.Retries.Inc()
-	}
-}

@@ -54,29 +54,3 @@ func TestTransientFailureSurfaces(t *testing.T) {
 		t.Error("transient outage did not recover within a week")
 	}
 }
-
-// TestCampaignRetriesRecoverTransients: the toplist campaign's weekly
-// retry procedure recovers almost all transient outages, so per-config
-// capture success rates approach the reachable-domain count.
-func TestCampaignRetriesRecoverTransients(t *testing.T) {
-	w := webworld.New(webworld.Config{Seed: 1, Domains: 2_000})
-	var domains []string
-	for _, d := range w.Domains()[:500] {
-		domains = append(domains, d.Name)
-	}
-	c := &Campaign{World: w, Domains: domains, Day: simtime.Table1Snapshot}
-	res := c.Run()
-	for key, store := range res.Stores {
-		failed := 0
-		for _, cap := range store.All() {
-			if cap.Failed {
-				failed++
-			}
-		}
-		// Without retries ≈2% of captures would fail transiently; with
-		// four attempts the residual rate is ≈0.02⁴.
-		if failed > store.Len()/100 {
-			t.Errorf("%s: %d/%d failed captures despite retries", key, failed, store.Len())
-		}
-	}
-}

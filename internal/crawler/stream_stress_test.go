@@ -69,13 +69,14 @@ func checkStressInvariants(t *testing.T, name string, p *StreamPlatform, store *
 		t.Errorf("%s: captures %d + dead %d + dropped %d = %d != submitted %d",
 			name, p.Captures(), st.DeadLettered, st.Dropped, got, st.Submitted)
 	}
-	if int64(store.Len()) != p.Captures() {
-		t.Errorf("%s: store has %d captures, platform says %d", name, store.Len(), p.Captures())
+	caps := store.All()
+	if int64(len(caps)) != p.Captures() {
+		t.Errorf("%s: store has %d captures, platform says %d", name, len(caps), p.Captures())
 	}
 	// Each submission used a unique URL: recorded and dead-lettered
 	// sets must be disjoint and their union sized to the ledger.
-	recorded := make(map[string]bool, store.Len())
-	for _, c := range store.All() {
+	recorded := make(map[string]bool, len(caps))
+	for _, c := range caps {
 		if recorded[c.SeedURL] {
 			t.Errorf("%s: %s recorded twice", name, c.SeedURL)
 		}

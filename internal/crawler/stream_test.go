@@ -40,8 +40,8 @@ func TestStreamPlatformProcessesAll(t *testing.T) {
 	if int(p.Captures()) != submitted {
 		t.Errorf("captures = %d, submitted %d", p.Captures(), submitted)
 	}
-	if store.Len() != submitted {
-		t.Errorf("store = %d", store.Len())
+	if n := len(store.All()); n != submitted {
+		t.Errorf("store = %d", n)
 	}
 }
 

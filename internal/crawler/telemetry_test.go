@@ -93,87 +93,3 @@ func TestStreamTraceDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// campaignTraceRun runs a toplist campaign with a fixed-clock tracer
-// and returns the visit/retry span export. Shard spans are excluded:
-// their count tracks the worker count by construction (their identity
-// and the visit parent ids do not).
-func campaignTraceRun(t *testing.T, workers int) string {
-	t.Helper()
-	w := crawlWorld(t)
-	var domains []string
-	for _, d := range w.Domains()[:120] {
-		domains = append(domains, d.Name)
-	}
-	tr := obs.NewTracer(obs.TracerConfig{Clock: telClock(), Cap: 1 << 20})
-	c := &Campaign{
-		World:   w,
-		Domains: domains,
-		Day:     simtime.Table1Snapshot,
-		Workers: workers,
-		Tracer:  tr,
-		Now:     telClock(),
-	}
-	c.Run()
-	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf, "visit", "retry"); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-func TestCampaignTraceDeterministicAcrossWorkers(t *testing.T) {
-	a := campaignTraceRun(t, 1)
-	b := campaignTraceRun(t, 3)
-	if a != b {
-		t.Fatalf("campaign trace differs between 1 and 3 workers (%d vs %d bytes)", len(a), len(b))
-	}
-	if !strings.Contains(a, `"parent":"shard[]"`) {
-		t.Error("campaign visits should parent to the worker-independent shard id")
-	}
-}
-
-// Campaign metrics must agree with the probe outcomes and store
-// contents the result reports.
-func TestCampaignMetrics(t *testing.T) {
-	w := crawlWorld(t)
-	var domains []string
-	for _, d := range w.Domains()[:200] {
-		domains = append(domains, d.Name)
-	}
-	reg := obs.NewRegistry()
-	m := NewCampaignMetrics(reg)
-	c := &Campaign{World: w, Domains: domains, Day: simtime.Table1Snapshot, Workers: 4, Metrics: m}
-	res := c.Run()
-
-	var unreachable, reachable int64
-	for _, pr := range res.Probes {
-		if pr.Outcome == ProbeUnreachable {
-			unreachable++
-		} else {
-			reachable++
-		}
-	}
-	if got := m.probes[ProbeUnreachable].Value(); got != unreachable {
-		t.Errorf("unreachable probes metric = %d, probe slice has %d", got, unreachable)
-	}
-	var probeTotal int64
-	for _, ctr := range m.probes {
-		probeTotal += ctr.Value()
-	}
-	if probeTotal != int64(len(domains)) {
-		t.Errorf("probe counters sum to %d, want %d", probeTotal, len(domains))
-	}
-	// One visit latency observation per (reachable domain, config).
-	snap := m.VisitSeconds.Snapshot()
-	if want := reachable * int64(len(ToplistConfigs())); snap.Count != want {
-		t.Errorf("visit observations = %d, want %d", snap.Count, want)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateExposition(&buf); err != nil {
-		t.Errorf("campaign exposition invalid: %v", err)
-	}
-}

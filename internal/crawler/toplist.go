@@ -3,13 +3,10 @@ package crawler
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/browser"
 	"repro/internal/capture"
-	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/webworld"
 )
@@ -111,26 +108,6 @@ type Campaign struct {
 	// Workers is the crawl concurrency of Run. Zero or negative means
 	// GOMAXPROCS. Results are byte-identical at any worker count.
 	Workers int
-	// Metrics receives per-visit latency, retry, and probe-outcome
-	// counts; nil disables recording.
-	Metrics *CampaignMetrics
-	// Tracer receives campaign → shard → visit spans; nil disables
-	// tracing. With a fixed-clock tracer the exported span set is
-	// byte-identical at any worker count (shard bounds vary only in
-	// post-start display attributes, never in span identity).
-	Tracer *obs.Tracer
-	// Now is the clock used for visit-latency observations, injectable
-	// for deterministic tests (default time.Now). Matches the
-	// resilience.BreakerConfig.Now pattern.
-	Now func() time.Time
-}
-
-// CampaignResult holds per-configuration capture stores and the probe
-// outcomes.
-type CampaignResult struct {
-	// Stores maps ConfigKey → captures of that configuration.
-	Stores map[string]*capture.MemStore
-	Probes []ProbeResult
 }
 
 // retryOffsets are the days after the snapshot on which unsuccessful
@@ -138,28 +115,20 @@ type CampaignResult struct {
 // times over the span of a week" (Section 3.2).
 var retryOffsets = []simtime.Day{0, 2, 4, 7}
 
-// campaignShard is the private output of one campaign worker: the
-// probes and per-config captures of one contiguous slice of the
-// toplist, in toplist order.
-type campaignShard struct {
-	probes []ProbeResult
-	stores []*capture.MemStore // index parallels ToplistConfigs()
-}
-
 // Run executes the full six-configuration campaign, retrying
-// unsuccessful captures over the following week.
+// unsuccessful captures over the following week. It returns one
+// ordered capture list: toplist order, and within each domain the
+// ToplistConfigs() order. Every capture carries its configuration
+// (Vantage and Config), so a per-configuration view is a filter on
+// analysis.ConfigKeyOf. Unreachable domains contribute no captures.
 //
 // The toplist is sharded into contiguous ranges across Workers
 // goroutines. Each worker owns a private set of six per-config
-// browsers and records into private per-worker stores; after the pool
-// drains, shards are merged in toplist order. Because shards are
-// contiguous and the merge respects shard order, the result — probe
-// slice and per-config store contents — is byte-identical to a serial
-// run at any worker count.
-func (c *Campaign) Run() *CampaignResult {
-	if c.Now == nil {
-		c.Now = time.Now
-	}
+// browsers and appends to a private slice; after the pool drains, the
+// slices are concatenated in shard order. Because shards are
+// contiguous, the result is byte-identical to a serial run at any
+// worker count.
+func (c *Campaign) Run() []*capture.Capture {
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -172,107 +141,51 @@ func (c *Campaign) Run() *CampaignResult {
 	}
 	configs := ToplistConfigs()
 
-	var root *obs.Span
-	if c.Tracer != nil {
-		root = c.Tracer.Start("campaign",
-			obs.A("day", c.Day.String()),
-			obs.A("domains", strconv.Itoa(len(c.Domains))))
-		root.Attr("workers", strconv.Itoa(workers))
-		defer root.End()
-	}
-
-	shards := make([]campaignShard, workers)
+	shards := make([][]*capture.Capture, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		// Contiguous shard bounds: the first (len % workers) shards get
 		// one extra domain.
 		lo := w * len(c.Domains) / workers
 		hi := (w + 1) * len(c.Domains) / workers
-		// The shard span carries no start attributes: its identity (and
-		// hence the parent id of every visit span below it) must not
-		// depend on the worker count. Bounds are display-only.
-		var shardSpan *obs.Span
-		if root != nil {
-			shardSpan = root.Start("shard")
-			shardSpan.Attr("lo", strconv.Itoa(lo))
-			shardSpan.Attr("hi", strconv.Itoa(hi))
-		}
 		wg.Add(1)
-		go func(shard *campaignShard, domains []string, span *obs.Span) {
+		go func(w int) {
 			defer wg.Done()
-			defer span.End()
-			c.runShard(shard, domains, configs, span)
-		}(&shards[w], c.Domains[lo:hi], shardSpan)
+			shards[w] = c.runShard(c.Domains[lo:hi], configs)
+		}(w)
 	}
 	wg.Wait()
 
-	res := &CampaignResult{Stores: make(map[string]*capture.MemStore, len(configs))}
-	for _, tc := range configs {
-		res.Stores[ConfigKey(tc)] = capture.NewMemStore()
-	}
+	var caps []*capture.Capture
 	for _, sh := range shards {
-		res.Probes = append(res.Probes, sh.probes...)
-		for i, tc := range configs {
-			res.Stores[ConfigKey(tc)].Merge(sh.stores[i])
-		}
+		caps = append(caps, sh...)
 	}
-	return res
+	return caps
 }
 
 // runShard crawls one contiguous toplist slice with a private browser
-// and store set.
-func (c *Campaign) runShard(out *campaignShard, domains []string, configs []ToplistConfig, span *obs.Span) {
+// set and returns its captures in order.
+func (c *Campaign) runShard(domains []string, configs []ToplistConfig) []*capture.Capture {
 	browsers := make([]*browser.Browser, len(configs))
-	out.stores = make([]*capture.MemStore, len(configs))
 	for i, tc := range configs {
 		browsers[i] = browser.New(c.World, tc.Opts)
-		out.stores[i] = capture.NewMemStore()
 	}
+	var out []*capture.Capture
 	for _, domain := range domains {
 		probe := SeedProbe(c.World, domain)
-		out.probes = append(out.probes, probe)
-		c.Metrics.probe(probe.Outcome)
 		if probe.Outcome == ProbeUnreachable {
 			continue
 		}
 		for i, tc := range configs {
-			var visit *obs.Span
-			if span != nil {
-				visit = span.Start("visit",
-					obs.A("url", probe.SeedURL),
-					obs.A("config", ConfigKey(tc)))
-			}
-			var start time.Time
-			if c.Metrics != nil {
-				start = c.Now()
-			}
 			var cap *capture.Capture
-			for n, off := range retryOffsets {
-				var retry *obs.Span
-				if visit != nil && n > 0 {
-					retry = visit.Start("retry", obs.A("n", strconv.Itoa(n)))
-				}
-				if n > 0 {
-					c.Metrics.retry()
-				}
+			for _, off := range retryOffsets {
 				cap = browsers[i].Load(probe.SeedURL, c.Day+off, tc.Vantage)
-				retry.End()
 				if !cap.Failed {
 					break
 				}
 			}
-			if m := c.Metrics; m != nil {
-				m.VisitSeconds.Observe(c.Now().Sub(start).Seconds())
-			}
-			if visit != nil {
-				if cap.Failed {
-					visit.Attr("outcome", "failed")
-				} else {
-					visit.Attr("outcome", "success")
-				}
-				visit.End()
-			}
-			out.stores[i].Record(cap)
+			out = append(out, cap)
 		}
 	}
+	return out
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Pipeline tracing. A Tracer collects spans — named, attributed,
-// clocked intervals forming a tree: campaign → shard → visit → retry,
-// with store and detect spans recording where a capture's bytes and
-// classification happened. Spans are exported as NDJSON in a canonical
+// clocked intervals forming a tree: visit → retry, with store and
+// detect spans recording where a capture's bytes and classification
+// happened. Spans are exported as NDJSON in a canonical
 // order (lexicographic by encoded line), so two runs that performed
 // the same work under the same clock produce byte-identical output
 // regardless of goroutine scheduling or worker count.
