@@ -381,3 +381,20 @@ func TestCreateDefaultShards(t *testing.T) {
 		t.Error("shard cap not enforced")
 	}
 }
+
+// TestRecordRefusesPipeInCookieKey: a capture the wire cannot carry
+// (a '|' in a cookie domain or name) is not appended, and the store's
+// Close reports it, as capturedb.Writer does.
+func TestRecordRefusesPipeInCookieKey(t *testing.T) {
+	s, err := Create(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Record(&capture.Capture{FinalDomain: "a.example", Cookies: []webworld.Cookie{{Domain: "a|b", Name: "n", Value: "v"}}})
+	if s.Len() != 0 {
+		t.Errorf("store holds %d records", s.Len())
+	}
+	if err := s.Close(); err == nil {
+		t.Error("Close reports no error")
+	}
+}

@@ -138,11 +138,14 @@ func (cl *Client) getJSON(ctx context.Context, path string, v url.Values, out an
 // unlimited). A stream cut mid-record surfaces as an error
 // (capturedb.ErrTruncated or a transport error), never as a clean end.
 func (cl *Client) Query(q capturedb.Query, limit, offset int, fn func(*capture.Capture) bool) error {
-	return cl.stream(context.Background(), params(q, limit, offset), fn)
+	return capturedb.DecodeLines(func(emit func([]byte) bool) error {
+		return cl.stream(context.Background(), params(q, limit, offset), emit)
+	}, fn)
 }
 
-// stream runs one /query request and decodes its rows to fn.
-func (cl *Client) stream(ctx context.Context, v url.Values, fn func(*capture.Capture) bool) error {
+// stream runs one /query request and hands its rows to fn as the
+// server sent them, each valid only during the call.
+func (cl *Client) stream(ctx context.Context, v url.Values, fn func(line []byte) bool) error {
 	resp, err := cl.get(ctx, "/query", v)
 	if err != nil {
 		return err
@@ -150,14 +153,14 @@ func (cl *Client) stream(ctx context.Context, v url.Values, fn func(*capture.Cap
 	defer resp.Body.Close()
 	rr := capturedb.NewRecordReader(resp.Body)
 	for {
-		c, err := rr.Next()
+		line, err := rr.NextLine()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if !fn(c) {
+		if !fn(line) {
 			return nil
 		}
 	}
@@ -398,6 +401,15 @@ func (cl *Client) QueryShard(shard int, q capturedb.Query, limit, offset int, fn
 // QueryShardContext is QueryShard bound to ctx: cancelling it abandons
 // the stream and releases the connection.
 func (cl *Client) QueryShardContext(ctx context.Context, shard int, q capturedb.Query, limit, offset int, fn func(*capture.Capture) bool) error {
+	return capturedb.DecodeLines(func(emit func([]byte) bool) error {
+		return cl.QueryShardLines(ctx, shard, q, limit, offset, emit)
+	}, fn)
+}
+
+// QueryShardLines is QueryShardContext handing on each row as the line
+// the node stored, undecoded and valid only during the call — what a
+// tier that forwards rows reads.
+func (cl *Client) QueryShardLines(ctx context.Context, shard int, q capturedb.Query, limit, offset int, fn func(line []byte) bool) error {
 	v := params(q, limit, offset)
 	v.Set("shard", strconv.Itoa(shard))
 	return cl.stream(ctx, v, fn)

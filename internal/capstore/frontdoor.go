@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strconv"
 
-	"repro/internal/capture"
 	"repro/internal/capturedb"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -80,8 +79,9 @@ type Backend interface {
 	// the tier promises (flushed; on a ring, at its write quorum).
 	Commit(b Batch) (IngestResult, error)
 	// Stream hands the matches of r to fn in the tier's canonical order
-	// until fn returns false.
-	Stream(ctx context.Context, r Read, fn func(*capture.Capture) bool) error
+	// until fn returns false, each as its stored wire line: newline
+	// included, never re-encoded, valid only during the call.
+	Stream(ctx context.Context, r Read, fn func(line []byte) bool) error
 	// Count counts the matches of r.
 	Count(ctx context.Context, r Read) (int64, error)
 }
@@ -225,17 +225,17 @@ func parseRead(values url.Values) (rd Read, limit, offset int, err error) {
 	return rd, limit, offset, err
 }
 
-// Page wraps fn with limit/offset pagination over a stream of matches:
-// the first offset matches are skipped, and the stream stops once limit
-// have been handed on (0 means unlimited) or fn returns false.
-func Page(limit, offset int, fn func(*capture.Capture) bool) func(*capture.Capture) bool {
+// Page wraps fn with limit/offset pagination over a stream of matching
+// lines: the first offset matches are skipped, and the stream stops once
+// limit have been handed on (0 means unlimited) or fn returns false.
+func Page(limit, offset int, fn func(line []byte) bool) func(line []byte) bool {
 	seen, sent := 0, 0
-	return func(c *capture.Capture) bool {
+	return func(line []byte) bool {
 		seen++
 		if seen <= offset {
 			return true
 		}
-		if !fn(c) {
+		if !fn(line) {
 			return false
 		}
 		sent++
@@ -244,8 +244,9 @@ func Page(limit, offset int, fn func(*capture.Capture) bool) func(*capture.Captu
 }
 
 // ServeQuery implements GET /query: matches streamed as NDJSON with
-// limit/offset pagination. The request context is honoured between
-// rows, so long streams degrade by being cut, not by buffering forever.
+// limit/offset pagination, each row the line the backend stored. The
+// request context is honoured between rows, so long streams degrade by
+// being cut, not by buffering forever.
 func (f FrontDoor) ServeQuery(w http.ResponseWriter, r *http.Request) {
 	rd, limit, offset, err := parseRead(r.URL.Query())
 	if err != nil {
@@ -256,12 +257,8 @@ func (f FrontDoor) ServeQuery(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	sent := 0
 	var werr error
-	qerr := f.Stream(r.Context(), rd, Page(limit, offset, func(c *capture.Capture) bool {
-		line, err := capturedb.Encode(c)
-		if err == nil {
-			_, err = w.Write(line)
-		}
-		if err != nil {
+	qerr := f.Stream(r.Context(), rd, Page(limit, offset, func(line []byte) bool {
+		if _, err := w.Write(line); err != nil {
 			werr = err
 			return false
 		}

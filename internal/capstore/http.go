@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/capture"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
@@ -48,7 +47,7 @@ func (b storeBackend) Commit(bt Batch) (res IngestResult, err error) {
 
 // read runs r over the shard range it names — one segment or, without
 // shard=N, the whole store; a nil fn counts.
-func (b storeBackend) read(ctx context.Context, r Read, fn func(*capture.Capture) bool) (int64, error) {
+func (b storeBackend) read(ctx context.Context, r Read, fn func(line []byte) bool) (int64, error) {
 	lo, hi := 0, len(b.s.shards)
 	switch {
 	case r.Shard >= hi:
@@ -59,7 +58,7 @@ func (b storeBackend) read(ctx context.Context, r Read, fn func(*capture.Capture
 	return b.s.run(ctx, lo, hi, r.Query, fn)
 }
 
-func (b storeBackend) Stream(ctx context.Context, r Read, fn func(*capture.Capture) bool) error {
+func (b storeBackend) Stream(ctx context.Context, r Read, fn func(line []byte) bool) error {
 	_, err := b.read(ctx, r, fn)
 	return err
 }

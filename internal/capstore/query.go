@@ -20,7 +20,9 @@ import (
 // most selective access path (see plan): domain index, request-host
 // posting list, or a scan pruned by per-pack and tail day ranges.
 // Results are exactly those a linear capturedb.Scan over the logical
-// record stream (packs then tail, per shard) would yield.
+// record stream (packs then tail, per shard) would yield. Each match is
+// decoded once, for fn; the executor itself hands on stored lines (see
+// exec).
 //
 // Queries running concurrently with ingest and compaction see a
 // consistent per-shard prefix of the store: each shard's pack chain,
@@ -28,8 +30,10 @@ import (
 // hold, so a record is visible exactly once — in a pack or in the
 // tail — and only once it is fully indexed.
 func (s *Store) Query(q capturedb.Query, fn func(*capture.Capture) bool) error {
-	_, err := s.run(context.Background(), 0, len(s.shards), q, fn)
-	return err
+	return capturedb.DecodeLines(func(emit func([]byte) bool) error {
+		_, err := s.run(context.Background(), 0, len(s.shards), q, emit)
+		return err
+	}, fn)
 }
 
 // QueryShard is Query restricted to shard i — the unit of the
@@ -40,8 +44,10 @@ func (s *Store) QueryShard(i int, q capturedb.Query, fn func(*capture.Capture) b
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("capstore: no shard %d", i)
 	}
-	_, err := s.run(context.Background(), i, i+1, q, fn)
-	return err
+	return capturedb.DecodeLines(func(emit func([]byte) bool) error {
+		_, err := s.run(context.Background(), i, i+1, q, emit)
+		return err
+	}, fn)
 }
 
 // Count returns the number of matches. When every predicate of q is
@@ -52,10 +58,11 @@ func (s *Store) Count(q capturedb.Query) (int, error) {
 }
 
 // run answers q over shards [lo, hi) — the whole store or one segment
-// — and is the one place a query is counted, timed and traced. A nil
-// fn asks only for the number of matches, which run returns. ctx is
-// consulted every ctxEvery records read.
-func (s *Store) run(ctx context.Context, lo, hi int, q capturedb.Query, fn func(*capture.Capture) bool) (int64, error) {
+// — and is the one place a query is counted, timed and traced. fn gets
+// each match's stored line, valid only during the call; a nil fn asks
+// only for the number of matches, which run returns. ctx is consulted
+// every ctxEvery records read.
+func (s *Store) run(ctx context.Context, lo, hi int, q capturedb.Query, fn func(line []byte) bool) (int64, error) {
 	s.counters.queries.Add(1)
 	m := s.metrics.Load()
 	var start time.Time
@@ -67,7 +74,7 @@ func (s *Store) run(ctx context.Context, lo, hi int, q capturedb.Query, fn func(
 		span = tr.Start("query", obs.A("path", pathOf(q)))
 	}
 
-	e := &exec{ctx: ctx, q: q, fn: fn, indexOnly: fn == nil && indexOnly(q)}
+	e := &exec{ctx: ctx, q: q, fn: fn, settled: indexOnly(q)}
 	var err error
 	for i := lo; i < hi && err == nil && !e.stop; i++ {
 		err = s.plan(i, e)
@@ -142,7 +149,7 @@ func (s *Store) plan(i int, e *exec) error {
 
 // ctxEvery is how many records a query reads between looks at its
 // context, so a request past its deadline or without a client stops
-// within that many decodes.
+// within that many reads.
 const ctxEvery = 64
 
 // exec is one query in flight: what was asked, how to deliver it, and
@@ -150,13 +157,19 @@ const ctxEvery = 64
 // accounted for exactly once — scanned when it was read from disk,
 // skipped when index or metadata settled it without a read — so
 // scanned+skipped equals the record total of the shards visited.
+//
+// A match is delivered as the line the pack or tail holds, never
+// re-encoded. A record is decoded only when its body has to be looked
+// at (see keep), and then only as far as the filter needs.
 type exec struct {
 	ctx context.Context
 	q   capturedb.Query
-	fn  func(*capture.Capture) bool // nil: only count the matches
-	// indexOnly: count candidates that pass MatchMeta as matches,
-	// unread.
-	indexOnly bool
+	fn  func(line []byte) bool // nil: only count the matches
+	// settled: the access path and the metadata filters decide q on
+	// their own (indexOnly), so a candidate passing MatchMeta matches
+	// without its body being looked at — and, when only counting,
+	// without being read.
+	settled bool
 
 	matched, scanned, skipped int64
 	stop                      bool // fn asked for no more rows
@@ -170,7 +183,7 @@ func (e *exec) meta(day int32, failed bool) (read bool) {
 		e.skipped++
 		return false
 	}
-	if e.indexOnly {
+	if e.settled && e.fn == nil {
 		e.skipped++
 		e.matched++
 		return false
@@ -178,19 +191,36 @@ func (e *exec) meta(day int32, failed bool) (read bool) {
 	return true
 }
 
-// row delivers one decoded record.
-func (e *exec) row(c *capture.Capture) error {
+// keep reports whether a candidate that passed the metadata filters
+// matches. Unless the query is settled, what is left is in the body: a
+// vantage, read from the record head, or a request host next to the
+// domain the walk followed, which takes the whole record.
+func (e *exec) keep(line []byte) (bool, error) {
+	if e.settled {
+		return true, nil
+	}
+	if e.q.Domain != "" && e.q.RequestHost != "" {
+		c, err := capturedb.Decode(line)
+		return err == nil && e.q.Match(c), err
+	}
+	c, err := capturedb.DecodeHead(line)
+	return err == nil && c.Vantage.Name == e.q.Vantage, err
+}
+
+// row accounts for one record read from disk and delivers its stored
+// line if keep matched it.
+func (e *exec) row(line []byte, match bool) error {
 	if e.scanned%ctxEvery == 0 {
 		if err := e.ctx.Err(); err != nil {
 			return err
 		}
 	}
 	e.scanned++
-	if !e.q.Match(c) {
+	if !match {
 		return nil
 	}
 	e.matched++
-	if e.fn != nil && !e.fn(c) {
+	if e.fn != nil && !e.fn(line) {
 		e.stop = true
 	}
 	return nil
@@ -204,22 +234,26 @@ func (e *exec) packRow(p *pack.Pack, recs []pack.Rec, ix int) error {
 	if err != nil {
 		return err
 	}
-	c, err := capturedb.Decode(line)
+	match, err := e.keep(line)
 	if err != nil {
 		return fmt.Errorf("capstore: pack record %d of %s: %w", ix, p.Path, err)
 	}
-	return e.row(c)
+	return e.row(line, match)
 }
 
 func (e *exec) tailRow(f *os.File, meta recMeta) error {
 	if !e.meta(meta.day, meta.failed) {
 		return nil
 	}
-	c, err := readRecord(f, meta, &e.buf)
+	line, err := readLine(f, meta, &e.buf)
 	if err != nil {
 		return err
 	}
-	return e.row(c)
+	match, err := e.keep(line)
+	if err != nil {
+		return fmt.Errorf("capstore: record at %d: %w", meta.off, err)
+	}
+	return e.row(line, match)
 }
 
 // shardView is one shard's consistent query snapshot: the pack chain,
@@ -373,11 +407,11 @@ func (e *exec) scanView(v *shardView) error {
 	return nil
 }
 
-// readRecord fetches and decodes one tail record by offset, reusing
+// readLine fetches one tail record's stored line by offset, reusing
 // *buf across calls. The file handle comes from the caller's shard
 // view, so a concurrent compaction's tail swap cannot redirect the
 // read.
-func readRecord(f *os.File, meta recMeta, buf *[]byte) (*capture.Capture, error) {
+func readLine(f *os.File, meta recMeta, buf *[]byte) ([]byte, error) {
 	if cap(*buf) < int(meta.length) {
 		*buf = make([]byte, meta.length)
 	}
@@ -385,9 +419,5 @@ func readRecord(f *os.File, meta recMeta, buf *[]byte) (*capture.Capture, error)
 	if _, err := f.ReadAt(b, meta.off); err != nil {
 		return nil, fmt.Errorf("capstore: reading record at %d: %w", meta.off, err)
 	}
-	c, err := capturedb.Decode(b)
-	if err != nil {
-		return nil, fmt.Errorf("capstore: record at %d: %w", meta.off, err)
-	}
-	return c, nil
+	return b, nil
 }

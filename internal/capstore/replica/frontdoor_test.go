@@ -257,3 +257,103 @@ func TestFrontDoorConformance(t *testing.T) {
 		t.Errorf("cursors: ring %+v, capd %+v, want next_seq 12 and nothing awaiting", st, ing.Stats())
 	}
 }
+
+// TestQueryServesStoredBytes: a /query row is the line the store holds,
+// on a storage node and through the ring in front of three of them.
+// Both stores hold packs plus a tail, and each query shape takes a
+// different read path: a sweep and a host query that index metadata
+// settles, a routed domain query, and a vantage filter over a day range
+// that reads the record head. Each body must be the concatenated stored
+// lines of the matching records, in canonical order.
+func TestQueryServesStoredBytes(t *testing.T) {
+	const shards = 4
+	caps := make([]*capture.Capture, 90)
+	for i := range caps {
+		caps[i] = readCapture(i)
+	}
+	cut := 60
+
+	store, err := capstore.Create(t.TempDir(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for i, c := range caps {
+		if i == cut {
+			if _, err := store.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store.Record(c)
+	}
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	node := capstore.NewHandler(store)
+
+	c := newCluster(t, 3, shards, nil)
+	c.push(t, 0, caps[:cut])
+	if err := c.w.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.stores {
+		if _, err := s.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.push(t, cut, caps[cut:])
+	if err := c.w.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ring := Handler(c.w)
+
+	// The stored lines, in canonical order: each segment's raw stream,
+	// packs then tail.
+	var stored [][]byte
+	for s := 0; s < shards; s++ {
+		var seg bytes.Buffer
+		if _, _, err := store.StreamShard(s, 0, &seg); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(seg.Bytes(), []byte("\n")) {
+			if len(line) > 0 {
+				stored = append(stored, line)
+			}
+		}
+	}
+	if len(stored) != len(caps) {
+		t.Fatalf("the node stores %d lines, want %d", len(stored), len(caps))
+	}
+	if st := store.Stats(); st.Packs == 0 || st.Records == st.PackedRecords {
+		t.Fatalf("want packs plus a tail, store has %+v", st)
+	}
+
+	for _, tc := range []struct {
+		target string
+		q      capturedb.Query
+	}{
+		{"/query?failed=1", capturedb.Query{IncludeFailed: true}},
+		{"/query?domain=site3.example", capturedb.Query{Domain: "site3.example"}},
+		{"/query?host=cmp0.example&failed=1", capturedb.Query{RequestHost: "cmp0.example", IncludeFailed: true}},
+		{"/query?vantage=eu-cloud&from=1&to=4", capturedb.Query{Vantage: "eu-cloud", From: 1, To: 4, HasTo: true}},
+	} {
+		var want []byte
+		for _, line := range stored {
+			c, err := capturedb.Decode(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.q.Match(c) {
+				want = append(want, line...)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s matches nothing", tc.target)
+		}
+		for name, h := range map[string]http.Handler{"node": node, "ring": ring} {
+			if rp := do(t, h, http.MethodGet, tc.target, nil, never); rp.Status != http.StatusOK || rp.Body != string(want) {
+				t.Errorf("%s %s: status %d, %d body bytes, want the %d bytes stored", name, tc.target, rp.Status, len(rp.Body), len(want))
+			}
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/capstore"
-	"repro/internal/capture"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
@@ -42,7 +41,7 @@ type ringBackend struct {
 // be silently wrong.
 var errShardOnRing = fmt.Errorf("%w: shard=N reads one storage node's segment, not a ring's", capstore.ErrBadRequest)
 
-func (b ringBackend) Stream(ctx context.Context, r capstore.Read, fn func(*capture.Capture) bool) error {
+func (b ringBackend) Stream(ctx context.Context, r capstore.Read, fn func(line []byte) bool) error {
 	if r.Shard >= 0 {
 		return errShardOnRing
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -40,7 +41,7 @@ type Reader struct {
 // health view.
 func (w *Writer) Reader() *Reader { return &Reader{w: w} }
 
-// rowBudget is how many decoded rows one segment's stream may hold
+// rowBudget is how many rows one segment's stream may hold
 // ahead of the merge. A stream that has filled it stops reading its
 // response, so a read buffers at most one budget per storage node
 // however large the segments are.
@@ -96,12 +97,18 @@ func (r *Reader) candidates(s int) []*node {
 
 // Query streams matches in segment order. Returning false from fn
 // stops early and cancels the streams still open; limit and offset
-// paginate the merged stream (0 limit means unlimited).
+// paginate the merged stream (0 limit means unlimited). Each match is
+// decoded once, here, for fn.
 func (r *Reader) Query(q capturedb.Query, limit, offset int, fn func(*capture.Capture) bool) error {
-	return r.query(context.Background(), q, limit, offset, fn)
+	return capturedb.DecodeLines(func(emit func([]byte) bool) error {
+		return r.query(context.Background(), q, limit, offset, emit)
+	}, fn)
 }
 
-func (r *Reader) query(ctx context.Context, q capturedb.Query, limit, offset int, fn func(*capture.Capture) bool) error {
+// query merges the nodes' rows as the lines they stored: a row is
+// copied out of its stream, to wait in the read-ahead, but never
+// decoded.
+func (r *Reader) query(ctx context.Context, q capturedb.Query, limit, offset int, fn func(line []byte) bool) error {
 	segs := r.route(q)
 	plan := planFanout
 	if q.Domain != "" {
@@ -109,8 +116,10 @@ func (r *Reader) query(ctx context.Context, q capturedb.Query, limit, offset int
 	}
 	defer r.observe(plan, len(segs), time.Now())
 	return mergeSegments(ctx, r, segs, rowBudget,
-		func(ctx context.Context, nd *node, s, got int, emit func(*capture.Capture) bool) error {
-			return nd.cl.QueryShardContext(ctx, s, q, 0, got, emit)
+		func(ctx context.Context, nd *node, s, got int, emit func([]byte) bool) error {
+			return nd.cl.QueryShardLines(ctx, s, q, 0, got, func(line []byte) bool {
+				return emit(bytes.Clone(line))
+			})
 		},
 		capstore.Page(limit, offset, fn))
 }

@@ -7,7 +7,14 @@
 //
 // The on-disk schema uses short field names: the paper's platform
 // stores 161 M captures, so encoding size matters more than
-// readability.
+// readability. Its canonical line layout (codec.go) is the contract
+// every store, pack and manifest hash rests on: AppendEncode writes it
+// by hand, byte for byte what encoding/json wrote, and Decode reads it
+// without reflection, handing any line outside that layout to the
+// encoding/json decoder so that accepted input and results never
+// change. Tiers that serve rows pass the stored lines through
+// (DecodeLines decodes them once, where captures are wanted);
+// DecodeHead reads only the leading fields a filter needs.
 package capturedb
 
 import (
@@ -24,7 +31,8 @@ import (
 	"repro/internal/webworld"
 )
 
-// rec is the wire schema.
+// rec is the wire schema as encoding/json reads it: decodeJSON, the
+// fallback for lines outside the canonical layout (codec.go).
 type rec struct {
 	Seed    string   `json:"s"`
 	Final   string   `json:"f"`
@@ -42,25 +50,6 @@ type rec struct {
 	Timeout bool     `json:"to,omitempty"`
 	Failed  bool     `json:"x,omitempty"`
 	Err     string   `json:"e,omitempty"`
-}
-
-func toRec(c *capture.Capture) rec {
-	r := rec{
-		Seed: c.SeedURL, Final: c.FinalURL, Domain: c.FinalDomain,
-		Day: int(c.Day), Vantage: c.Vantage.Name, Geo: int(c.Vantage.Geo),
-		Cloud: c.Vantage.Cloud, Config: c.Config, Status: c.Status,
-		Shot: c.ScreenshotText, Timeout: c.TimedOut, Failed: c.Failed, Err: c.Error,
-	}
-	for _, q := range c.Requests {
-		r.Reqs = append(r.Reqs, [4]any{q.Host, q.Path, q.Status, q.BytesRaw})
-	}
-	for _, ck := range c.Cookies {
-		r.Cookies = append(r.Cookies, ck.Domain+"|"+ck.Name+"|"+ck.Value)
-	}
-	for _, sr := range c.Storage {
-		r.Storage = append(r.Storage, [4]any{int(sr.Kind), sr.Origin, sr.Key, sr.Identifying})
-	}
-	return r
 }
 
 func (r *rec) capture() (*capture.Capture, error) {
@@ -126,21 +115,52 @@ func (r *rec) capture() (*capture.Capture, error) {
 // trailing newline, so other stores (capstore's segment files) can
 // reuse the framing byte-for-byte.
 func Encode(c *capture.Capture) ([]byte, error) {
-	data, err := json.Marshal(toRec(c))
+	line, err := AppendEncode(make([]byte, 0, encodedSize(c)), c)
 	if err != nil {
 		return nil, err
 	}
-	return append(data, '\n'), nil
+	return line, nil
 }
 
 // Decode parses one wire-format line (with or without the trailing
-// newline) back into a capture.
+// newline) back into a capture. The capture shares nothing with line.
 func Decode(line []byte) (*capture.Capture, error) {
+	if c := decodeFast(line); c != nil {
+		return c, nil
+	}
+	return decodeJSON(line)
+}
+
+// decodeJSON is the reflection decoder every line outside the canonical
+// layout takes; it defines what such a line decodes to.
+func decodeJSON(line []byte) (*capture.Capture, error) {
 	var r rec
 	if err := json.Unmarshal(line, &r); err != nil {
 		return nil, err
 	}
 	return r.capture()
+}
+
+// DecodeLines runs stream, a producer of wire lines, for fn, a consumer
+// of captures: each line is decoded once, here, and handed to fn. A line
+// that does not decode ends the stream with its error. It is how a
+// caller that wants captures reads a tier that serves stored lines.
+func DecodeLines(stream func(emit func(line []byte) bool) error, fn func(*capture.Capture) bool) error {
+	var derr error
+	n := 0
+	err := stream(func(line []byte) bool {
+		n++
+		c, err := Decode(line)
+		if err != nil {
+			derr = fmt.Errorf("capturedb: line %d: %w", n, err)
+			return false
+		}
+		return fn(c)
+	})
+	if derr != nil {
+		return derr
+	}
+	return err
 }
 
 // Writer appends captures to a JSONL stream. It implements
@@ -290,8 +310,9 @@ var ErrTruncated = errors.New("capturedb: truncated final record")
 // length of the intact prefix, suitable for os.File.Truncate repair.
 type RecordReader struct {
 	br    *bufio.Reader
-	off   int64 // offset of the next unread record
-	valid int64 // end offset of the last complete record
+	long  []byte // a line longer than br's buffer, reused
+	off   int64  // offset of the next unread record
+	valid int64  // end offset of the last complete record
 	line  int
 	done  bool
 }
@@ -314,34 +335,71 @@ func (rr *RecordReader) Line() int { return rr.line }
 // stream, ErrTruncated (wrapped) for a torn final line, and a
 // line-numbered parse error for malformed complete lines.
 func (rr *RecordReader) Next() (*capture.Capture, error) {
+	c, _, err := rr.next(true)
+	return c, err
+}
+
+// NextLine returns the next record's wire line, newline-terminated,
+// without decoding it; the bytes are valid until the next call. Only a
+// final line without a newline is decoded, to tell a clean record
+// (returned with its newline added) from a torn one (ErrTruncated, as
+// Next reports it).
+func (rr *RecordReader) NextLine() ([]byte, error) {
+	_, line, err := rr.next(false)
+	return line, err
+}
+
+// next reads one record, decoding it when decode is set or when it is
+// an unterminated final line.
+func (rr *RecordReader) next(decode bool) (*capture.Capture, []byte, error) {
 	if rr.done {
-		return nil, io.EOF
+		return nil, nil, io.EOF
 	}
-	data, err := rr.br.ReadBytes('\n')
+	data, err := rr.readLine()
 	if err != nil && err != io.EOF {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(data) == 0 {
 		rr.done = true
-		return nil, io.EOF
+		return nil, nil, io.EOF
 	}
 	terminated := data[len(data)-1] == '\n'
 	rr.line++
-	c, derr := Decode(data)
-	if derr != nil {
-		if !terminated {
-			// Torn write: an unterminated, unparseable tail.
-			rr.done = true
-			return nil, fmt.Errorf("line %d (offset %d): %w", rr.line, rr.off, ErrTruncated)
+	var c *capture.Capture
+	if decode || !terminated {
+		var derr error
+		if c, derr = Decode(data); derr != nil {
+			if !terminated {
+				// Torn write: an unterminated, unparseable tail.
+				rr.done = true
+				return nil, nil, fmt.Errorf("line %d (offset %d): %w", rr.line, rr.off, ErrTruncated)
+			}
+			return nil, nil, fmt.Errorf("capturedb: line %d: %w", rr.line, derr)
 		}
-		return nil, fmt.Errorf("capturedb: line %d: %w", rr.line, derr)
 	}
 	rr.off += int64(len(data))
 	rr.valid = rr.off
 	if !terminated {
 		rr.done = true
+		rr.long = append(append(rr.long[:0], data...), '\n')
+		data = rr.long
 	}
-	return c, nil
+	return c, data, nil
+}
+
+// readLine returns the next line, newline included when there is one,
+// in br's buffer or, for a line longer than it, in rr.long.
+func (rr *RecordReader) readLine() ([]byte, error) {
+	line, err := rr.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	rr.long = append(rr.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = rr.br.ReadSlice('\n')
+		rr.long = append(rr.long, line...)
+	}
+	return rr.long, err
 }
 
 // Scan streams matching captures to fn; returning false from fn stops

@@ -3,6 +3,7 @@ package capturedb
 import (
 	"bytes"
 	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -276,5 +277,62 @@ func TestWriterConcurrent(t *testing.T) {
 	}
 	if n != 400 {
 		t.Errorf("count = %d, want 400", n)
+	}
+}
+
+// TestRecordReaderLines: NextLine hands on each record's line
+// undecoded and newline-terminated, also a line longer than the
+// reader's buffer (which Next decodes whole as well); an unterminated
+// final line comes back with its newline when it decodes and is
+// reported torn when it does not.
+func TestRecordReaderLines(t *testing.T) {
+	long := sample("b.com", 2, "cdn.cookielaw.org")
+	long.ScreenshotText = strings.Repeat("x", 200<<10)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Record(sample("a.com", 1, "cdn.cookielaw.org"))
+	w.Record(long)
+	w.Record(sample("c.com", 3, "cdn.cookielaw.org"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Bytes()
+	lines := bytes.SplitAfter(whole, []byte("\n"))[:3]
+
+	rr := NewRecordReader(bytes.NewReader(whole[:len(whole)-1]))
+	for i, want := range lines {
+		if got, err := rr.NextLine(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("line %d: %d bytes (%v), want %d", i+1, len(got), err, len(want))
+		}
+	}
+	if _, err := rr.NextLine(); err != io.EOF {
+		t.Errorf("after the last line: %v, want io.EOF", err)
+	}
+	if rr.Valid() != int64(len(whole)-1) {
+		t.Errorf("Valid() = %d, want %d", rr.Valid(), len(whole)-1)
+	}
+
+	rr = NewRecordReader(bytes.NewReader(whole))
+	for i := range lines {
+		c, err := rr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && c.ScreenshotText != long.ScreenshotText {
+			t.Errorf("the long line decodes to a %d-byte screenshot", len(c.ScreenshotText))
+		}
+	}
+
+	rr = NewRecordReader(bytes.NewReader(whole[:len(whole)-9]))
+	for range lines[:2] {
+		if _, err := rr.NextLine(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rr.NextLine(); !errors.Is(err, ErrTruncated) {
+		t.Errorf("torn final line: %v, want ErrTruncated", err)
+	}
+	if want := int64(len(lines[0]) + len(lines[1])); rr.Valid() != want {
+		t.Errorf("Valid() = %d, want %d", rr.Valid(), want)
 	}
 }
