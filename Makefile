@@ -84,9 +84,9 @@ benchdiff:
 # The capture-store perf pairs: linear scan vs. indexed query on one
 # store, and what a ring is asked (sweep, domain, host, count) through
 # replica.Reader at one node vs. three; ahead of them the wire codec's
-# per-record cost and allocations.
+# per-record cost and allocations, and the key scanner's.
 bench-capstore:
-	$(GO) test ./internal/capturedb/ -run '^$$' -bench 'Encode|Decode' -benchmem
+	$(GO) test ./internal/capturedb/ -run '^$$' -bench 'Encode|Decode|ScanKeys' -benchmem
 	$(GO) test ./internal/capstore/ -run '^$$' -bench 'Query' -benchmem
 	$(GO) test . -run '^$$' -bench 'ReplicatedQueryFanout' -benchmem
 
@@ -132,18 +132,20 @@ obs-overhead:
 	./bin/benchdiff -pair BenchmarkStreamVisit/nop,BenchmarkStreamVisit/live -threshold $(OBS_THRESHOLD) obs-bench.json
 
 # Short fuzz passes: the capture wire format (torn writes, segment
-# boundaries, malformed tuples) and its hand-written codec against the
-# encoding/json one, retry classification of malformed
-# webworld/chaos error strings, the fleet wire-protocol decoder, both
-# TCF consent-string codecs, the compiled-vs-naive decision kernel
-# differential, the placement-ring invariants, the durable append-log
-# scan behind the fleet checkpoint and handoff logs, the analytics
-# checkpoint header, and the analysis folds' checkpointed state
-# (FuzzFoldState caps input minimization at 1s: at the 60s default,
-# minimizing its first new inputs takes the whole budget).
+# boundaries, malformed tuples), its hand-written codec against the
+# encoding/json one and its key scanner against the decoder, retry
+# classification of malformed webworld/chaos error strings, the fleet
+# wire-protocol decoder, both TCF consent-string codecs, the
+# compiled-vs-naive decision kernel differential, the placement-ring
+# invariants, the durable append-log scan behind the fleet checkpoint
+# and handoff logs, the analytics checkpoint header, and the analysis
+# folds' checkpointed state (FuzzFoldState caps input minimization at
+# 1s: at the 60s default, minimizing its first new inputs takes the
+# whole budget).
 fuzz:
 	$(GO) test ./internal/capturedb/ -run '^$$' -fuzz FuzzScan -fuzztime 30s
 	$(GO) test ./internal/capturedb/ -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 30s
+	$(GO) test ./internal/capturedb/ -run '^$$' -fuzz FuzzCanonicalKeys -fuzztime 30s
 	$(GO) test ./internal/ring/ -run '^$$' -fuzz FuzzRingPlacement -fuzztime 20s
 	$(GO) test ./internal/resilience/ -run '^$$' -fuzz FuzzClassifyError -fuzztime 15s
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s

@@ -302,18 +302,19 @@ func (cl *Client) Record(c *capture.Capture) (IngestResult, error) {
 // RecordBatch pushes captures over /ingest (unordered mode); they are
 // applied in slice order with per-record idempotency.
 func (cl *Client) RecordBatch(caps []*capture.Capture) (IngestResult, error) {
-	return cl.RecordBatchTrace("", caps)
-}
-
-// RecordBatchTrace is RecordBatch carrying a propagated trace context
-// (traceparent form; empty disables) — the replica fan-out path, where
-// each per-node delivery continues the ring's ingest span.
-func (cl *Client) RecordBatchTrace(trace string, caps []*capture.Capture) (IngestResult, error) {
 	body, err := encodeBatch(caps)
 	if err != nil {
 		return IngestResult{}, err
 	}
-	return cl.ingest(nil, trace, body)
+	return cl.ingest(nil, "", body)
+}
+
+// RecordLinesTrace pushes wire lines, newline-terminated, over /ingest
+// (unordered mode) as they are — the replica fan-out path, which
+// forwards the lines it received — carrying a propagated trace context
+// (traceparent form; empty disables).
+func (cl *Client) RecordLinesTrace(trace string, lines [][]byte) (IngestResult, error) {
+	return cl.ingest(nil, trace, bytes.Join(lines, nil))
 }
 
 // RecordBatchAt pushes the ordered batch covering work items [at, at+n)

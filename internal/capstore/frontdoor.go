@@ -1,6 +1,7 @@
 package capstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,6 +42,17 @@ import (
 //     that order through a Sequencer. Out-of-order arrivals wait in its
 //     bounded buffer; a batch whose range was already committed (or is
 //     already waiting) is a duplicate delivery and is dropped whole.
+//
+// A tier never decodes what it is pushed. Each /ingest line goes
+// through capturedb.Canonical: a line exactly as capturedb.Encode
+// writes it is kept byte for byte and only its keys are read (domain to
+// place it, seed URL, day and configuration for its IngestKey, day,
+// failed flag and request hosts for the indexes); any other line is
+// stored as capturedb.Encode(capturedb.Decode(line)). The ring forwards
+// the lines to its nodes as it received them, and a node appends them
+// as they arrive, so the bytes in a segment are the bytes the worker
+// encoded. A body holding a line that does not decode is refused whole
+// (400, naming the line), before anything reaches a Sequencer.
 //
 // from/to are simulation day numbers (simtime.Day); a present `to`
 // parameter makes the upper bound explicit even for day 0. shard=N
@@ -148,17 +160,18 @@ func (f FrontDoor) ServeIngest(w http.ResponseWriter, r *http.Request) {
 	// header leaves the batch untraced; tracing never fails an ingest.
 	b.Trace, _ = obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 
-	rr := capturedb.NewRecordReader(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	for {
-		c, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			writeError(w, r, badRequest("/ingest line %d: %v", rr.Line(), err))
-			return
-		}
-		b.Caps = append(b.Caps, c)
+	// The body is read whole, as the batch keeps its lines. Each is
+	// certified canonical by the key scanner or decoded and re-encoded;
+	// one that does not decode fails the whole request, so no line a
+	// storage node would refuse reaches the Sequencer.
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxIngestBody), r.ContentLength)
+	if err != nil {
+		writeError(w, r, badRequest("/ingest: %v", err))
+		return
+	}
+	if n, err := b.AddLines(body); err != nil {
+		writeError(w, r, badRequest("/ingest line %d: %v", n, err))
+		return
 	}
 	res, err := f.Commit(b)
 	if err != nil {
@@ -167,6 +180,17 @@ func (f FrontDoor) ServeIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res) //nolint:errcheck
+}
+
+// readBody reads r to its end into one buffer, sized to the declared
+// length when there is one.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	if size <= 0 || size > maxIngestBody {
+		size = 64 << 10
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // parseShard reads an optional shard=N parameter; -1 means absent.

@@ -31,12 +31,7 @@ type storeBackend struct {
 // of the fleetd→worker→ring→capd trace — and flushes it.
 func (b storeBackend) Commit(bt Batch) (res IngestResult, err error) {
 	defer bt.Span(b.in.cfg.Tracer, "ingest").End()
-	if bt.Ordered {
-		res, err = b.in.IngestBatchAt(bt.At, bt.N, bt.Caps)
-	} else {
-		res = b.in.IngestBatch(bt.Caps)
-	}
-	if err != nil {
+	if res, err = b.in.Ingest(bt); err != nil {
 		return res, err
 	}
 	if err := b.s.Flush(); err != nil {

@@ -1,6 +1,7 @@
 package capstore
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/capturedb"
 	"repro/internal/obs"
+	"repro/internal/simtime"
 )
 
 // Remote ingest: an Ingester turns a Store from a read-only query
@@ -23,7 +25,16 @@ import (
 // identifies exactly one share, so re-delivered captures need no
 // side-channel key to be recognized.
 func IngestKey(c *capture.Capture) string {
-	return c.SeedURL + "\x1f" + strconv.Itoa(int(c.Day)) + "\x1f" + c.Config
+	return string(appendIngestKey(nil, c.SeedURL, c.Day, c.Config))
+}
+
+// appendIngestKey appends the IngestKey of the record with these keys.
+func appendIngestKey[S string | []byte](dst []byte, seed S, day simtime.Day, config S) []byte {
+	dst = append(dst, seed...)
+	dst = append(dst, '\x1f')
+	dst = strconv.AppendInt(dst, int64(day), 10)
+	dst = append(dst, '\x1f')
+	return append(dst, config...)
 }
 
 // IngestConfig parameterizes an Ingester.
@@ -42,7 +53,8 @@ type IngestConfig struct {
 	// OnCommit, when non-nil, observes every record the ingest path
 	// appends to the store, in commit order, after idempotency dedup —
 	// the subscription feed incremental consumers (analytics views)
-	// fold record-by-record. It runs under the ingest lock so commit
+	// fold record-by-record. The committed lines are decoded for it, and
+	// only when it is set. It runs under the ingest lock so commit
 	// order is exact; implementations must be fast and must not call
 	// back into the ingester.
 	OnCommit func(caps []*capture.Capture)
@@ -86,6 +98,7 @@ type Ingester struct {
 
 	mu    sync.Mutex
 	seen  map[string]struct{}
+	key   []byte // IngestKey scratch, under mu
 	seq   *Sequencer
 	stats IngestStats
 
@@ -102,9 +115,9 @@ type ingestMetrics struct {
 }
 
 // NewIngester wraps a store for remote ingest. The idempotency index is
-// seeded from the store's existing records, so reopening a store and
-// re-attaching an ingester keeps re-deliveries idempotent across capd
-// restarts.
+// seeded from the keys of the store's existing lines, so reopening a
+// store and re-attaching an ingester keeps re-deliveries idempotent
+// across capd restarts.
 func NewIngester(s *Store, cfg IngestConfig) (*Ingester, error) {
 	in := &Ingester{
 		store: s,
@@ -122,10 +135,24 @@ func NewIngester(s *Store, cfg IngestConfig) (*Ingester, error) {
 				"Out-of-order ordered batches refused with 503 at the reorder-buffer bound."),
 		},
 	}
-	err := s.Query(capturedb.Query{IncludeFailed: true}, func(c *capture.Capture) bool {
-		in.seen[IngestKey(c)] = struct{}{}
+	var (
+		k    capturedb.Keys
+		serr error
+		n    int
+	)
+	_, err := s.run(context.Background(), 0, len(s.shards), capturedb.Query{IncludeFailed: true}, func(line []byte) bool {
+		n++
+		if _, serr = capturedb.Canonical(line, &k); serr != nil {
+			serr = fmt.Errorf("capturedb: line %d: %w", n, serr)
+			return false
+		}
+		in.key = appendIngestKey(in.key[:0], k.Seed, k.Day, k.Config)
+		in.seen[string(in.key)] = struct{}{}
 		return true
 	})
+	if err == nil {
+		err = serr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("capstore: seeding ingest idempotency index: %w", err)
 	}
@@ -148,19 +175,20 @@ func (in *Ingester) Stats() IngestStats {
 	return st
 }
 
-// apply appends records with per-key idempotency. Callers hold in.mu.
-func (in *Ingester) apply(caps []*capture.Capture) (accepted, dups int64) {
-	var committed []*capture.Capture
-	for _, c := range caps {
-		k := IngestKey(c)
-		if _, ok := in.seen[k]; ok {
+// apply appends b's lines with per-key idempotency. Callers hold in.mu.
+func (in *Ingester) apply(b Batch) (accepted, dups int64) {
+	var committed [][]byte
+	for i, line := range b.Lines {
+		k := &b.Keys[i]
+		in.key = appendIngestKey(in.key[:0], k.Seed, k.Day, k.Config)
+		if _, ok := in.seen[string(in.key)]; ok {
 			dups++
 			continue
 		}
-		in.seen[k] = struct{}{}
-		in.store.Record(c)
+		in.seen[string(in.key)] = struct{}{}
+		in.store.append(line, k)
 		if in.cfg.OnCommit != nil {
-			committed = append(committed, c)
+			committed = append(committed, line)
 		}
 		accepted++
 	}
@@ -169,36 +197,46 @@ func (in *Ingester) apply(caps []*capture.Capture) (accepted, dups int64) {
 	in.metrics.records.Add(accepted)
 	in.metrics.duplicates.Add(dups)
 	if len(committed) > 0 {
-		in.cfg.OnCommit(committed)
+		in.onCommit(committed)
 	}
 	return accepted, dups
 }
 
-// IngestBatch applies an unordered batch in order, returning how many
-// records were appended vs. dropped as duplicates.
-func (in *Ingester) IngestBatch(caps []*capture.Capture) IngestResult {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.stats.Batches++
-	in.metrics.batches.Inc()
-	acc, dups := in.apply(caps)
-	return IngestResult{Accepted: acc, Duplicates: dups, Pending: in.seq.Pending()}
+// onCommit decodes committed lines for IngestConfig.OnCommit. They were
+// certified or re-encoded on the way in, so none fails to decode.
+func (in *Ingester) onCommit(lines [][]byte) {
+	caps := make([]*capture.Capture, 0, len(lines))
+	for _, line := range lines {
+		c, err := capturedb.Decode(line)
+		if err != nil {
+			in.store.fail(fmt.Errorf("capstore: decoding a committed record for OnCommit: %w", err))
+			continue
+		}
+		caps = append(caps, c)
+	}
+	in.cfg.OnCommit(caps)
 }
 
-// IngestBatchAt enqueues the ordered batch covering work items
-// [at, at+n); caps are the records those items produced (possibly fewer
-// than n — dead-lettered items produce none — and possibly zero for a
-// skip marker). Batches commit strictly in range order. A batch whose
-// range is already committed or already waiting is dropped whole as a
-// duplicate delivery. The result accounts for this batch's records
-// only, whatever else the push unblocked.
-func (in *Ingester) IngestBatchAt(at int64, n int64, caps []*capture.Capture) (IngestResult, error) {
+// Ingest applies one /ingest batch. An unordered batch is applied now,
+// in order; an ordered one, covering work items [b.At, b.At+b.N),
+// commits through the Sequencer: strictly in range order, and dropped
+// whole as a duplicate delivery when its range is already committed or
+// already waiting. The result accounts for this batch's records only,
+// whatever else the push unblocked.
+func (in *Ingester) Ingest(b Batch) (IngestResult, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var res IngestResult
-	outcome, err := in.seq.Offer(Batch{Ordered: true, At: at, N: n, Caps: caps}, func(b Batch) {
-		acc, dups := in.apply(b.Caps)
-		if b.At == at {
+	if !b.Ordered {
+		in.stats.Batches++
+		in.metrics.batches.Inc()
+		res.Accepted, res.Duplicates = in.apply(b)
+		res.Pending = in.seq.Pending()
+		return res, nil
+	}
+	outcome, err := in.seq.Offer(b, func(due Batch) {
+		acc, dups := in.apply(due)
+		if due.At == b.At {
 			res.Accepted, res.Duplicates = acc, dups
 		}
 	})
@@ -212,18 +250,45 @@ func (in *Ingester) IngestBatchAt(at int64, n int64, caps []*capture.Capture) (I
 		in.metrics.shed.Inc()
 		return res, ErrIngestShed
 	case Duplicate:
-		res.Duplicates = int64(len(caps))
+		res.Duplicates = int64(len(b.Lines))
 		in.stats.Duplicates += res.Duplicates
 		in.metrics.duplicates.Add(res.Duplicates)
 	case Buffered:
 		// Report the records as accepted even though the batch is still
 		// waiting its turn: delivery is complete from the worker's
 		// perspective, and duplicates of a waiting range are refused.
-		res.Accepted = int64(len(caps))
+		res.Accepted = int64(len(b.Lines))
 	}
 	in.stats.Batches++
 	in.metrics.batches.Inc()
 	return res, nil
+}
+
+// IngestBatch applies an unordered batch of captures, each encoded
+// once, returning how many records were appended vs. dropped as
+// duplicates. A capture that cannot be encoded is left out, its error
+// retained by the store as Store.Record retains it.
+func (in *Ingester) IngestBatch(caps []*capture.Capture) IngestResult {
+	res, _ := in.Ingest(in.batchOf(caps))
+	return res
+}
+
+// IngestBatchAt is Ingest for the ordered batch covering work items
+// [at, at+n); caps are the records those items produced (possibly fewer
+// than n — dead-lettered items produce none — and possibly zero for a
+// skip marker).
+func (in *Ingester) IngestBatchAt(at int64, n int64, caps []*capture.Capture) (IngestResult, error) {
+	b := in.batchOf(caps)
+	b.Ordered, b.At, b.N = true, at, n
+	return in.Ingest(b)
+}
+
+func (in *Ingester) batchOf(caps []*capture.Capture) Batch {
+	b, err := BatchOf(caps)
+	if err != nil {
+		in.store.fail(err)
+	}
+	return b
 }
 
 // ServeHTTP implements POST /ingest.

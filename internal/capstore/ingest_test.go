@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/capture"
+	"repro/internal/capturedb"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -324,5 +326,62 @@ func TestIngestMetrics(t *testing.T) {
 	}
 	if err := obs.ValidateExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Errorf("exposition invalid: %v", err)
+	}
+}
+
+// TestIngesterSeedFromLines: the idempotency set NewIngester seeds from
+// the stored lines' keys is the IngestKey set of the decoded records —
+// over packs and a tail, with seed URLs the wire escapes and a stored
+// line outside the canonical layout.
+func TestIngesterSeedFromLines(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Create(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			c := ingestCapture(i)
+			switch i % 4 {
+			case 1:
+				c.SeedURL += "?a=1&b=<2>" // written as \u0026 \u003c \u003e
+			case 2:
+				c.SeedURL += "/\"quoted\"\u2028"
+				c.Config = "tab\there"
+			case 3:
+				c.SeedURL += "/\xff" // invalid UTF-8: written as \ufffd
+			}
+			store.Record(c)
+		}
+	}
+	add(0, 40)
+	if _, err := store.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	add(40, 60)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if st := store.Stats(); st.Packs == 0 || tailRecords(st) == 0 {
+		t.Fatalf("want packs and a tail, have %d packs and %d tail records", st.Packs, tailRecords(st))
+	}
+	in, err := NewIngester(store, IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]struct{})
+	if err := store.Query(capturedb.Query{IncludeFailed: true}, func(c *capture.Capture) bool {
+		want[IngestKey(c)] = struct{}{}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 60 || !reflect.DeepEqual(in.seen, want) {
+		t.Fatalf("seeded %d keys, the decoded records hold %d:\nseeded %q\nwant   %q", len(in.seen), len(want), in.seen, want)
 	}
 }

@@ -130,7 +130,7 @@ func (s *Store) plan(i int, e *exec) error {
 	sh := s.shards[i]
 	switch pathOf(e.q) {
 	case pathDomain:
-		if s.shardFor(e.q.Domain) != i {
+		if ShardOf(e.q.Domain, len(s.shards)) != i {
 			sh.mu.Lock()
 			e.skipped += sh.logicalRecords()
 			sh.mu.Unlock()
@@ -292,9 +292,9 @@ func (sh *shard) snapshotIndexed(path, key string) (shardView, error) {
 		tailCount:     len(sh.recs),
 		f:             sh.f,
 	}
-	idxs := sh.byDomain[key]
+	idxs := sh.byDomain.get(key)
 	if path == pathHost {
-		idxs = sh.byHost[key]
+		idxs = sh.byHost.get(key)
 	}
 	v.tailMetas = make([]recMeta, len(idxs))
 	for k, ix := range idxs {

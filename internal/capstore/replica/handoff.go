@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
-	"repro/internal/capture"
-	"repro/internal/capturedb"
+	"repro/internal/capstore"
 	"repro/internal/durable"
 )
 
@@ -33,31 +31,24 @@ type hint struct {
 	Caps []json.RawMessage `json:"caps"`
 }
 
-// item reconstructs the in-memory delivery item. Loaded hints carry no
+// item reconstructs the in-memory delivery item, each line reloaded
+// through the key scanner as an /ingest line is. Loaded hints carry no
 // commitWait: their pushers belong to a previous process, so there is
 // no quorum left to credit.
 func (h hint) item() (item, error) {
-	var buf bytes.Buffer
+	var data []byte
 	for _, raw := range h.Caps {
-		buf.Write(raw)
-		buf.WriteByte('\n')
+		data = append(append(data, raw...), '\n')
 	}
-	rr := capturedb.NewRecordReader(&buf)
-	var caps []*capture.Capture
-	for {
-		c, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return item{}, err
-		}
-		caps = append(caps, c)
+	var b capstore.Batch
+	if n, err := b.AddLines(data); err != nil {
+		return item{}, fmt.Errorf("hint record %d: %w", n, err)
 	}
-	if len(caps) != len(h.Caps) {
-		return item{}, fmt.Errorf("hint decoded %d of %d records", len(caps), len(h.Caps))
+	it := item{lines: b.Lines, shards: h.Shards}
+	for _, k := range b.Keys {
+		it.domains = append(it.domains, k.Domain)
 	}
-	return item{caps: caps, shards: h.Shards}, nil
+	return it, nil
 }
 
 // handoffLog is one node's durable hint log.
@@ -94,17 +85,13 @@ func openHandoffLog(dir, nodeName string) (*handoffLog, []hint, error) {
 
 // Append records one queued sub-batch.
 func (l *handoffLog) Append(it item) error {
-	h := hint{Shards: it.shards, Caps: make([]json.RawMessage, 0, len(it.caps))}
+	h := hint{Shards: it.shards, Caps: make([]json.RawMessage, 0, len(it.lines))}
 	if it.wait != nil {
 		h.Seq = it.wait.seq
 	} else {
 		h.Seq = -1
 	}
-	for _, c := range it.caps {
-		line, err := capturedb.Encode(c)
-		if err != nil {
-			return err
-		}
+	for _, line := range it.lines {
 		h.Caps = append(h.Caps, json.RawMessage(bytes.TrimSuffix(line, []byte("\n"))))
 	}
 	line, err := json.Marshal(h)

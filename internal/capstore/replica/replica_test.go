@@ -450,7 +450,7 @@ func TestHandoffLogTornTailRepair(t *testing.T) {
 		t.Fatalf("fresh log has %d hints", len(hints))
 	}
 	for i := 0; i < 3; i++ {
-		it := item{caps: []*capture.Capture{mkCapture(i), mkCapture(i + 50)}, shards: []int{i % 2}}
+		it := item{lines: [][]byte{ndjson(t, []*capture.Capture{mkCapture(i)}), ndjson(t, []*capture.Capture{mkCapture(i + 50)})}, shards: []int{i % 2}}
 		if err := log.Append(it); err != nil {
 			t.Fatal(err)
 		}
@@ -494,8 +494,11 @@ func TestHandoffLogTornTailRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(it.caps) != 2 || it.caps[0].SeedURL != mkCapture(i).SeedURL {
-			t.Fatalf("hint %d decoded %+v", i, it.caps)
+		if len(it.lines) != 2 {
+			t.Fatalf("hint %d decoded %q", i, it.lines)
+		}
+		if c, err := capturedb.Decode(it.lines[0]); err != nil || c.SeedURL != mkCapture(i).SeedURL {
+			t.Fatalf("hint %d decoded %q", i, it.lines)
 		}
 	}
 	// A complete-but-corrupt line is not crash damage: the open fails

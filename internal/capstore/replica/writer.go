@@ -176,12 +176,14 @@ func newMetrics(r *obs.Registry) metrics {
 	return m
 }
 
-// item is one committed sub-batch bound for one node: the records of
-// every placed shard this node covers, in canonical commit order.
+// item is one committed sub-batch bound for one node: the lines of
+// every placed shard this node covers, in canonical commit order,
+// forwarded as the ring received them.
 type item struct {
-	caps   []*capture.Capture
-	shards []int // distinct shards covered, for quorum acking
-	wait   *commitWait
+	lines   [][]byte
+	domains [][]byte // domains[i] is lines[i]'s final domain
+	shards  []int    // distinct shards covered, for quorum acking
+	wait    *commitWait
 	// tp is the commit's ring.ingest span context, forwarded on the
 	// node delivery so capd's ingest span joins the same trace. Empty
 	// for untraced commits and handoff replays loaded from disk.
@@ -387,7 +389,11 @@ func (w *Writer) Close() error {
 // RecordBatch commits caps immediately in arrival order (unordered
 // mode) and waits for the write quorum.
 func (w *Writer) RecordBatch(caps []*capture.Capture) (capstore.IngestResult, error) {
-	return w.Commit(capstore.Batch{Caps: caps})
+	b, err := capstore.BatchOf(caps)
+	if err != nil {
+		return capstore.IngestResult{}, fmt.Errorf("%w: %v", capstore.ErrBadRequest, err)
+	}
+	return w.Commit(b)
 }
 
 // RecordBatchAt commits the ordered batch covering work items
@@ -398,7 +404,12 @@ func (w *Writer) RecordBatch(caps []*capture.Capture) (capstore.IngestResult, er
 // re-delivered ranges are dropped whole as duplicates. In-order pushes
 // additionally wait for the write quorum of their own records.
 func (w *Writer) RecordBatchAt(at, n int64, caps []*capture.Capture) (capstore.IngestResult, error) {
-	return w.Commit(capstore.Batch{Ordered: true, At: at, N: n, Caps: caps})
+	b, err := capstore.BatchOf(caps)
+	if err != nil {
+		return capstore.IngestResult{}, fmt.Errorf("%w: %v", capstore.ErrBadRequest, err)
+	}
+	b.Ordered, b.At, b.N = true, at, n
+	return w.Commit(b)
 }
 
 // Commit is the write path behind both: it gives the batch its place in
@@ -422,7 +433,7 @@ func (w *Writer) place(b capstore.Batch) (res capstore.IngestResult, wait *commi
 	if w.closed {
 		return res, nil, ErrClosed
 	}
-	res.Accepted = int64(len(b.Caps))
+	res.Accepted = int64(len(b.Lines))
 	if !b.Ordered {
 		return res, w.fanOutLocked(b), nil
 	}
@@ -442,7 +453,7 @@ func (w *Writer) place(b capstore.Batch) (res capstore.IngestResult, wait *commi
 		// the re-pusher waits on it (an ambiguous earlier failure must
 		// not ack before the records are actually safe).
 		wait = w.awaiting[b.At]
-		res = capstore.IngestResult{Duplicates: int64(len(b.Caps))}
+		res = capstore.IngestResult{Duplicates: int64(len(b.Lines))}
 	}
 	res.Pending = w.seq.Pending()
 	return res, wait, nil
@@ -455,8 +466,7 @@ func (w *Writer) place(b capstore.Batch) (res capstore.IngestResult, wait *commi
 // because this lock serializes all commits.
 func (w *Writer) fanOutLocked(b capstore.Batch) *commitWait {
 	sp := b.Span(w.cfg.Tracer, "ring.ingest")
-	caps := b.Caps
-	if len(caps) == 0 {
+	if len(b.Lines) == 0 {
 		sp.End() // no records to wait for
 		return nil
 	}
@@ -468,8 +478,9 @@ func (w *Writer) fanOutLocked(b capstore.Batch) *commitWait {
 	perNode := make(map[string]*item)
 	nodeShards := make(map[string]map[int]bool)
 	touched := make(map[int]bool)
-	for _, c := range caps {
-		s := capstore.ShardOf(c.FinalDomain, w.cfg.Shards)
+	for i, line := range b.Lines {
+		domain := b.Keys[i].Domain
+		s := capstore.ShardOf(domain, w.cfg.Shards)
 		w.shardCounts[s]++
 		touched[s] = true
 		for _, name := range w.ring.PlaceSegment(s) {
@@ -479,12 +490,13 @@ func (w *Writer) fanOutLocked(b capstore.Batch) *commitWait {
 				perNode[name] = it
 				nodeShards[name] = make(map[int]bool)
 			}
-			it.caps = append(it.caps, c)
+			it.lines = append(it.lines, line)
+			it.domains = append(it.domains, domain)
 			nodeShards[name][s] = true
 		}
 	}
-	w.committed += int64(len(caps))
-	w.m.committed.Add(int64(len(caps)))
+	w.committed += int64(len(b.Lines))
+	w.m.committed.Add(int64(len(b.Lines)))
 
 	wait := &commitWait{seq: seq, need: make(map[int]int, len(touched)), start: time.Now(), done: make(chan struct{}), span: sp}
 	enqueued := make(map[int]int, len(touched))
@@ -790,7 +802,7 @@ func (n *node) deliver(it item) {
 				return
 			}
 		}
-		_, err := n.cl.RecordBatchTrace(it.tp, it.caps)
+		_, err := n.cl.RecordLinesTrace(it.tp, it.lines)
 		if err == nil {
 			n.noteSuccess(it)
 			n.w.ackDelivery(it)
@@ -817,8 +829,8 @@ func (n *node) noteSuccess(it item) {
 		n.st = nodeUp
 		n.up.Set(1)
 	}
-	for _, c := range it.caps {
-		n.delivered[capstore.ShardOf(c.FinalDomain, n.w.cfg.Shards)]++
+	for _, d := range it.domains {
+		n.delivered[capstore.ShardOf(d, n.w.cfg.Shards)]++
 	}
 	n.mu.Unlock()
 }

@@ -1,27 +1,104 @@
 package capstore
 
 import (
+	"bytes"
 	"errors"
 	"strconv"
 
 	"repro/internal/capture"
+	"repro/internal/capturedb"
 	"repro/internal/obs"
 )
 
-// Batch is one /ingest delivery, decoded.
+// Batch is one /ingest delivery: its records as canonical wire lines
+// (capturedb.Canonical), each with the keys a tier routes, deduplicates
+// and indexes it by. Every tier forwards or appends the lines as they
+// are; none decodes them.
 type Batch struct {
 	// Ordered marks a coordinator-ordered delivery covering work items
 	// [At, At+N); an unordered batch commits in arrival order and leaves
 	// At and N zero.
 	Ordered bool
 	At, N   int64
-	// Caps are the records those items produced — possibly fewer than N
-	// (dead-lettered items produce none) and possibly zero (a skip
-	// marker that only advances the commit cursor).
-	Caps []*capture.Capture
+	// Lines are the records those items produced, newline-terminated —
+	// possibly fewer than N (dead-lettered items produce none) and
+	// possibly zero (a skip marker that only advances the commit
+	// cursor). Keys[i] are the keys of Lines[i].
+	Lines [][]byte
+	Keys  []capturedb.Keys
 	// Trace is the pusher's trace context; the zero value means the push
 	// carried none.
 	Trace obs.SpanContext
+
+	// hosts backs the keys' host lists; a list handed out earlier keeps
+	// the array it was cut from when hosts grows.
+	hosts [][]byte
+}
+
+// AddLines appends the newline-separated wire lines of data, which the
+// batch takes over, each in canonical form with its keys: a line the key
+// scanner certifies stays where it is in data, any other is re-encoded.
+// A line that does not decode stops it: the result is its 1-based
+// number and capturedb.Decode's error — a line no tier may store.
+func (b *Batch) AddLines(data []byte) (int, error) {
+	for n := 1; len(data) > 0; n++ {
+		end := bytes.IndexByte(data, '\n') + 1
+		if end == 0 {
+			end = len(data)
+		}
+		k := b.newKeys()
+		line, err := capturedb.Canonical(data[:end:end], &k)
+		if err != nil {
+			return n, err
+		}
+		b.add(line, k)
+		data = data[end:]
+	}
+	return 0, nil
+}
+
+// BatchOf encodes caps, each once, into an unordered batch: how the
+// capture entry points (Ingester.IngestBatch, the ring Writer's
+// RecordBatch) join the line path. A capture that cannot be stored is
+// left out; the error names the first.
+func BatchOf(caps []*capture.Capture) (Batch, error) {
+	var (
+		b     Batch
+		first error
+	)
+	for _, c := range caps {
+		k := b.newKeys()
+		line, err := capturedb.EncodeKeys(c, &k)
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		b.add(line, k)
+	}
+	return b, first
+}
+
+// newKeys returns empty keys for the next line, their host list cut
+// from the free end of b.hosts.
+func (b *Batch) newKeys() capturedb.Keys {
+	if cap(b.hosts)-len(b.hosts) < 16 {
+		b.hosts = make([][]byte, 0, max(64, 2*cap(b.hosts)))
+	}
+	return capturedb.Keys{Hosts: b.hosts[len(b.hosts):len(b.hosts)]}
+}
+
+// add appends line with its keys k, which newKeys began. When the scan
+// wrote k's hosts into b.hosts' free end, they are taken out of it.
+func (b *Batch) add(line []byte, k capturedb.Keys) {
+	n := len(k.Hosts)
+	if free := b.hosts[len(b.hosts):cap(b.hosts)]; n > 0 && n <= len(free) && &k.Hosts[0] == &free[0] {
+		b.hosts = b.hosts[:len(b.hosts)+n]
+	}
+	k.Hosts = k.Hosts[:n:n]
+	b.Lines = append(b.Lines, line)
+	b.Keys = append(b.Keys, k)
 }
 
 // Span starts the batch's server-side span as a child of the pusher's,
@@ -106,8 +183,8 @@ func (s *Sequencer) Pending() int { return len(s.pending) }
 // order, the cursor moving past each as it returns. The error (which
 // wraps ErrBadRequest) refuses a range no coordinator issues.
 func (s *Sequencer) Offer(b Batch, commit func(Batch)) (Outcome, error) {
-	if b.At < 0 || b.N < 1 || int64(len(b.Caps)) > b.N {
-		return 0, badRequest("ordered batch at=%d n=%d records=%d", b.At, b.N, len(b.Caps))
+	if b.At < 0 || b.N < 1 || int64(len(b.Lines)) > b.N {
+		return 0, badRequest("ordered batch at=%d n=%d records=%d", b.At, b.N, len(b.Lines))
 	}
 	if _, waiting := s.pending[b.At]; waiting || b.At < s.next {
 		return Duplicate, nil

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-
-	"repro/internal/capture"
 )
 
 // TestSequencer drives the ordered-commit contract offer by offer: what
@@ -74,7 +72,7 @@ func TestSequencer(t *testing.T) {
 			s := NewSequencer(tc.max)
 			for i, o := range tc.offers {
 				var released []int64
-				got, err := s.Offer(Batch{Ordered: true, At: o.at, N: o.n, Caps: make([]*capture.Capture, o.records)},
+				got, err := s.Offer(Batch{Ordered: true, At: o.at, N: o.n, Lines: make([][]byte, o.records)},
 					func(b Batch) {
 						if s.Next() != b.At {
 							t.Errorf("offer %d: batch at=%d committed with the cursor at %d", i, b.At, s.Next())

@@ -14,7 +14,11 @@
 // encoding/json decoder so that accepted input and results never
 // change. Tiers that serve rows pass the stored lines through
 // (DecodeLines decodes them once, where captures are wanted);
-// DecodeHead reads only the leading fields a filter needs.
+// DecodeHead reads only the leading fields a filter needs. Tiers that
+// take writes pass lines through too: Canonical (keys.go) certifies a
+// line as exactly what Encode writes and returns the Keys a tier
+// places, deduplicates and indexes it by, without decoding it, so a
+// capture is encoded once, by whoever first holds it.
 package capturedb
 
 import (

@@ -211,13 +211,18 @@ func appendEscaped(dst []byte, s string) []byte {
 	return append(dst, s[start:]...)
 }
 
-// decoder reads one line in the canonical layout. ok turns false at
-// the first byte that departs from it, after which every method is a
-// no-op and the caller falls back to decodeJSON.
-type decoder struct {
+// cursor walks one line in the canonical layout. ok turns false at the
+// first byte that departs from it, after which every method is a no-op.
+type cursor struct {
 	line []byte
 	i    int
 	ok   bool
+}
+
+// decoder reads one line in the canonical layout; once its cursor is
+// no longer ok the caller falls back to decodeJSON.
+type decoder struct {
+	cursor
 	// strs holds the line's string values, unescaped, back to back;
 	// each decoded string is a substring of it. It is sized to the line
 	// up front — unescaping never lengthens a string — so it is one
@@ -231,26 +236,26 @@ func (d *decoder) init(line []byte) {
 }
 
 // has consumes s when the line continues with it — an optional key.
-func (d *decoder) has(s string) bool {
-	if d.ok && len(d.line)-d.i >= len(s) && string(d.line[d.i:d.i+len(s)]) == s {
-		d.i += len(s)
+func (c *cursor) has(s string) bool {
+	if c.ok && len(c.line)-c.i >= len(s) && string(c.line[c.i:c.i+len(s)]) == s {
+		c.i += len(s)
 		return true
 	}
 	return false
 }
 
 // lit consumes s, which the layout requires here.
-func (d *decoder) lit(s string) {
-	if !d.has(s) {
-		d.ok = false
+func (c *cursor) lit(s string) {
+	if !c.has(s) {
+		c.ok = false
 	}
 }
 
 // more consumes the ',' between two array elements, or reports the
 // array's end without consuming its ']'.
-func (d *decoder) more() bool {
-	if d.ok && d.i < len(d.line) && d.line[d.i] == ',' {
-		d.i++
+func (c *cursor) more() bool {
+	if c.ok && c.i < len(c.line) && c.line[c.i] == ',' {
+		c.i++
 		return true
 	}
 	return false
@@ -264,40 +269,40 @@ const maxDigits = 15
 // int reads -?(0|[1-9][0-9]*) of at most maxDigits digits. A longer
 // integer, a fraction or an exponent leaves a digit, '.', 'e' or 'E'
 // where the layout wants ',', ']' or '}', which ends the fast path.
-func (d *decoder) int() int64 {
-	if !d.ok {
+func (c *cursor) int() int64 {
+	if !c.ok {
 		return 0
 	}
-	i, neg := d.i, false
-	if i < len(d.line) && d.line[i] == '-' {
+	i, neg := c.i, false
+	if i < len(c.line) && c.line[i] == '-' {
 		neg = true
 		i++
 	}
-	start, end := i, min(i+maxDigits, len(d.line))
-	if i < end && d.line[i] == '0' {
+	start, end := i, min(i+maxDigits, len(c.line))
+	if i < end && c.line[i] == '0' {
 		end = i + 1 // a leading zero is the whole integer
 	}
 	var n int64
-	for i < end && d.line[i] >= '0' && d.line[i] <= '9' {
-		n = n*10 + int64(d.line[i]-'0')
+	for i < end && c.line[i] >= '0' && c.line[i] <= '9' {
+		n = n*10 + int64(c.line[i]-'0')
 		i++
 	}
 	if i == start {
-		d.ok = false
+		c.ok = false
 		return 0
 	}
-	d.i = i
+	c.i = i
 	if neg {
 		return -n
 	}
 	return n
 }
 
-func (d *decoder) bool() bool {
-	if d.has("true") {
+func (c *cursor) bool() bool {
+	if c.has("true") {
 		return true
 	}
-	d.lit("false")
+	c.lit("false")
 	return false
 }
 
