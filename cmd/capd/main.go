@@ -92,7 +92,7 @@ func run() int {
 		compact      = flag.Bool("compact", false, "run the background segment compactor (pack engine)")
 		compactBytes = flag.Int64("compact-tail-bytes", capstore.DefaultMinTailBytes, "compact a shard once its tail reaches this many bytes")
 		compactAge   = flag.Duration("compact-age", 0, "also compact a non-empty tail older than this (0 disables the age trigger)")
-		compactEvery = flag.Duration("compact-interval", time.Second, "how often the compactor checks its triggers")
+		compactEvery = flag.Duration("compact-interval", time.Second, "how often the compactor checks each shard's triggers; shards are polled in turn")
 		compactPace  = flag.Int64("compact-pace", 0, "bound compaction writes to this many bytes/sec (0 = unpaced)")
 	)
 	flag.Parse()

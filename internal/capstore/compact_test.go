@@ -424,6 +424,103 @@ func TestCompactorTriggers(t *testing.T) {
 	}
 }
 
+// TestCompactPackMatchesScannedKeys checks that a pack whose posting
+// lists come from the tail index is byte for byte the pack a builder
+// makes by scanning every packed record for its keys, for a first pack
+// and for one that continues a chain.
+func TestCompactPackMatchesScannedKeys(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for seq := 0; seq < 2; seq++ {
+		fill(t, s, 90)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i, sh := range s.shards {
+			tail, err := os.ReadFile(filepath.Join(dir, segName(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := filepath.Join(t.TempDir(), "want.pack")
+			b, err := pack.NewBuilder(want, pack.Base{Records: sh.packedRecords, Bytes: sh.packedBytes, Hash: sh.packedHash})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var k capturedb.Keys
+			for len(tail) > 0 {
+				line := tail[:bytes.IndexByte(tail, '\n')+1]
+				tail = tail[len(line):]
+				if _, err := capturedb.Canonical(line, &k); err != nil {
+					t.Fatal(err)
+				}
+				var hosts []string
+				for _, h := range k.Hosts {
+					hosts = append(hosts, string(h))
+				}
+				meta := pack.RecordMeta{Day: int32(k.Day), Failed: k.Failed, Domain: string(k.Domain), Hosts: hosts}
+				if err := b.Add(line, meta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, err := b.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+
+			if _, err := s.CompactShard(i); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, packName(i, seq)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes, err := os.ReadFile(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantBytes) {
+				t.Fatalf("shard %d pack %d: compacted pack (%d bytes) differs from the scanned-keys pack (%d bytes)", i, seq, len(got), len(wantBytes))
+			}
+		}
+	}
+}
+
+// TestCompactorPollsOneShard checks that one poll packs only the shard
+// it polls, so the background loop spreads a store's compactions over
+// the interval rather than packing every tail on one tick.
+func TestCompactorPollsOneShard(t *testing.T) {
+	s, err := Create(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fill(t, s, 200)
+	c := &Compactor{s: s, cfg: CompactConfig{MinTailBytes: 1}, firstSeen: make([]time.Time, 4)}
+
+	for i := range s.shards {
+		if s.Stats().Shards[i].TailRecords == 0 {
+			t.Fatalf("shard %d has no tail records; the test needs all four filled", i)
+		}
+	}
+	for i := range s.shards {
+		c.poll(i)
+		st := s.Stats()
+		for j, sh := range st.Shards {
+			if packed := sh.TailRecords == 0; packed != (j <= i) {
+				t.Fatalf("after polling shards 0..%d: shard %d packed=%v (%d tail records)", i, j, packed, sh.TailRecords)
+			}
+		}
+		if st.Compactions != int64(i+1) {
+			t.Fatalf("after polling shards 0..%d: %d compactions, want %d", i, st.Compactions, i+1)
+		}
+	}
+}
+
 // TestCompactionPacing checks the pacer sleeps roughly in proportion
 // to the bytes packed.
 func TestCompactionPacing(t *testing.T) {

@@ -27,6 +27,7 @@
 package pack
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -154,6 +155,7 @@ type RecordMeta struct {
 type Builder struct {
 	path    string
 	tmp     *durable.File
+	w       *bufio.Writer // buffers tmp, so an Add is not a write call
 	base    Base
 	hash    uint64
 	off     int64
@@ -176,6 +178,7 @@ func NewBuilder(path string, base Base) (*Builder, error) {
 	return &Builder{
 		path:    path,
 		tmp:     tmp,
+		w:       bufio.NewWriterSize(tmp, 64<<10),
 		base:    base,
 		hash:    base.Hash,
 		domains: make(map[string][]int32),
@@ -189,7 +192,7 @@ func (b *Builder) Add(line []byte, meta RecordMeta) error {
 	if b.err != nil {
 		return b.err
 	}
-	if _, err := b.tmp.Write(line); err != nil {
+	if _, err := b.w.Write(line); err != nil {
 		b.err = err
 		return err
 	}
@@ -216,8 +219,33 @@ func (b *Builder) Add(line []byte, meta RecordMeta) error {
 	return nil
 }
 
+// SetPostings replaces the domain and host posting lists that Add
+// builds from each record's meta with lists the caller already holds,
+// as the compactor does from its shard's tail index. Each list holds
+// indices of added records in ascending order; Commit checks them. Add
+// must no longer be given a Domain or Hosts.
+func (b *Builder) SetPostings(domains, hosts map[string][]int32) {
+	b.domains, b.hosts, b.posts = domains, hosts, 0
+	for _, l := range hosts {
+		b.posts += int64(len(l))
+	}
+}
+
 // Abort discards the temp file.
 func (b *Builder) Abort() { b.tmp.Abort() }
+
+// checkPostings reports a posting list that is not ascending or names
+// a record the pack does not hold.
+func checkPostings(m map[string][]int32, n int) error {
+	for k, l := range m {
+		for j, ix := range l {
+			if ix < 0 || int(ix) >= n || (j > 0 && ix <= l[j-1]) {
+				return fmt.Errorf("pack: posting list %q: index %d out of order or past %d records", k, ix, n)
+			}
+		}
+	}
+	return nil
+}
 
 // Commit writes the footer index, fsyncs, renames the pack into place,
 // fsyncs the directory, and returns the opened pack. An empty builder
@@ -230,6 +258,12 @@ func (b *Builder) Commit() (*Pack, error) {
 	}
 	if len(b.recs) == 0 {
 		return nil, errors.New("pack: refusing to commit an empty pack")
+	}
+	if err := checkPostings(b.domains, len(b.recs)); err != nil {
+		return nil, err
+	}
+	if err := checkPostings(b.hosts, len(b.recs)); err != nil {
+		return nil, err
 	}
 	sum := Summary{
 		Version:      1,
@@ -257,7 +291,7 @@ func (b *Builder) Commit() (*Pack, error) {
 		}
 	}
 	sum.RecTab = [2]int64{b.off, int64(len(rectab))}
-	if _, err := b.tmp.Write(rectab); err != nil {
+	if _, err := b.w.Write(rectab); err != nil {
 		return nil, err
 	}
 	pos := sum.RecTab[0] + sum.RecTab[1]
@@ -267,7 +301,7 @@ func (b *Builder) Commit() (*Pack, error) {
 		return nil, err
 	}
 	sum.Domains = [2]int64{pos, int64(len(domJSON))}
-	if _, err := b.tmp.Write(domJSON); err != nil {
+	if _, err := b.w.Write(domJSON); err != nil {
 		return nil, err
 	}
 	pos += int64(len(domJSON))
@@ -277,7 +311,7 @@ func (b *Builder) Commit() (*Pack, error) {
 		return nil, err
 	}
 	sum.Hosts = [2]int64{pos, int64(len(hostJSON))}
-	if _, err := b.tmp.Write(hostJSON); err != nil {
+	if _, err := b.w.Write(hostJSON); err != nil {
 		return nil, err
 	}
 	pos += int64(len(hostJSON))
@@ -288,10 +322,13 @@ func (b *Builder) Commit() (*Pack, error) {
 	}
 	trailer := fmt.Sprintf("%s%016x%016x%016x\n",
 		magic, pos, len(sumJSON), HashUpdate(HashOffset, sumJSON))
-	if _, err := b.tmp.Write(sumJSON); err != nil {
+	if _, err := b.w.Write(sumJSON); err != nil {
 		return nil, err
 	}
-	if _, err := b.tmp.Write([]byte(trailer)); err != nil {
+	if _, err := b.w.Write([]byte(trailer)); err != nil {
+		return nil, err
+	}
+	if err := b.w.Flush(); err != nil {
 		return nil, err
 	}
 	if err := b.tmp.Commit(); err != nil {

@@ -243,3 +243,29 @@ func TestAbortRemovesTemp(t *testing.T) {
 		t.Fatalf("abort left %v", left)
 	}
 }
+
+func TestCommitRejectsBadPostings(t *testing.T) {
+	for name, hosts := range map[string]map[string][]int32{
+		"past the records": {"cdn.example": {0, 2}},
+		"out of order":     {"cdn.example": {1, 0}},
+		"repeated":         {"cdn.example": {1, 1}},
+	} {
+		dir := t.TempDir()
+		b, err := NewBuilder(filepath.Join(dir, "p.pack"), ZeroBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := b.Add(line(i), RecordMeta{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.SetPostings(map[string][]int32{"site0.example": {0, 1}}, hosts)
+		if _, err := b.Commit(); err == nil {
+			t.Fatalf("%s: Commit accepted host postings %v over 2 records", name, hosts)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+			t.Fatalf("%s: refused commit left %v", name, left)
+		}
+	}
+}
