@@ -4,36 +4,14 @@
 
 GO ?= go
 
-# Benchmark-regression harness knobs. BENCHTIME is fixed (iteration
-# count, not wall time) so snapshots from different runs compare
-# apples to apples; THRESHOLD is the relative ns/op regression bound
-# benchdiff fails on.
-BENCHTIME ?= 5x
-BENCHCOUNT ?= 5
-BENCHDATE ?= $(shell date +%F)
-BENCHSNAP ?= BENCH_$(BENCHDATE).json
-OLD       ?= BENCH_seed.json
-NEW       ?= $(BENCHSNAP)
-THRESHOLD ?= 0.20
-
-# Telemetry-overhead gate knobs: live recorder vs. no-op recorder on
-# the detection and stream-visit hot paths, bounded at OBS_THRESHOLD.
-# Time-based OBS_BENCHTIME (unlike the snapshot suite's fixed
-# iteration count) because the gate compares within one run; OBS_COUNT
-# repeats each benchmark and benchdiff keeps the fastest, filtering
-# scheduler/frequency noise out of the ratio.
-OBS_THRESHOLD ?= 0.05
-OBS_BENCHTIME ?= 1s
-OBS_COUNT     ?= 4
-
 SMOKES = obs-smoke fleet-smoke decision-smoke replication-smoke pack-smoke cluster-obs-smoke analytics-smoke
 
-.PHONY: check vet build test race chaos fleet-determinism analyze-determinism bin bench bench-smoke benchdiff bench-capstore obs-overhead fuzz loc $(SMOKES)
+.PHONY: check vet build test race chaos fleet-determinism analyze-determinism bin bench-smoke bench-capstore obs-overhead fuzz loc $(SMOKES)
 
 check: vet build race chaos fleet-determinism analyze-determinism $(SMOKES) bench-smoke
 
 vet:
-	$(GO) vet ./...
+	$(GO) vet -tags obsoverhead ./...
 
 build:
 	$(GO) build ./...
@@ -57,29 +35,17 @@ chaos:
 fleet-determinism:
 	for p in 1 2 4 8 16; do GOMAXPROCS=$$p $(GO) test ./internal/fleet/ -run TestFleetDeterminism -count=2 || exit 1; done
 
-# The report must not depend on crawl concurrency or map order: the
-# -quick study prints the same bytes at one and at eight workers.
+# The reproduction's numbers, pinned: the -quick study (every table
+# and figure at test scale) must print exactly the committed golden, at
+# one and at eight crawl workers, so the report depends on neither
+# crawl concurrency nor map order, and a change that moves any number
+# shows up as a diff of the golden. After an intended change,
+# regenerate it with
+#   ./bin/analyze -quick > cmd/analyze/testdata/quick.golden
 analyze-determinism:
 	$(GO) build -o bin/ ./cmd/analyze
-	for w in 1 8; do ./bin/analyze -quick -workers $$w > bin/analyze-w$$w.out || exit 1; done
-	cmp bin/analyze-w1.out bin/analyze-w8.out
-
-# Tier-1 benchmark suite → JSON snapshot. Runs every root-package
-# benchmark at a fixed BENCHTIME, repeated BENCHCOUNT times (the
-# parser keeps each benchmark's fastest run, filtering scheduler and
-# frequency noise), tees the raw output to bench.out, and parses it
-# into $(BENCHSNAP) for benchdiff.
-bench:
-	$(GO) build -o bin/benchdiff ./cmd/benchdiff
-	$(GO) test . -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout 30m | tee bench.out
-	./bin/benchdiff -parse bench.out -date $(BENCHDATE) -out $(BENCHSNAP)
-	@echo "snapshot written to $(BENCHSNAP)"
-
-# Compare two snapshots; fails if any benchmark regressed beyond
-# THRESHOLD. Usage: make benchdiff OLD=BENCH_seed.json NEW=BENCH_x.json
-benchdiff:
-	$(GO) build -o bin/benchdiff ./cmd/benchdiff
-	./bin/benchdiff -compare -threshold $(THRESHOLD) $(OLD) $(NEW)
+	for w in 1 8; do ./bin/analyze -quick -workers $$w > bin/analyze-w$$w.out || exit 1; \
+		cmp bin/analyze-w$$w.out cmd/analyze/testdata/quick.golden || exit 1; done
 
 # The capture-store perf pairs: linear scan vs. indexed query on one
 # store, and what a ring is asked (sweep, domain, host, count) through
@@ -120,16 +86,12 @@ $(SMOKES): %-smoke: bin
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Telemetry overhead gate: the live recorder must stay within
-# OBS_THRESHOLD of the no-op recorder on both hot paths. Longer
-# benchtime than `make bench` so the ratio is stable; not part of
-# `make check`.
+# Telemetry overhead gate: the live recorder must stay within 5% of
+# the no-op recorder on both hot paths (TestTelemetryOverhead in
+# obs_overhead_test.go holds the rule). Behind the obsoverhead build
+# tag so `go test ./...` never runs it; not part of `make check`.
 obs-overhead:
-	$(GO) build -o bin/benchdiff ./cmd/benchdiff
-	$(GO) test . -run '^$$' -bench 'DetectOne|StreamVisit' -benchtime $(OBS_BENCHTIME) -count $(OBS_COUNT) -timeout 20m | tee obs-bench.out
-	./bin/benchdiff -parse obs-bench.out -out obs-bench.json
-	./bin/benchdiff -pair BenchmarkDetectOneNop,BenchmarkDetectOne -threshold $(OBS_THRESHOLD) obs-bench.json
-	./bin/benchdiff -pair BenchmarkStreamVisit/nop,BenchmarkStreamVisit/live -threshold $(OBS_THRESHOLD) obs-bench.json
+	$(GO) test -tags obsoverhead . -run '^TestTelemetryOverhead$$' -count 1 -v -timeout 20m
 
 # Short fuzz passes: the capture wire format (torn writes, segment
 # boundaries, malformed tuples), its hand-written codec against the

@@ -493,7 +493,8 @@ func BenchmarkCaptureDB(b *testing.B) {
 // path with a live metrics recorder attached. It must stay
 // allocation-free: Record calls it (via DetectMask) once per capture
 // under a shard lock. BenchmarkDetectOneNop is the same loop with the
-// no-op recorder; `make obs-overhead` gates the pair at 5%.
+// no-op recorder; TestTelemetryOverhead (`make obs-overhead`) gates the
+// pair at 5%.
 func BenchmarkDetectOne(b *testing.B) {
 	det := detect.Default()
 	det.SetMetrics(detect.NewMetrics(obs.NewRegistry()))
@@ -527,7 +528,7 @@ func benchDetectOne(b *testing.B, det *detect.Detector) {
 // sink — and reports the per-share cost. The nop/live pair bounds the
 // overhead of the visit-path telemetry (latency histogram, outcome
 // counters, visit/store spans with cross-process id derivation);
-// `make obs-overhead` gates it at 5%.
+// TestTelemetryOverhead (`make obs-overhead`) gates it at 5%.
 func BenchmarkStreamVisit(b *testing.B) {
 	b.Run("nop", func(b *testing.B) { benchStreamVisit(b, false) })
 	b.Run("live", func(b *testing.B) { benchStreamVisit(b, true) })

@@ -82,8 +82,8 @@ func main() {
 		cfg.ToplistSize = *topN
 	}
 
-	fmt.Printf("Building study: %d domains, %d shares/day, toplist %d, seed %d (Tranco-style list %s)\n",
-		cfg.Domains, cfg.SharesPerDay, cfg.ToplistSize, cfg.Seed, "")
+	fmt.Printf("Building study: %d domains, %d shares/day, toplist %d, seed %d\n",
+		cfg.Domains, cfg.SharesPerDay, cfg.ToplistSize, cfg.Seed)
 	s := core.NewStudy(cfg)
 	fmt.Printf("Toplist ID: %s (created %s, as the paper's list K8JW of 2020-01-30)\n",
 		s.Toplist.ID, s.Toplist.Created)
