@@ -440,44 +440,21 @@ func BenchmarkPromptChanges(b *testing.B) {
 	b.ReportMetric(float64(qc), "quantcast-changes")
 }
 
-// BenchmarkCaptureDB measures capture persistence throughput.
+// BenchmarkCaptureDB measures a linear scan of the capture wire
+// format, the reference capstore's indexed queries are held to
+// (capturedb.BenchmarkEncode measures the encoding cost).
 func BenchmarkCaptureDB(b *testing.B) {
-	s := benchSetup(b)
+	benchSetup(b)
 	caps := core.EUUniversityStore(benchCampaign)
-	b.Run("write", func(b *testing.B) {
-		// Write one representative record per iteration; throughput is
-		// its encoded size, fixed before the loop so MB/s is exact
-		// regardless of b.N.
-		rec := caps[0]
-		enc, err := capturedb.Encode(rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(enc)))
-		var buf bytes.Buffer
-		w := capturedb.NewWriter(&buf)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Record(rec)
-		}
-		b.StopTimer()
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() != b.N*len(enc) {
-			b.Fatalf("wrote %d bytes, want %d", buf.Len(), b.N*len(enc))
-		}
-	})
 	b.Run("scan", func(b *testing.B) {
-		var buf bytes.Buffer
-		w := capturedb.NewWriter(&buf)
+		var data []byte
 		for _, c := range caps {
-			w.Record(c)
+			line, err := capturedb.Encode(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data = append(data, line...)
 		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		data := buf.Bytes()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n, err := capturedb.Count(bytes.NewReader(data), capturedb.Query{})
@@ -486,7 +463,6 @@ func BenchmarkCaptureDB(b *testing.B) {
 			}
 		}
 	})
-	_ = s
 }
 
 // BenchmarkDetectOne measures the per-capture network-detection hot

@@ -1,11 +1,10 @@
 // Command capq queries a persisted capture database, mirroring
-// Netograph's custom query API. It reads either a local source — a
-// JSONL file from `crawl -out` or a sharded store directory from
-// `crawl -store` — or a live capd server.
+// Netograph's custom query API. It reads either a store directory
+// written by `crawl -store` or a live capd server.
 //
 // Usage:
 //
-//	capq -file captures.jsonl | -store capdir | -server http://host:8650
+//	capq -store capdir | -server http://host:8650
 //	     [-domain D] [-from YYYY-MM-DD] [-to YYYY-MM-DD]
 //	     [-vantage us-cloud|eu-cloud|eu-university] [-host H] [-failed]
 //	     [-count] [-cmp] [-n N] [-stats]
@@ -17,8 +16,8 @@
 //
 // Examples:
 //
-//	capq -file caps.jsonl -count -host cdn.cookielaw.org   # OneTrust captures
-//	capq -store capdir -domain example.com -cmp            # indexed lookup
+//	capq -store capdir -count -host cdn.cookielaw.org   # OneTrust captures
+//	capq -store capdir -domain example.com -cmp         # indexed lookup
 //	capq -server http://127.0.0.1:8650 -count -host cdn.cookielaw.org
 package main
 
@@ -37,7 +36,6 @@ import (
 
 func main() {
 	var (
-		file      = flag.String("file", "", "capture JSONL file")
 		storeDir  = flag.String("store", "", "sharded capture store directory")
 		server    = flag.String("server", "", "base URL of a running capd (e.g. http://127.0.0.1:8650)")
 		domain    = flag.String("domain", "", "filter by final registrable domain")
@@ -52,14 +50,8 @@ func main() {
 		stats     = flag.Bool("stats", false, "print store shape (per-shard pack/tail split and open path) instead of querying")
 	)
 	flag.Parse()
-	sources := 0
-	for _, s := range []string{*file, *storeDir, *server} {
-		if s != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		fmt.Fprintln(os.Stderr, "capq: exactly one of -file, -store, -server is required")
+	if (*storeDir == "") == (*server == "") {
+		fmt.Fprintln(os.Stderr, "capq: exactly one of -store, -server is required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -67,8 +59,7 @@ func main() {
 	if *stats {
 		var st capstore.Stats
 		var err error
-		switch {
-		case *server != "":
+		if *server != "" {
 			cl := capstore.NewClient(*server)
 			if st, err = cl.Stats(); err == nil {
 				// A serving node also knows its ingest commit cursor;
@@ -80,14 +71,12 @@ func main() {
 						h.Ingest.Shed, h.Ingest.PendingBatches)
 				}
 			}
-		case *storeDir != "":
+		} else {
 			var s *capstore.Store
 			if s, err = capstore.Open(*storeDir); err == nil {
 				st = s.Stats()
 				s.Close()
 			}
-		default:
-			err = fmt.Errorf("-stats needs -store or -server (a flat -file has no shards)")
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "capq:", err)
@@ -130,15 +119,14 @@ func main() {
 	}
 
 	var err error
-	switch {
-	case *server != "":
+	if *server != "" {
 		cl := capstore.NewClient(*server)
 		if *countOnly {
 			n, err = cl.Count(q)
 		} else {
 			err = cl.Query(q, *limit, 0, print)
 		}
-	case *storeDir != "":
+	} else {
 		var s *capstore.Store
 		s, err = capstore.Open(*storeDir)
 		if err == nil {
@@ -149,8 +137,6 @@ func main() {
 			}
 			s.Close()
 		}
-	default:
-		err = capturedb.ScanFile(*file, q, print)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capq:", err)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crawl [-domains N] [-shares N] [-seed N] [-workers N] [-from YYYY-MM-DD] [-to YYYY-MM-DD]
-//	      [-out captures.jsonl] [-store capdir [-store-shards N]]
+//	      [-store capdir [-store-shards N]]
 //	      [-retries N] [-breaker N] [-chaos SPEC] [-telemetry]
 //	crawl -fleet http://COORD [-worker-id NAME]
 //
@@ -14,10 +14,9 @@
 // retry/backoff (-retries), per-domain circuit breakers (-breaker) and
 // a dead-letter ledger for shares that exhaust their chances. The
 // defaults (-retries 1 -breaker 0) record every capture on its first
-// attempt. -out and -store receive captures as workers finish them:
-// in share order at -workers 1, which makes that archive
-// byte-reproducible. -chaos injects deterministic faults into the
-// substrate, e.g.:
+// attempt. -store receives captures as workers finish them: in share
+// order at -workers 1, which makes that archive byte-reproducible.
+// -chaos injects deterministic faults into the substrate, e.g.:
 //
 //	crawl -retries 4 -breaker 8 -chaos '5xx=0.05,drop=0.02,antibot=0.01,seed=7'
 //
@@ -44,7 +43,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/capstore"
 	"repro/internal/capture"
-	"repro/internal/capturedb"
 	"repro/internal/crawler"
 	"repro/internal/detect"
 	"repro/internal/interp"
@@ -61,10 +59,9 @@ func main() {
 		domains   = flag.Int("domains", 20_000, "universe size")
 		shares    = flag.Int("shares", 800, "social-feed shares per day")
 		seed      = flag.Uint64("seed", 1, "root seed")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "crawl concurrency (1 writes -out/-store in share order)")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "crawl concurrency (1 writes -store in share order)")
 		fromStr   = flag.String("from", "", "crawl start date (YYYY-MM-DD, default window start)")
 		toStr     = flag.String("to", "", "crawl end date (YYYY-MM-DD, default window end)")
-		outPath   = flag.String("out", "", "also persist raw captures to this JSONL file (query with capq -file)")
 		storeDir  = flag.String("store", "", "also persist raw captures to a sharded capture store directory (serve with capd)")
 		shards    = flag.Int("store-shards", capstore.DefaultShards, "segment count for -store")
 		telemetry = flag.Bool("telemetry", false, "meter the run (detector, stream pipeline) and dump the Prometheus exposition on exit")
@@ -112,22 +109,7 @@ func main() {
 	det.SetMetrics(detect.NewMetrics(reg))
 	observations := analysis.NewPresenceFold(det, interp.Options{})
 
-	sinks := capture.MultiSink{observations}
-	if *outPath != "" {
-		w, err := capturedb.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crawl:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			if err := w.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "crawl: writing captures:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("  persisted captures:  %d records in %s\n", w.Len(), *outPath)
-		}()
-		sinks = append(sinks, w)
-	}
+	var sink capture.Sink = observations
 	if *storeDir != "" {
 		st, err := capstore.Create(*storeDir, *shards)
 		if err != nil {
@@ -153,11 +135,7 @@ func main() {
 			fmt.Printf("  capture store:       %d records in %d segments under %s (%d domains, %d hosts indexed; serve with capd)\n",
 				stats.Records, len(stats.Shards), *storeDir, stats.IndexedDomains, stats.IndexedHosts)
 		}()
-		sinks = append(sinks, storeSink)
-	}
-	var sink capture.Sink = observations
-	if len(sinks) > 1 {
-		sink = sinks
+		sink = capture.MultiSink{observations, storeSink}
 	}
 
 	start := time.Now()

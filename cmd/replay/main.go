@@ -1,5 +1,5 @@
 // Command replay re-runs the detection and presence pipeline over a
-// persisted capture database (written by `crawl -out`), without
+// persisted capture store (written by `crawl -store`), without
 // touching the synthetic web: the workflow of an analyst who has the
 // capture archive but not the crawling infrastructure — which is
 // exactly the position the paper's authors were in relative to the
@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	replay -file captures.jsonl [-at YYYY-MM-DD] [-top N]
+//	replay -store capdir [-at YYYY-MM-DD] [-top N]
 package main
 
 import (
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/capstore"
 	"repro/internal/capture"
 	"repro/internal/capturedb"
 	"repro/internal/cmps"
@@ -28,20 +29,25 @@ import (
 
 func main() {
 	var (
-		file  = flag.String("file", "", "capture JSONL file (required)")
+		dir   = flag.String("store", "", "capture store directory (required)")
 		atStr = flag.String("at", "", "presence snapshot date (default: last captured day)")
 		top   = flag.Int("top", 20, "print the N most-captured CMP domains")
 	)
 	flag.Parse()
-	if *file == "" {
+	if *dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
+	store, err := capstore.Open(*dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "replay:", err)
+		os.Exit(1)
+	}
 	fold := analysis.NewPresenceFold(detect.Default(), interp.Options{})
 	var lastDay simtime.Day
 	n := 0
-	err := capturedb.ScanFile(*file, capturedb.Query{}, func(c *capture.Capture) bool {
+	err = store.Query(capturedb.Query{}, func(c *capture.Capture) bool {
 		fold.Fold(c)
 		if c.Day > lastDay {
 			lastDay = c.Day
@@ -49,6 +55,9 @@ func main() {
 		n++
 		return true
 	})
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)

@@ -1,8 +1,11 @@
 // Command serve exposes the synthetic web over real HTTP: one listener
 // answers for every simulated hostname (websites, CMP endpoints, the
 // consensu.org vendor list) by routing on the Host header. With -demo
-// it also crawls a few sites through the HTTP stack and prints the CMP
-// detections, demonstrating the full wire-level pipeline.
+// it also runs the paper's two wire-level steps against the server it
+// started and exits: it downloads every published version of the
+// Global Vendor List and verifies each by content hash (Section 3.4),
+// then crawls a few sites through the HTTP stack and prints the CMP
+// detections.
 //
 // Usage:
 //
@@ -30,6 +33,7 @@ import (
 	"repro/internal/consensu"
 	"repro/internal/detect"
 	"repro/internal/gvl"
+	"repro/internal/gvlclient"
 	"repro/internal/simtime"
 	"repro/internal/webserve"
 	"repro/internal/webworld"
@@ -60,7 +64,10 @@ func main() {
 
 	if *demo {
 		go http.Serve(ln, server) //nolint:errcheck // demo server dies with the process
-		runDemo(world, ln.Addr().String())
+		if err := runDemo(world, ln.Addr().String()); err != nil {
+			fmt.Fprintln(os.Stderr, "serve:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	fmt.Println("Route by Host header; simulation context via X-Sim-Day / X-Sim-Geo / X-Sim-Cloud.")
@@ -86,8 +93,23 @@ func main() {
 	}
 }
 
-// runDemo crawls the most popular CMP-using sites over HTTP.
-func runDemo(world *webworld.World, addr string) {
+// runDemo downloads and verifies the vendor-list history, then crawls
+// the most popular CMP-using sites over HTTP.
+func runDemo(world *webworld.World, addr string) error {
+	ctx := context.Background()
+	gvls := gvlclient.New("http://vendorlist.consensu.org", addr)
+	start := time.Now()
+	fetched, err := gvls.FetchAll(ctx)
+	if err != nil {
+		return err
+	}
+	verified, err := gvls.Verify(ctx, fetched.Manifest)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nGVL history: %d versions downloaded, %d verified by content hash (%s)\n",
+		len(fetched.Manifest), verified, time.Since(start).Round(time.Millisecond))
+
 	crawler := webserve.NewCrawler(addr)
 	det := detect.Default()
 	day := simtime.Table1Snapshot
@@ -108,4 +130,5 @@ func runDemo(world *webworld.World, addr string) {
 			d.Rank, d.Name, len(cap.Requests), det.DetectOne(cap), d.CMPAt(day))
 		shown++
 	}
+	return nil
 }

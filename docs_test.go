@@ -1,17 +1,21 @@
 package repro
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // docFiles are the documents whose code references are held to the
 // tree.
-var docFiles = []string{"README.md", "DESIGN.md"}
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 // docPathPrefixes are the repository directories a backticked path
 // must start with to be checked.
@@ -24,16 +28,22 @@ var (
 	makeRuleRE  = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+)\s*:([^=]|$)`)
 	makeSmokeRE = regexp.MustCompile(`(?m)^SMOKES\s*=(.*)$`)
 	lineSuffix  = regexp.MustCompile(`:\d+$`)
+	goRunRE     = regexp.MustCompile(`go run \./cmd/([\w-]+)([^\\#&|]*)`)
+	flagRefRE   = regexp.MustCompile(`(?:^|[\s\[])--?([A-Za-z][\w.-]*)`)
+	flagDefRE   = regexp.MustCompile(`flag\.[A-Z]\w*\((?:[^,()"]+,\s*)?"([^"]+)"`)
 )
 
-// TestDocReferences keeps README.md and DESIGN.md from going stale:
-// in their code spans and code blocks, every `make TARGET` must name a
-// Makefile target, every path under internal/, cmd/, bench/ or
-// examples/ must exist, and every Test*, Benchmark*, Fuzz* or
-// Example* name must be a function in some _test.go file.
+// TestDocReferences keeps the docFiles from going stale: in their code
+// spans and code blocks, every `make TARGET` must name a Makefile
+// target, every path under internal/, cmd/, bench/ or examples/ must
+// exist, every Test*, Benchmark*, Fuzz* or Example* name must be a
+// function in some _test.go file, and every -name written after
+// `go run ./cmd/X` (up to a comment, pipe or line continuation) must
+// be a flag cmd/X defines.
 func TestDocReferences(t *testing.T) {
 	targets := makeTargets(t)
 	funcs := testFuncs(t)
+	flags := map[string]map[string]bool{}
 	for _, doc := range docFiles {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -55,7 +65,111 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s: %s is no function in any _test.go file", doc, m[1])
 				}
 			}
+			for _, m := range goRunRE.FindAllStringSubmatch(span, -1) {
+				cmd := m[1]
+				if flags[cmd] == nil {
+					flags[cmd] = cmdFlags(t, cmd)
+				}
+				for _, f := range flagRefRE.FindAllStringSubmatch(m[2], -1) {
+					if !flags[cmd][f[1]] {
+						t.Errorf("%s: `go run ./cmd/%s` has no flag -%s", doc, cmd, f[1])
+					}
+				}
+			}
 		}
+	}
+}
+
+// cmdFlags returns the flag names cmd/NAME's non-test files define
+// with flag.<Type>("name", …) or flag.<Type>Var(&v, "name", …).
+func cmdFlags(t *testing.T, name string) map[string]bool {
+	files, err := filepath.Glob(filepath.Join("cmd", name, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("cmd/%s: no Go files (%v)", name, err)
+	}
+	flags := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range flagDefRE.FindAllStringSubmatch(string(b), -1) {
+			flags[m[1]] = true
+		}
+	}
+	return flags
+}
+
+// TestNoOrphanPackages: every internal/ package is imported by some
+// package outside it — a command, the root facade or another internal
+// package — counting only non-test files and not examples/, so code
+// that no binary can reach does not linger as if it were part of the
+// reproduction.
+func TestNoOrphanPackages(t *testing.T) {
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modPath := strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(mod), "\n", 2)[0], "module"))
+	pkgs := map[string]bool{}     // internal/ directories holding non-test Go files
+	imported := map[string]bool{} // module directories imported from another directory
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "examples" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // another module, such as bench/
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			if rel, ok := strings.CutPrefix(p, modPath+"/"); ok && rel != dir {
+				imported[rel] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no internal/ packages found")
+	}
+	var orphans []string
+	for p := range pkgs {
+		if !imported[p] {
+			orphans = append(orphans, p)
+		}
+	}
+	sort.Strings(orphans)
+	for _, p := range orphans {
+		t.Errorf("%s: no non-test Go file outside it imports it (outside examples/)", p)
 	}
 }
 

@@ -384,7 +384,7 @@ func TestCreateDefaultShards(t *testing.T) {
 
 // TestRecordRefusesPipeInCookieKey: a capture the wire cannot carry
 // (a '|' in a cookie domain or name) is not appended, and the store's
-// Close reports it, as capturedb.Writer does.
+// Close reports it.
 func TestRecordRefusesPipeInCookieKey(t *testing.T) {
 	s, err := Create(t.TempDir(), 2)
 	if err != nil {

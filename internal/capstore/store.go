@@ -455,8 +455,7 @@ func ShardOf[D string | []byte](domain D, n int) int {
 }
 
 // Record implements capture.Sink: c is encoded once and appended. The
-// first error is retained and returned by Close, matching
-// capturedb.Writer semantics.
+// first error is retained and returned by Close.
 func (s *Store) Record(c *capture.Capture) {
 	var k capturedb.Keys
 	line, err := capturedb.EncodeKeys(c, &k)

@@ -1,9 +1,10 @@
-// Package capturedb persists crawl captures as line-delimited JSON and
-// supports filtered scans — the reproduction's stand-in for Netograph's
-// central capture database with its custom query API ("All crawl data
-// is stored in a central database, which can be queried using a custom
-// API", Section 3.2). The sharded, indexed store built on this wire
-// format lives in internal/capstore.
+// Package capturedb is the capture wire format — one line of JSON per
+// capture — and the linear filtered scan over a stream of such lines.
+// The reproduction's stand-in for Netograph's central capture database
+// with its custom query API ("All crawl data is stored in a central
+// database, which can be queried using a custom API", Section 3.2) is
+// the sharded, indexed store built on this format, internal/capstore;
+// Scan is the reference its indexed queries are tested against.
 //
 // The on-disk schema uses short field names: the paper's platform
 // stores 161 M captures, so encoding size matters more than
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"repro/internal/capture"
 	"repro/internal/simtime"
@@ -165,77 +165,6 @@ func DecodeLines(stream func(emit func(line []byte) bool) error, fn func(*captur
 		return derr
 	}
 	return err
-}
-
-// Writer appends captures to a JSONL stream. It implements
-// capture.Sink and is safe for concurrent use; the first write error
-// is retained and returned by Close.
-type Writer struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	c   io.Closer
-	n   int64
-	err error
-}
-
-// NewWriter wraps an io.Writer (Closer optional).
-func NewWriter(w io.Writer) *Writer {
-	wr := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
-	if c, ok := w.(io.Closer); ok {
-		wr.c = c
-	}
-	return wr
-}
-
-// Create opens path for writing, truncating any existing file.
-func Create(path string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewWriter(f), nil
-}
-
-// Record implements capture.Sink.
-func (w *Writer) Record(c *capture.Capture) {
-	line, err := Encode(c)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	if err != nil {
-		w.err = err
-		return
-	}
-	if _, err := w.bw.Write(line); err != nil {
-		w.err = err
-		return
-	}
-	w.n++
-}
-
-// Len returns the number of records written.
-func (w *Writer) Len() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
-// Close flushes and closes the stream, returning the first error
-// encountered during writing.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil && w.err == nil {
-		w.err = err
-	}
-	if w.c != nil {
-		if err := w.c.Close(); err != nil && w.err == nil {
-			w.err = err
-		}
-	}
-	return w.err
 }
 
 // Query filters a scan. Zero values match everything.

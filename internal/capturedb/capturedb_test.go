@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/capture"
@@ -36,21 +36,25 @@ func sample(domain string, day simtime.Day, host string) *capture.Capture {
 	}
 }
 
+// encodeAll is the wire stream of cs, one line per capture.
+func encodeAll(t testing.TB, cs ...*capture.Capture) []byte {
+	t.Helper()
+	var buf []byte
+	for _, c := range cs {
+		var err error
+		if buf, err = AppendEncode(buf, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
 func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	orig := sample("a.com", 100, "cdn.cookielaw.org")
-	w.Record(orig)
-	w.Record(&capture.Capture{SeedURL: "x", Failed: true, Error: "connection refused", Vantage: capture.USCloud})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 2 {
-		t.Errorf("Len = %d", w.Len())
-	}
+	data := encodeAll(t, sample("a.com", 100, "cdn.cookielaw.org"),
+		&capture.Capture{SeedURL: "x", Failed: true, Error: "connection refused", Vantage: capture.USCloud})
 
 	var got []*capture.Capture
-	err := Scan(bytes.NewReader(buf.Bytes()), Query{IncludeFailed: true}, func(c *capture.Capture) bool {
+	err := Scan(bytes.NewReader(data), Query{IncludeFailed: true}, func(c *capture.Capture) bool {
 		got = append(got, c)
 		return true
 	})
@@ -84,18 +88,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestQueryFilters(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Record(sample("a.com", 100, "cdn.cookielaw.org"))
-	w.Record(sample("a.com", 200, "consent.cookiebot.com"))
-	w.Record(sample("b.com", 150, "cdn.cookielaw.org"))
 	failed := sample("c.com", 150, "cdn.cookielaw.org")
 	failed.Failed = true
-	w.Record(failed)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeAll(t, sample("a.com", 100, "cdn.cookielaw.org"),
+		sample("a.com", 200, "consent.cookiebot.com"),
+		sample("b.com", 150, "cdn.cookielaw.org"), failed)
 
 	count := func(q Query) int {
 		n, err := Count(bytes.NewReader(data), q)
@@ -130,15 +127,9 @@ func TestQueryFilters(t *testing.T) {
 // TestQueryDayZeroBound pins the HasTo fix: a query bounded to day 0
 // must not silently become unbounded.
 func TestQueryDayZeroBound(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Record(sample("a.com", 0, "cdn.cookielaw.org"))
-	w.Record(sample("a.com", 1, "cdn.cookielaw.org"))
-	w.Record(sample("a.com", 2, "cdn.cookielaw.org"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeAll(t, sample("a.com", 0, "cdn.cookielaw.org"),
+		sample("a.com", 1, "cdn.cookielaw.org"),
+		sample("a.com", 2, "cdn.cookielaw.org"))
 
 	n, err := Count(bytes.NewReader(data), Query{From: 0, To: 0, HasTo: true})
 	if err != nil {
@@ -166,14 +157,8 @@ func TestQueryDayZeroBound(t *testing.T) {
 // TestScanTruncated checks torn-write recovery: all complete records
 // are yielded, then ErrTruncated is surfaced.
 func TestScanTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Record(sample("a.com", 10, "cdn.cookielaw.org"))
-	w.Record(sample("b.com", 20, "cdn.cookielaw.org"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
+	whole := encodeAll(t, sample("a.com", 10, "cdn.cookielaw.org"),
+		sample("b.com", 20, "cdn.cookielaw.org"))
 	torn := whole[:len(whole)-7] // cut the final record mid-JSON
 
 	var got []*capture.Capture
@@ -208,14 +193,12 @@ func TestScanTruncated(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var cs []*capture.Capture
 	for i := 0; i < 10; i++ {
-		w.Record(sample("a.com", simtime.Day(i), "cdn.cookielaw.org"))
+		cs = append(cs, sample("a.com", simtime.Day(i), "cdn.cookielaw.org"))
 	}
-	w.Close()
 	n := 0
-	err := Scan(bytes.NewReader(buf.Bytes()), Query{}, func(*capture.Capture) bool {
+	err := Scan(bytes.NewReader(encodeAll(t, cs...)), Query{}, func(*capture.Capture) bool {
 		n++
 		return n < 3
 	})
@@ -234,12 +217,7 @@ func TestScanMalformed(t *testing.T) {
 
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "captures.jsonl")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Record(sample("a.com", 5, "cdn.cookielaw.org"))
-	if err := w.Close(); err != nil {
+	if err := os.WriteFile(path, encodeAll(t, sample("a.com", 5, "cdn.cookielaw.org")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -254,32 +232,6 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriterConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				w.Record(sample("a.com", simtime.Day(j), "cdn.cookielaw.org"))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := Count(bytes.NewReader(buf.Bytes()), Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 400 {
-		t.Errorf("count = %d, want 400", n)
-	}
-}
-
 // TestRecordReaderLines: NextLine hands on each record's line
 // undecoded and newline-terminated, also a line longer than the
 // reader's buffer (which Next decodes whole as well); an unterminated
@@ -288,15 +240,8 @@ func TestWriterConcurrent(t *testing.T) {
 func TestRecordReaderLines(t *testing.T) {
 	long := sample("b.com", 2, "cdn.cookielaw.org")
 	long.ScreenshotText = strings.Repeat("x", 200<<10)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Record(sample("a.com", 1, "cdn.cookielaw.org"))
-	w.Record(long)
-	w.Record(sample("c.com", 3, "cdn.cookielaw.org"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
+	whole := encodeAll(t, sample("a.com", 1, "cdn.cookielaw.org"), long,
+		sample("c.com", 3, "cdn.cookielaw.org"))
 	lines := bytes.SplitAfter(whole, []byte("\n"))[:3]
 
 	rr := NewRecordReader(bytes.NewReader(whole[:len(whole)-1]))

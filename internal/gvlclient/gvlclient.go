@@ -25,14 +25,15 @@ import (
 	"repro/internal/gvl"
 )
 
+// maxMisses is how many consecutive 404s end FetchAll's walk.
+const maxMisses = 3
+
 // Client fetches vendor lists.
 type Client struct {
 	http *http.Client
 	// base is the scheme+host to fetch from, e.g.
 	// "http://vendorlist.consensu.org".
 	base string
-	// MaxMisses is how many consecutive 404s end the walk.
-	MaxMisses int
 }
 
 // New returns a client fetching from base. If serverAddr is non-empty,
@@ -49,9 +50,8 @@ func New(base, serverAddr string) *Client {
 		}
 	}
 	return &Client{
-		http:      &http.Client{Transport: transport, Timeout: 15 * time.Second},
-		base:      base,
-		MaxMisses: 3,
+		http: &http.Client{Transport: transport, Timeout: 15 * time.Second},
+		base: base,
 	}
 }
 
@@ -109,7 +109,7 @@ type History struct {
 	Manifest []ManifestEntry
 }
 
-// FetchAll walks versions from 1 upward, stopping after MaxMisses
+// FetchAll walks versions from 1 upward, stopping after maxMisses
 // consecutive unpublished versions, and validates the sequence.
 func (c *Client) FetchAll(ctx context.Context) (*History, error) {
 	out := &History{History: &gvl.History{}}
@@ -120,7 +120,7 @@ func (c *Client) FetchAll(ctx context.Context) (*History, error) {
 		if err != nil {
 			if _, miss := err.(ErrNotPublished); miss {
 				misses++
-				if misses >= c.MaxMisses {
+				if misses >= maxMisses {
 					break
 				}
 				continue

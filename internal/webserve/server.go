@@ -245,34 +245,53 @@ func (s *Server) serveConsentPost(w http.ResponseWriter, r *http.Request, id cmp
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// serveVendorList serves the GVL version appropriate for the request's
-// simulated day, mirroring vendorlist.consensu.org.
+// serveVendorList mirrors vendorlist.consensu.org: /vendor-list.json
+// is the latest version published by the request's simulated day,
+// /vN/vendor-list.json is version N, and any other path is 404.
 func (s *Server) serveVendorList(w http.ResponseWriter, r *http.Request) {
 	if s.gvl == nil || len(s.gvl.Versions) == 0 {
 		http.Error(w, "no vendor list configured", http.StatusNotFound)
 		return
 	}
-	ctx := ctxFromRequest(r)
-	// Versioned path /vN/vendor-list.json or the latest as of the day.
-	list := s.listForDay(ctx.Day)
-	var vn int
-	if _, err := fmt.Sscanf(r.URL.Path, "/v%d/vendor-list.json", &vn); err == nil {
-		list = nil
+	var list *gvl.List
+	if r.URL.Path == "/vendor-list.json" {
+		list = s.listForDay(ctxFromRequest(r).Day)
+	} else if vn, ok := listVersion(r.URL.Path); ok {
 		for i := range s.gvl.Versions {
 			if s.gvl.Versions[i].VendorListVersion == vn {
 				list = &s.gvl.Versions[i]
 				break
 			}
 		}
-		if list == nil {
-			http.NotFound(w, r)
-			return
-		}
+	}
+	if list == nil {
+		http.NotFound(w, r)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(list); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// listVersion parses a versioned vendor-list path, /vN/vendor-list.json,
+// accepting N only as a canonical positive decimal: no sign, no leading
+// zero, nothing before or after.
+func listVersion(path string) (int, bool) {
+	digits, ok := strings.CutPrefix(path, "/v")
+	if ok {
+		digits, ok = strings.CutSuffix(digits, "/vendor-list.json")
+	}
+	if !ok || digits == "" || digits[0] == '0' {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
 }
 
 // listForDay returns the latest version published on or before day.

@@ -3,7 +3,6 @@ package webserve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -170,48 +169,55 @@ func TestHTTPGeoHeaders(t *testing.T) {
 	}
 }
 
+// TestVendorListEndpoint: exactly /vendor-list.json is the latest list
+// published by the request's day and /vN/vendor-list.json, N a
+// canonical positive decimal, is version N whatever the day; every
+// other path on the vendor-list host is 404, not a list a content-hash
+// check would then vouch for.
 func TestVendorListEndpoint(t *testing.T) {
 	_, history, ts := startServer(t)
-	get := func(path string, day simtime.Day) (*http.Response, []byte) {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+	last := simtime.Day(simtime.NumDays - 1)
+	latest := history.Versions[len(history.Versions)-1].VendorListVersion
+	for _, tc := range []struct {
+		path    string
+		day     simtime.Day
+		version int // 0: 404
+	}{
+		{"/vendor-list.json", last, latest},
+		{"/v5/vendor-list.json", 100, 5},
+		{"/v20/vendor-list.json", last, 20},
+		{"/v21/vendor-list.json", last, 0},
+		{"/v999/vendor-list.json", 100, 0},
+		{"/v0/vendor-list.json", last, 0},
+		{"/v07/vendor-list.json", last, 0},
+		{"/v+7/vendor-list.json", last, 0},
+		{"/v-7/vendor-list.json", last, 0},
+		{"/v/vendor-list.json", last, 0},
+		{"/v7x/vendor-list.json", last, 0},
+		{"/v7/vendor-list.jsonXYZ", last, 0},
+		{"/v7/vendor-list.json/extra", last, 0},
+		{"/v99999999999999999999/vendor-list.json", last, 0},
+		{"/vendor-list.jsonXYZ", last, 0},
+		{"/x/vendor-list.json", last, 0},
+		{"/", last, 0},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+tc.path, nil)
 		req.Host = "vendorlist.consensu.org"
-		req.Header.Set(HeaderDay, fmt.Sprint(int(day)))
+		req.Header.Set(HeaderDay, fmt.Sprint(int(tc.day)))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp, body
-	}
-	// Versioned fetch.
-	resp, body := get("/v5/vendor-list.json", 100)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var list gvl.List
-	if err := json.Unmarshal(body, &list); err != nil {
-		t.Fatal(err)
-	}
-	if list.VendorListVersion != 5 {
-		t.Errorf("version = %d", list.VendorListVersion)
-	}
-	// Latest-as-of-day fetch.
-	last := history.Versions[len(history.Versions)-1]
-	resp, body = get("/vendor-list.json", simtime.Day(simtime.NumDays-1))
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if err := json.Unmarshal(body, &list); err != nil {
-		t.Fatal(err)
-	}
-	if list.VendorListVersion != last.VendorListVersion {
-		t.Errorf("latest version = %d, want %d", list.VendorListVersion, last.VendorListVersion)
-	}
-	// Unknown version.
-	resp, _ = get("/v999/vendor-list.json", 100)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown version status = %d", resp.StatusCode)
+		var list gvl.List
+		derr := json.NewDecoder(resp.Body).Decode(&list)
+		resp.Body.Close()
+		switch {
+		case tc.version == 0 && resp.StatusCode != http.StatusNotFound:
+			t.Errorf("%s: status %d, want 404", tc.path, resp.StatusCode)
+		case tc.version != 0 && (resp.StatusCode != http.StatusOK || derr != nil || list.VendorListVersion != tc.version):
+			t.Errorf("%s: status %d, version %d (%v), want 200 and version %d",
+				tc.path, resp.StatusCode, list.VendorListVersion, derr, tc.version)
+		}
 	}
 }
 
