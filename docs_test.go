@@ -15,7 +15,7 @@ import (
 
 // docFiles are the documents whose code references are held to the
 // tree.
-var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md", ".claude/skills/verify/SKILL.md"}
 
 // docPathPrefixes are the repository directories a backticked path
 // must start with to be checked.

@@ -1,7 +1,10 @@
 package capturedb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -223,16 +226,24 @@ type cursor struct {
 // no longer ok the caller falls back to decodeJSON.
 type decoder struct {
 	cursor
-	// strs holds the line's string values, unescaped, back to back;
-	// each decoded string is a substring of it. It is sized to the line
-	// up front — unescaping never lengthens a string — so it is one
-	// allocation and never moves.
+	// strs begins with copy, the line copied into the decoder's one
+	// string allocation: a value without escapes is a substring of copy,
+	// and only an escaped value is unescaped into strs after it.
+	// Unescaping never lengthens a string, so strs is sized to the line,
+	// or to twice that when the line holds a backslash, and never moves.
 	strs strings.Builder
+	copy string
 }
 
 func (d *decoder) init(line []byte) {
 	d.line, d.ok = line, true
-	d.strs.Grow(len(line))
+	n := len(line)
+	if bytes.IndexByte(line, '\\') >= 0 {
+		n *= 2
+	}
+	d.strs.Grow(n)
+	d.strs.Write(line)
+	d.copy = d.strs.String()
 }
 
 // has consumes s when the line continues with it — an optional key.
@@ -247,6 +258,15 @@ func (c *cursor) has(s string) bool {
 // lit consumes s, which the layout requires here.
 func (c *cursor) lit(s string) {
 	if !c.has(s) {
+		c.ok = false
+	}
+}
+
+// char consumes b, which the layout requires here: lit for one byte.
+func (c *cursor) char(b byte) {
+	if c.ok && c.i < len(c.line) && c.line[c.i] == b {
+		c.i++
+	} else {
 		c.ok = false
 	}
 }
@@ -306,22 +326,62 @@ func (c *cursor) bool() bool {
 	return false
 }
 
+// Masks of the string kernel: lo has each byte's low bit set, hi its
+// high bit.
+const (
+	lo = 0x0101010101010101
+	hi = 0x8080808080808080
+)
+
+// plain returns the index of the first byte at or after i that a
+// string does not hold as itself — a control byte, '"', '\\' or a byte
+// of a multi-byte rune, anything outside 0x20–0x7f — or len(line). It
+// tests eight bytes at a time: in w-0x20*lo a byte below 0x20 sets its
+// high bit, in (w^'"'*lo)-lo a '"' does, in (w^'\\'*lo)-lo a '\\' does,
+// and w has it set already on a byte of 0x80 or more. A borrow only
+// carries upward from such a byte, so the lowest high bit set is the
+// first byte that is not plain.
+func plain(line []byte, i int) int {
+	for ; i+8 <= len(line); i += 8 {
+		w := binary.LittleEndian.Uint64(line[i:])
+		if m := ((w - 0x20*lo) | ((w ^ '"'*lo) - lo) | ((w ^ '\\'*lo) - lo) | w) & hi; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(line); i++ {
+		if b := line[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' {
+			break
+		}
+	}
+	return i
+}
+
 // str reads a JSON string: escapes resolved, UTF-8 validated.
 func (d *decoder) str() string {
-	d.lit(`"`)
+	d.char('"')
 	if !d.ok {
 		return ""
 	}
-	from := d.strs.Len()
-	start := d.i
-	for d.i < len(d.line) {
-		b := d.line[d.i]
-		switch {
+	start, from := d.i, -1 // from: where the value starts in strs, once escaped
+	for {
+		d.i = plain(d.line, d.i)
+		if d.i == len(d.line) {
+			d.ok = false
+			return ""
+		}
+		switch b := d.line[d.i]; {
 		case b == '"':
-			d.strs.Write(d.line[start:d.i])
+			end := d.i
 			d.i++
+			if from < 0 {
+				return d.copy[start:end]
+			}
+			d.strs.Write(d.line[start:end])
 			return d.strs.String()[from:]
 		case b == '\\':
+			if from < 0 {
+				from = d.strs.Len()
+			}
 			d.strs.Write(d.line[start:d.i])
 			if !d.escape() {
 				d.ok = false
@@ -331,8 +391,6 @@ func (d *decoder) str() string {
 		case b < 0x20:
 			d.ok = false // json rejects a raw control byte
 			return ""
-		case b < utf8.RuneSelf:
-			d.i++
 		default:
 			r, size := utf8.DecodeRune(d.line[d.i:])
 			if r == utf8.RuneError && size == 1 {
@@ -342,8 +400,6 @@ func (d *decoder) str() string {
 			d.i += size
 		}
 	}
-	d.ok = false
-	return ""
 }
 
 // escape resolves the escape at d.i into d.strs. Surrogate \u escapes,
@@ -396,38 +452,77 @@ func (d *decoder) escape() bool {
 	return true
 }
 
-// elems counts the elements of the JSON array starting at d.i, so each
-// list is allocated once. It is a capacity hint: exact for a
-// well-formed array, harmless for anything else.
-func (d *decoder) elems() int {
-	n, depth, inStr := 1, 0, false
-	for i := d.i; i < len(d.line); i++ {
-		c := d.line[i]
-		if inStr {
-			switch c {
-			case '\\':
-				i++
-			case '"':
-				inStr = false
-			}
-			continue
-		}
-		switch c {
-		case '"':
-			inStr = true
-		case '[':
-			depth++
-		case ']':
-			if depth--; depth == 0 {
-				return n
-			}
-		case ',':
-			if depth == 1 {
-				n++
-			}
-		}
+// scratchLen is the number of list elements decoded on the stack: a
+// crawl's captures log up to a few dozen requests and fewer cookies and
+// storage records. A longer list spills to the heap as it grows, at one
+// more allocation per doubling.
+const scratchLen = 32
+
+// exact copies a list decoded into a scratch array into a slice of its
+// own length: the list's one allocation.
+func exact[T any](s []T) []T {
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// requests reads the elements of "r", its '[' consumed.
+func (d *decoder) requests() []capture.Request {
+	var scratch [scratchLen]capture.Request
+	qs := scratch[:0]
+	for ok := true; ok && d.ok; ok = d.more() {
+		var q capture.Request
+		d.char('[')
+		q.Host = d.str()
+		d.char(',')
+		q.Path = d.str()
+		d.char(',')
+		q.Status = int(d.int())
+		d.char(',')
+		q.BytesRaw = int(d.int())
+		q.BytesCompressed = q.BytesRaw
+		d.char(']')
+		qs = append(qs, q)
 	}
-	return n
+	d.char(']')
+	return exact(qs)
+}
+
+// cookies reads the elements of "ck", its '[' consumed.
+func (d *decoder) cookies() []webworld.Cookie {
+	var scratch [scratchLen]webworld.Cookie
+	cks := scratch[:0]
+	for ok := true; ok && d.ok; ok = d.more() {
+		s := d.str()
+		i := strings.IndexByte(s, '|')
+		j := strings.IndexByte(s[i+1:], '|')
+		if i < 0 || j < 0 {
+			d.ok = false // the fallback reports the malformed cookie
+			break
+		}
+		cks = append(cks, webworld.Cookie{Domain: s[:i], Name: s[i+1 : i+1+j], Value: s[i+2+j:]})
+	}
+	d.char(']')
+	return exact(cks)
+}
+
+// storage reads the elements of "sto", its '[' consumed.
+func (d *decoder) storage() []webworld.StorageRecord {
+	var scratch [scratchLen]webworld.StorageRecord
+	srs := scratch[:0]
+	for ok := true; ok && d.ok; ok = d.more() {
+		var sr webworld.StorageRecord
+		d.char('[')
+		sr.Kind = webworld.StorageKind(d.int())
+		d.char(',')
+		sr.Origin = d.str()
+		d.char(',')
+		sr.Key = d.str()
+		d.char(',')
+		sr.Identifying = d.bool()
+		d.char(']')
+		srs = append(srs, sr)
+	}
+	d.char(']')
+	return exact(srs)
 }
 
 // head reads the fields every record starts with, s f d t v.
@@ -459,57 +554,14 @@ func decodeFast(line []byte) *capture.Capture {
 	}
 	d.lit(`,"st":`)
 	c.Status = int(d.int())
-	if d.has(`,"r":`) {
-		c.Requests = make([]capture.Request, 0, d.elems())
-		d.lit("[")
-		for ok := true; ok && d.ok; ok = d.more() {
-			var q capture.Request
-			d.lit("[")
-			q.Host = d.str()
-			d.lit(",")
-			q.Path = d.str()
-			d.lit(",")
-			q.Status = int(d.int())
-			d.lit(",")
-			q.BytesRaw = int(d.int())
-			q.BytesCompressed = q.BytesRaw
-			d.lit("]")
-			c.Requests = append(c.Requests, q)
-		}
-		d.lit("]")
+	if d.has(`,"r":[`) {
+		c.Requests = d.requests()
 	}
-	if d.has(`,"ck":`) {
-		c.Cookies = make([]webworld.Cookie, 0, d.elems())
-		d.lit("[")
-		for ok := true; ok && d.ok; ok = d.more() {
-			s := d.str()
-			i := strings.IndexByte(s, '|')
-			j := strings.IndexByte(s[i+1:], '|')
-			if i < 0 || j < 0 {
-				d.ok = false // the fallback reports the malformed cookie
-				break
-			}
-			c.Cookies = append(c.Cookies, webworld.Cookie{Domain: s[:i], Name: s[i+1 : i+1+j], Value: s[i+2+j:]})
-		}
-		d.lit("]")
+	if d.has(`,"ck":[`) {
+		c.Cookies = d.cookies()
 	}
-	if d.has(`,"sto":`) {
-		c.Storage = make([]webworld.StorageRecord, 0, d.elems())
-		d.lit("[")
-		for ok := true; ok && d.ok; ok = d.more() {
-			var sr webworld.StorageRecord
-			d.lit("[")
-			sr.Kind = webworld.StorageKind(d.int())
-			d.lit(",")
-			sr.Origin = d.str()
-			d.lit(",")
-			sr.Key = d.str()
-			d.lit(",")
-			sr.Identifying = d.bool()
-			d.lit("]")
-			c.Storage = append(c.Storage, sr)
-		}
-		d.lit("]")
+	if d.has(`,"sto":[`) {
+		c.Storage = d.storage()
 	}
 	if d.has(`,"sh":`) {
 		c.ScreenshotText = d.str()
@@ -519,7 +571,7 @@ func decodeFast(line []byte) *capture.Capture {
 	if d.has(`,"e":`) {
 		c.Error = d.str()
 	}
-	d.lit("}")
+	d.char('}')
 	if !d.ok || (d.i != len(line) && (d.i+1 != len(line) || line[d.i] != '\n')) {
 		return nil
 	}
@@ -529,8 +581,12 @@ func decodeFast(line []byte) *capture.Capture {
 // DecodeHead decodes only the head of a line — seed URL, final URL,
 // final domain, day and vantage name, the fields before "g" — so a
 // filter on them need not materialise requests, cookies or storage.
-// Every other field of the result is zero. A line outside the
-// canonical layout is decoded whole (and so validated whole).
+// Every other field of the result is zero. A line whose head departs
+// from the canonical layout is decoded whole (and so validated whole);
+// past a canonical head nothing is read, so a line that departs only
+// there — a repeated key, say, which json would take the last of — is
+// answered from its head. Every stored line is one Encode wrote, in
+// the canonical layout throughout.
 func DecodeHead(line []byte) (*capture.Capture, error) {
 	var d decoder
 	d.init(line)

@@ -106,7 +106,8 @@ func (f *fuzzFields) capture() *capture.Capture {
 // FuzzCodecDifferential holds the hand-written codec to the reflection
 // codec that defined the wire format. On arbitrary lines, Decode and
 // the encoding/json decoder accept and reject alike and agree on what
-// they accept. On captures cut from the same bytes, Encode writes what
+// they accept, and DecodeHead gives the head of what Decode reads on
+// the fast path. On captures cut from the same bytes, Encode writes what
 // json.Marshal(toRec(c)) writes — or refuses a cookie key holding '|' —
 // and its line decodes on the fast path to what the wire keeps of c.
 func FuzzCodecDifferential(f *testing.F) {
@@ -128,6 +129,18 @@ func FuzzCodecDifferential(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	// The string kernel tests eight bytes at a time from a string's
+	// first byte. Each byte it must stop at — the closing quote, an
+	// escape, a control byte, a non-ASCII lead byte — on either side of
+	// a word edge:
+	for _, off := range []int{7, 8, 15, 16} {
+		for _, rest := range []string{``, `\n`, "\x01", "é"} {
+			if rest != "" {
+				rest += "bbbbbbbb"
+			}
+			f.Add(`{"s":"` + strings.Repeat("a", off) + rest + `","f":"","d":"","t":0,"v":"","g":0,"st":0}` + "\n")
+		}
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		line := []byte(input)
 		got, gerr := Decode(line)
@@ -137,6 +150,16 @@ func FuzzCodecDifferential(f *testing.F) {
 		}
 		if gerr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("Decode = %+v, reflection decoder = %+v", got, want)
+		}
+		if decodeFast(line) != nil {
+			head, err := DecodeHead(line)
+			want := &capture.Capture{
+				SeedURL: got.SeedURL, FinalURL: got.FinalURL, FinalDomain: got.FinalDomain,
+				Day: got.Day, Vantage: capture.Vantage{Name: got.Vantage.Name},
+			}
+			if err != nil || !reflect.DeepEqual(head, want) {
+				t.Fatalf("DecodeHead = %+v (%v), want the head of %+v", head, err, got)
+			}
 		}
 
 		c := (&fuzzFields{b: input}).capture()

@@ -189,12 +189,9 @@ func FuzzCanonicalKeys(f *testing.F) {
 }
 
 func BenchmarkScanKeys(b *testing.B) {
-	lines := readGolden(b)
 	var k Keys
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Canonical(lines[i%len(lines)], &k); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLines(b, func(line []byte) error {
+		_, err := Canonical(line, &k)
+		return err
+	})
 }

@@ -10,6 +10,8 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/capture"
+	"repro/internal/crawler"
+	"repro/internal/simtime"
 	"repro/internal/webworld"
 )
 
@@ -157,6 +159,51 @@ func readGolden(t testing.TB) [][]byte {
 	return lines
 }
 
+// crawlLines returns the wire lines of a small seeded toplist crawl,
+// rows shaped like the archive's: about 1 KB each, mostly requests and
+// cookies, a non-ASCII screenshot text, a few escapes.
+func crawlLines(t testing.TB) [][]byte {
+	t.Helper()
+	w := webworld.New(webworld.Config{Seed: 7, Domains: 2000})
+	var domains []string
+	for _, d := range w.Domains()[:100] {
+		domains = append(domains, d.Name)
+	}
+	var lines [][]byte
+	for _, c := range (&crawler.Campaign{World: w, Domains: domains, Day: simtime.Table1Snapshot, Workers: 1}).Run() {
+		line, err := Encode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
+// benchLines runs fn over the golden lines and over crawlLines, one
+// line per op, each as a sub-benchmark that reports MB/s.
+func benchLines(b *testing.B, fn func(line []byte) error) {
+	for _, set := range []struct {
+		name  string
+		lines [][]byte
+	}{{"golden", readGolden(b)}, {"crawl", crawlLines(b)}} {
+		b.Run(set.name, func(b *testing.B) {
+			n := 0
+			for _, l := range set.lines {
+				n += len(l)
+			}
+			b.SetBytes(int64(n / len(set.lines)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fn(set.lines[i%len(set.lines)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // stored is what the wire keeps of c, and so what decoding a line
 // written from c gives back: no DOM, the raw byte count standing in
 // for the compressed one, each invalid UTF-8 byte as U+FFFD, and empty
@@ -260,9 +307,51 @@ func TestEncodeRefusesPipeInCookieKey(t *testing.T) {
 	}
 }
 
+// TestStringKernel holds plain, which tests eight bytes at a time, to
+// a byte-at-a-time reference: every byte value at every offset 0–16 of
+// a 24-byte string, scanned from every start within the first word.
+// And it holds the decoder to the reflection decoder on a rune, or a
+// torn one, at every such offset, so on runes that straddle two words.
+func TestStringKernel(t *testing.T) {
+	ref := func(s []byte, i int) int {
+		for ; i < len(s); i++ {
+			if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' {
+				break
+			}
+		}
+		return i
+	}
+	for off := 0; off <= 16; off++ {
+		for b := 0; b < 256; b++ {
+			s := bytes.Repeat([]byte{'a'}, 24)
+			s[off] = byte(b)
+			for start := 0; start < 8; start++ {
+				if got, want := plain(s, start), ref(s, start); got != want {
+					t.Fatalf("byte %#x at %d, from %d: plain = %d, want %d", b, off, start, got, want)
+				}
+			}
+		}
+	}
+	for _, r := range []string{"é", "—", "🍪", "\u2028", "\xe2\x80"} {
+		for off := 0; off <= 16; off++ {
+			v := strings.Repeat("a", off) + r + strings.Repeat("b", 24-off-len(r))
+			line := []byte(`{"s":"` + v + `","f":"","d":"","t":0,"v":"","g":0,"st":0}` + "\n")
+			got, gerr := Decode(line)
+			want, werr := decodeJSON(line)
+			if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: Decode = %+v (%v), reflection decoder = %+v (%v)", line, got, gerr, want, werr)
+			}
+			if valid := utf8.ValidString(r); (decodeFast(line) != nil) != valid {
+				t.Errorf("%q: takes the fast path: %v, want %v", line, !valid, valid)
+			}
+		}
+	}
+}
+
 // TestCodecAllocs pins the codec's allocations, which repeat exactly
 // on any host: none to encode into a buffer with room, and to decode
-// one each for the capture, its string values and its three lists.
+// one each for the capture, its string values and its three lists, on
+// the golden lines and on rows shaped like a crawl's.
 func TestCodecAllocs(t *testing.T) {
 	buf := make([]byte, 0, 64<<10)
 	for i, c := range goldenCaptures() {
@@ -270,9 +359,11 @@ func TestCodecAllocs(t *testing.T) {
 			t.Errorf("capture %d: AppendEncode allocates %v times", i, n)
 		}
 	}
-	for i, line := range readGolden(t) {
-		if n := testing.AllocsPerRun(50, func() { Decode(line) }); n > 5 { //nolint:errcheck
-			t.Errorf("line %d: Decode allocates %v times, want at most 5", i+1, n)
+	for set, lines := range map[string][][]byte{"golden": readGolden(t), "crawl": crawlLines(t)} {
+		for i, line := range lines {
+			if n := testing.AllocsPerRun(50, func() { Decode(line) }); n > 5 { //nolint:errcheck
+				t.Errorf("%s line %d: Decode allocates %v times, want at most 5", set, i+1, n)
+			}
 		}
 	}
 }
@@ -288,11 +379,8 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	lines := readGolden(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(lines[i%len(lines)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLines(b, func(line []byte) error {
+		_, err := Decode(line)
+		return err
+	})
 }
