@@ -100,10 +100,11 @@ obs-overhead:
 # wire-protocol decoder, both TCF consent-string codecs, the
 # compiled-vs-naive decision kernel differential, the placement-ring
 # invariants, the durable append-log scan behind the fleet checkpoint
-# and handoff logs, the analytics checkpoint header, and the analysis
+# and handoff logs, the analytics checkpoint header, the analysis
 # folds' checkpointed state (FuzzFoldState caps input minimization at
 # 1s: at the 60s default, minimizing its first new inputs takes the
-# whole budget).
+# whole budget), and the lazily seeded rng stream source against
+# math/rand over seeds and draw mixes.
 fuzz:
 	$(GO) test ./internal/capturedb/ -run '^$$' -fuzz FuzzScan -fuzztime 30s
 	$(GO) test ./internal/capturedb/ -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 30s
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogScan -fuzztime 15s
 	$(GO) test ./internal/analytics/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 15s
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzFoldState -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/rng/ -run '^$$' -fuzz FuzzLazySource -fuzztime 30s
 
 # Go line counts by class — non-test code outside bench/, tests, and
 # bench/ — the measure a simplicity PR's "net negative" is held to.

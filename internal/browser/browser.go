@@ -146,6 +146,7 @@ func (b *Browser) fill(c *capture.Capture, page *webworld.Page) {
 	if cutoff > total {
 		cutoff = total
 	}
+	c.Requests = make([]capture.Request, 0, len(page.Resources))
 	for _, r := range page.Resources {
 		if r.StartMS > cutoff {
 			c.TimedOut = true

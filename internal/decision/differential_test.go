@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gvl"
 	"repro/internal/rng"
+	"repro/internal/tcf"
 )
 
 // The differential contract: for every consent string — fuzz-generated
@@ -34,8 +35,10 @@ func sharedResolver(t testing.TB) *Resolver {
 	return testResolver
 }
 
-// checkTriple asserts kernel/naive agreement for one question.
-func checkTriple(t *testing.T, cp *Compiled, r *Resolver, raw string, vendor, purpose int) {
+// checkTriple asserts kernel/naive agreement for one question. naive
+// is raw as the reference path decodes it (naiveParse), so a string
+// probed many times is decoded once on each side.
+func checkTriple(t *testing.T, cp *Compiled, naive *tcf.V2ConsentString, r *Resolver, raw string, vendor, purpose int) {
 	t.Helper()
 	var table *VendorTable
 	var list *gvl.ListV2
@@ -44,11 +47,7 @@ func checkTriple(t *testing.T, cp *Compiled, r *Resolver, raw string, vendor, pu
 		list = r.List(cp.VendorListVersion)
 	}
 	got := Decide(cp, table, vendor, purpose)
-	want, err := NaiveDecide(raw, list, vendor, purpose)
-	if err != nil {
-		t.Fatalf("naive rejected a string the kernel compiled: %v\nraw=%q", err, raw)
-	}
-	if got != want {
+	if want := naiveDecideV2(naive, list, vendor, purpose); got != want {
 		t.Fatalf("divergence on vendor=%d purpose=%d: kernel=%v naive=%v\nraw=%q",
 			vendor, purpose, got, want, raw)
 	}
@@ -56,8 +55,9 @@ func checkTriple(t *testing.T, cp *Compiled, r *Resolver, raw string, vendor, pu
 
 // TestDifferentialPopulation is the ≥100k-string identity check from
 // the acceptance criteria (5k under -short). Every string is compiled
-// once and probed on deterministic and drawn triples, without tables
-// and with the shared resolver.
+// once and decoded once by the reference path, then probed on
+// deterministic and drawn triples, without tables and with the shared
+// resolver.
 func TestDifferentialPopulation(t *testing.T) {
 	size := differentialPopulationSize
 	if testing.Short() {
@@ -76,15 +76,19 @@ func TestDifferentialPopulation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("population string %d does not compile: %v\nraw=%q", i, err, raw)
 		}
+		naive, err := naiveParse(raw)
+		if err != nil {
+			t.Fatalf("naive rejected a string the kernel compiled: %v\nraw=%q", err, raw)
+		}
 		pr := probe.Stream("s", rng.Key(i))
 		for _, fx := range fixed {
-			checkTriple(t, cp, nil, raw, fx[0], fx[1])
-			checkTriple(t, cp, r, raw, fx[0], fx[1])
+			checkTriple(t, cp, naive, nil, raw, fx[0], fx[1])
+			checkTriple(t, cp, naive, r, raw, fx[0], fx[1])
 		}
 		for k := 0; k < 4; k++ {
 			v, p := 1+pr.Intn(700), 1+pr.Intn(12)
-			checkTriple(t, cp, nil, raw, v, p)
-			checkTriple(t, cp, r, raw, v, p)
+			checkTriple(t, cp, naive, nil, raw, v, p)
+			checkTriple(t, cp, naive, r, raw, v, p)
 		}
 	}
 }

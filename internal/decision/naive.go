@@ -19,35 +19,41 @@ import (
 // source vendor list for the string's stamped version (nil skips the
 // declaration check, mirroring Decide with a nil table).
 func NaiveDecide(raw string, l *gvl.ListV2, vendor, purpose int) (Basis, error) {
+	c, err := naiveParse(raw)
+	if err != nil {
+		return BasisNone, err
+	}
+	return naiveDecideV2(c, l, vendor, purpose), nil
+}
+
+// naiveParse is NaiveDecide's decode half: the batch codec for the
+// string's version, v1 strings through the codec's own v2 migration.
+func naiveParse(raw string) (*tcf.V2ConsentString, error) {
 	if raw == "" {
-		return BasisNone, fmt.Errorf("decision: empty consent string")
+		return nil, fmt.Errorf("decision: empty consent string")
 	}
 	version, ok := sixBits(raw[0])
 	if !ok {
-		return BasisNone, fmt.Errorf("decision: %q is not a base64 consent string", raw[0])
+		return nil, fmt.Errorf("decision: %q is not a base64 consent string", raw[0])
 	}
-	var v2 *tcf.V2ConsentString
 	switch version {
 	case tcf.Version:
 		c, err := tcf.Decode(raw)
 		if err != nil {
-			return BasisNone, err
+			return nil, err
 		}
 		// The kernel serves v1 strings through their v2 upgrade; the
 		// reference path uses the codec's own migration.
-		v2 = tcf.UpgradeToV2(c)
+		return tcf.UpgradeToV2(c), nil
 	case tcf.V2Version:
-		c, err := tcf.DecodeV2(raw)
-		if err != nil {
-			return BasisNone, err
-		}
-		v2 = c
+		return tcf.DecodeV2(raw)
 	default:
-		return BasisNone, fmt.Errorf("decision: unsupported consent string version %d", version)
+		return nil, fmt.Errorf("decision: unsupported consent string version %d", version)
 	}
-	return naiveDecideV2(v2, l, vendor, purpose), nil
 }
 
+// naiveDecideV2 is NaiveDecide's evaluation half: the answer for one
+// question, read straight off the decoded string and the list.
 func naiveDecideV2(c *tcf.V2ConsentString, l *gvl.ListV2, vendor, purpose int) Basis {
 	if vendor <= 0 || purpose < 1 || purpose > NumPurposeBits {
 		return BasisNone

@@ -13,7 +13,6 @@ package gvl
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/tcf"
@@ -148,14 +147,4 @@ func (l *List) PurposeCounts() (consent, legInt map[int]int) {
 		}
 	}
 	return consent, legInt
-}
-
-// sortVendor normalizes vendor slices for deterministic output.
-func sortVendors(vs []Vendor) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].ID < vs[j].ID })
-	for i := range vs {
-		sort.Ints(vs[i].PurposeIDs)
-		sort.Ints(vs[i].LegIntPurposeIDs)
-		sort.Ints(vs[i].FeatureIDs)
-	}
 }

@@ -3,6 +3,7 @@ package gvl
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/rng"
@@ -177,19 +178,16 @@ func GenerateHistory(cfg HistoryConfig) *History {
 			mutateVendor(&vendors[i], r.Float64(), r.Intn(5)+1)
 		}
 
-		list := List{
+		// The working set is in ascending ID order (vendors join with
+		// the next ID and leave without reordering) and its slices are
+		// sorted and never written in place (mutateVendor), so a
+		// published version shares them with it and with every other
+		// version.
+		h.Versions = append(h.Versions, List{
 			VendorListVersion: version,
 			LastUpdated:       day.Time(),
 			Vendors:           append([]Vendor(nil), vendors...),
-		}
-		// Deep-copy purpose slices so later mutations don't alias.
-		for i := range list.Vendors {
-			list.Vendors[i].PurposeIDs = append([]int(nil), list.Vendors[i].PurposeIDs...)
-			list.Vendors[i].LegIntPurposeIDs = append([]int(nil), list.Vendors[i].LegIntPurposeIDs...)
-			list.Vendors[i].FeatureIDs = append([]int(nil), list.Vendors[i].FeatureIDs...)
-		}
-		sortVendors(list.Vendors)
-		h.Versions = append(h.Versions, list)
+		})
 
 		// Advance the publication date: a 3–4 day cadence places 215
 		// versions between April 2018 and spring 2020, matching the
@@ -203,7 +201,9 @@ func GenerateHistory(cfg HistoryConfig) *History {
 // mutateVendor applies one declaration change. Each change kind picks
 // its purpose among the eligible ones, so the mutation mix directly
 // controls the flow rates; the mix is calibrated so LI→consent
-// outnumbers consent→LI (Figure 8's headline result).
+// outnumbers consent→LI (Figure 8's headline result). Every change
+// replaces a slice with a fresh sorted one (removeInt, insertInt):
+// published versions share the old one.
 func mutateVendor(v *Vendor, u float64, purposeSeed int) {
 	// pick selects a purpose from the eligible set, seeded by
 	// purposeSeed for determinism.
@@ -220,20 +220,20 @@ func mutateVendor(v *Vendor, u float64, purposeSeed int) {
 	case u < 0.34: // switch legitimate interest -> consent
 		if p, ok := pick(func(p int) bool { return v.ClaimsLegitimateInterest(p) && !v.RequestsConsent(p) }); ok {
 			v.LegIntPurposeIDs = removeInt(v.LegIntPurposeIDs, p)
-			v.PurposeIDs = append(v.PurposeIDs, p)
+			v.PurposeIDs = insertInt(v.PurposeIDs, p)
 		}
 	case u < 0.52: // switch consent -> legitimate interest
 		if p, ok := pick(func(p int) bool { return v.RequestsConsent(p) && !v.ClaimsLegitimateInterest(p) }); ok {
 			v.PurposeIDs = removeInt(v.PurposeIDs, p)
-			v.LegIntPurposeIDs = append(v.LegIntPurposeIDs, p)
+			v.LegIntPurposeIDs = insertInt(v.LegIntPurposeIDs, p)
 		}
 	case u < 0.74: // begin requesting consent for a new purpose
 		if p, ok := pick(func(p int) bool { return !v.RequestsConsent(p) }); ok {
-			v.PurposeIDs = append(v.PurposeIDs, p)
+			v.PurposeIDs = insertInt(v.PurposeIDs, p)
 		}
 	case u < 0.86: // claim a new purpose under legitimate interest
 		if p, ok := pick(func(p int) bool { return !v.ClaimsLegitimateInterest(p) && !v.RequestsConsent(p) }); ok {
-			v.LegIntPurposeIDs = append(v.LegIntPurposeIDs, p)
+			v.LegIntPurposeIDs = insertInt(v.LegIntPurposeIDs, p)
 		}
 	case u < 0.93: // stop requesting consent
 		if p, ok := pick(v.RequestsConsent); ok {
@@ -246,13 +246,27 @@ func mutateVendor(v *Vendor, u float64, purposeSeed int) {
 	}
 }
 
+// removeInt returns a fresh slice of xs without x, nil when nothing
+// is left (an empty declaration publishes as null). It never writes
+// into xs, which published versions may share.
 func removeInt(xs []int, x int) []int {
-	out := xs[:0]
+	var out []int
 	for _, v := range xs {
 		if v != x {
 			out = append(out, v)
 		}
 	}
+	return out
+}
+
+// insertInt returns a fresh sorted slice of the sorted xs plus x. It
+// never writes into xs, which published versions may share.
+func insertInt(xs []int, x int) []int {
+	i := sort.SearchInts(xs, x)
+	out := make([]int, len(xs)+1)
+	copy(out, xs[:i])
+	out[i] = x
+	copy(out[i+1:], xs[i:])
 	return out
 }
 

@@ -53,9 +53,12 @@ func mix64(z uint64) uint64 {
 }
 
 // Stream returns an independent *rand.Rand for the given key parts.
-// Identical (seed, parts) always yield an identical stream.
+// Identical (seed, parts) always yield an identical stream: the one
+// rand.New(rand.NewSource(int64(hash))) yields, seeded lazily
+// (lazySource) so a stream that draws a few values costs a few words
+// of seeding, not 607.
 func (s *Source) Stream(parts ...string) *rand.Rand {
-	return rand.New(rand.NewSource(int64(s.hash(parts...))))
+	return newRand(int64(s.hash(parts...)))
 }
 
 // Derive returns a child Source whose streams are independent from the

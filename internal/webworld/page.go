@@ -254,11 +254,23 @@ func (w *World) pageStream(d *Domain, path string, ctx VisitContext) *rng.Source
 	return w.src.Derive("page", d.Name, path, ctx.Day.String(), ctx.Geo.String())
 }
 
+// assetPaths are the paths of a page's first-party assets (at most
+// 4+11 of them), formatted once rather than on every render.
+var assetPaths = func() (paths [15]string) {
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/static/asset-%d.js", i)
+	}
+	return paths
+}()
+
 // renderContent emits the resources, cookies and dialog state for a
 // successfully loaded page.
 func (w *World) renderContent(d *Domain, p *Page, ctx VisitContext) {
 	ps := w.pageStream(d, p.Path, ctx)
 	r := ps.Stream("load")
+	// Room for every resource a page can load: the document, its
+	// assets, the trackers and a CMP's three files.
+	p.Resources = make([]Resource, 0, 1+len(assetPaths)+len(trackerHosts)+3)
 
 	// Base document and first-party assets.
 	addRes := func(host, path string, startMS, compressed, raw int) {
@@ -270,7 +282,7 @@ func (w *World) renderContent(d *Domain, p *Page, ctx VisitContext) {
 	addRes(p.FinalHost, p.Path, 0, 18_000+r.Intn(40_000), 70_000+r.Intn(150_000))
 	nAssets := 4 + r.Intn(12)
 	for i := 0; i < nAssets; i++ {
-		addRes(p.FinalHost, fmt.Sprintf("/static/asset-%d.js", i),
+		addRes(p.FinalHost, assetPaths[i],
 			80+r.Intn(900), 3_000+r.Intn(30_000), 9_000+r.Intn(90_000))
 	}
 	// Third-party trackers on most non-bare pages.
@@ -319,8 +331,8 @@ func (w *World) renderContent(d *Domain, p *Page, ctx VisitContext) {
 		}
 	}
 	p.IdleAtMS = 1_600 + r.Intn(2_400)
-	p.ScreenshotText = fmt.Sprintf("Welcome to %s — latest stories and updates.", d.Name)
-	p.DOM = fmt.Sprintf("<html><head><title>%s</title></head><body><main class=\"content\">…</main>%s</body></html>", d.Name, "")
+	p.ScreenshotText = "Welcome to " + d.Name + " — latest stories and updates."
+	p.DOM = "<html><head><title>" + d.Name + "</title></head><body><main class=\"content\">…</main></body></html>"
 
 	cmp := d.CMPAt(ctx.Day)
 	if cmp == cmps.None || bare {
