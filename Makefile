@@ -12,6 +12,7 @@ check: vet build race chaos fleet-determinism analyze-determinism $(SMOKES) benc
 
 vet:
 	$(GO) vet -tags obsoverhead ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

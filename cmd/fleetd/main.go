@@ -21,6 +21,13 @@
 //	GET  /config                       RunConfig for workers
 //	GET  /healthz                      liveness (never load-shed)
 //
+// -max-leases is also the grant window: no chunk that many chunks or
+// more past the lowest unfinished one is leased, so at most
+// -max-leases-1 batches wait in the store's reorder buffer for a gap.
+// It must not exceed the -ingest-pending of the capd or capring behind
+// -ingest (both default to 64), or pushes past the gap are shed while
+// no worker is free to crawl it.
+//
 // Workers need only the coordinator address: every run parameter that
 // determinism depends on (world seed, crawl seed, retry budget,
 // politeness, the capd ingest URL) is served on /config, so a fleet
@@ -69,7 +76,7 @@ func run() int {
 		leaseSize  = flag.Int("lease-size", 32, "work items per lease")
 		leaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "lease time-to-live without a heartbeat")
 		budget     = flag.Int("retry-budget", 3, "leases a chunk may consume before its shares are dead-lettered")
-		maxLeases  = flag.Int("max-leases", 64, "in-flight lease ceiling; beyond it lease requests are shed")
+		maxLeases  = flag.Int("max-leases", 64, "in-flight lease ceiling and grant window; beyond it lease requests are shed (at most the store's -ingest-pending)")
 		checkpoint = flag.String("checkpoint", "", "progress log for crash-safe resume")
 		retries    = flag.Int("retries", 3, "worker-side attempt budget per share")
 		breaker    = flag.Int("breaker", 0, "worker-side per-domain breaker threshold (0 disables; breakers are order-dependent, keep 0 for reproducible runs)")

@@ -106,11 +106,14 @@ type Follower struct {
 	cfg        FollowerConfig
 	lastCkpt   int64
 	lastCounts []int
+	// rr reads every shard stream in turn, so a sweep allocates no
+	// reader buffer.
+	rr *capturedb.RecordReader
 }
 
 // NewFollower returns a follower over the config.
 func NewFollower(cfg FollowerConfig) *Follower {
-	return &Follower{cfg: cfg.withDefaults(), lastCkpt: -1}
+	return &Follower{cfg: cfg.withDefaults(), lastCkpt: -1, rr: capturedb.NewRecordReader(nil)}
 }
 
 // Resume loads the newest valid checkpoint into the engine, if any.
@@ -220,7 +223,9 @@ func (f *Follower) followShard(shard, from, want int) (int64, error) {
 		return 0, err
 	}
 	defer rc.Close()
-	rr := capturedb.NewRecordReader(rc)
+	rr := f.rr
+	rr.Reset(rc)
+	defer rr.Reset(nil)
 	batch := make([]*capture.Capture, 0, f.cfg.BatchSize)
 	var applied int64
 	flush := func() {

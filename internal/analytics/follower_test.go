@@ -3,12 +3,15 @@ package analytics
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/capstore"
 	"repro/internal/capture"
+	"repro/internal/capturedb"
 )
 
 // fillStore appends captures [from, to) of the deterministic stream.
@@ -205,5 +208,47 @@ func TestClientSourceFollowsLiveServer(t *testing.T) {
 		if !bytes.Equal(got[name], w) {
 			t.Errorf("view %s: client-source follower diverged from batch", name)
 		}
+	}
+}
+
+// linesSource serves the same wire lines as every shard's stream.
+type linesSource struct{ body []byte }
+
+func (s linesSource) Counts() ([]int, error) { return []int{bytes.Count(s.body, []byte{'\n'})}, nil }
+
+func (s linesSource) Stream(shard, from int) (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(s.body)), nil
+}
+
+// TestFollowShardReusesReader: the follower reads every shard stream of
+// every sweep through one record reader, so a short stream costs its
+// records' decoding, not a 64 KiB read buffer.
+func TestFollowShardReusesReader(t *testing.T) {
+	var body []byte
+	for i := 0; i < 4; i++ {
+		line, err := capturedb.Encode(testCapture(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(body, line...)
+	}
+	f := NewFollower(FollowerConfig{Source: linesSource{body}, Engine: NewEngine(testConfig())})
+	follow := func() {
+		if n, err := f.followShard(0, 0, 4); n != 4 || err != nil {
+			t.Fatalf("followShard: %d records, %v", n, err)
+		}
+	}
+	follow()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		follow()
+	}
+	runtime.ReadMemStats(&after)
+	b := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("a 4-record shard stream allocates %.0f bytes", b)
+	if b > 32<<10 {
+		t.Errorf("a 4-record shard stream allocates %.0f bytes, want under 32 KiB (no 64 KiB reader per stream)", b)
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/capture"
@@ -24,7 +26,7 @@ import (
 type Client struct {
 	// BaseURL is the capd root, e.g. "http://127.0.0.1:8650".
 	BaseURL string
-	// HTTP defaults to http.DefaultClient.
+	// HTTP defaults to HTTPClient(0).
 	HTTP *http.Client
 	// Retry, when enabled (MaxAttempts > 1), makes ingest pushes absorb
 	// transient failures client-side instead of surfacing them to the
@@ -47,7 +49,53 @@ func (cl *Client) httpClient() *http.Client {
 	if cl.HTTP != nil {
 		return cl.HTTP
 	}
-	return http.DefaultClient
+	return storageClient
+}
+
+// storageTransport is what the storage tiers talk over: the default
+// transport, whose connections copy a request body through a pooled
+// buffer, and which keeps more idle connections per host than the
+// default two, because a ring node serves a sender, read lanes and
+// probes at once.
+//
+// net/http sends a body of known length through an io.LimitReader, and
+// a body it does not know to be in memory (or one that overflows its
+// write buffer) reaches the connection's ReadFrom. A net.TCPConn copies
+// such a reader through a buffer it allocates for the call: per push,
+// the largest garbage the storage path made that no tier keeps.
+var storageTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 16
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return copyConn{c}, nil
+	}
+	return t
+}()
+
+// copyConn is a storage connection whose ReadFrom copies through a
+// buffer from copyBufs.
+type copyConn struct{ net.Conn }
+
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+func (c copyConn) ReadFrom(r io.Reader) (int64, error) {
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	// The struct hides the connection's own ReadFrom from CopyBuffer.
+	return io.CopyBuffer(struct{ io.Writer }{c.Conn}, r, buf[:])
+}
+
+var storageClient = HTTPClient(0)
+
+// HTTPClient returns a client over the storage transport, the one
+// every Client without its own HTTP uses, bounded by timeout (0: none).
+func HTTPClient(timeout time.Duration) *http.Client {
+	return &http.Client{Transport: storageTransport, Timeout: timeout}
 }
 
 // params encodes the shared Query type as URL parameters; a set upper
@@ -143,6 +191,10 @@ func (cl *Client) Query(q capturedb.Query, limit, offset int, fn func(*capture.C
 	}, fn)
 }
 
+// readers holds the record readers of finished streams, so a stream
+// does not allocate a reader buffer of its own.
+var readers = sync.Pool{New: func() any { return capturedb.NewRecordReader(nil) }}
+
 // stream runs one /query request and hands its rows to fn as the
 // server sent them, each valid only during the call.
 func (cl *Client) stream(ctx context.Context, v url.Values, fn func(line []byte) bool) error {
@@ -151,7 +203,12 @@ func (cl *Client) stream(ctx context.Context, v url.Values, fn func(line []byte)
 		return err
 	}
 	defer resp.Body.Close()
-	rr := capturedb.NewRecordReader(resp.Body)
+	rr := readers.Get().(*capturedb.RecordReader)
+	rr.Reset(resp.Body)
+	defer func() {
+		rr.Reset(nil)
+		readers.Put(rr)
+	}()
 	for {
 		line, err := rr.NextLine()
 		if err == io.EOF {
@@ -214,14 +271,28 @@ func parseRetryAfter(h string) time.Duration {
 // IngestResult. trace, when non-empty, rides the Traceparent header so
 // the server's ingest span joins the pusher's trace. A 503 (reorder
 // buffer full) is surfaced as a *ShedError wrapping ErrIngestShed.
-func (cl *Client) ingestOnce(v url.Values, trace string, body []byte) (IngestResult, error) {
+func (cl *Client) ingestOnce(v url.Values, trace string, body [][]byte) (IngestResult, error) {
 	u := cl.BaseURL + "/ingest"
 	if enc := v.Encode(); enc != "" {
 		u += "?" + enc
 	}
-	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, u, nil)
 	if err != nil {
 		return IngestResult{}, err
+	}
+	for _, p := range body {
+		req.ContentLength += int64(len(p))
+	}
+	switch {
+	case req.ContentLength == 0:
+	case len(body) == 1:
+		// A reader net/http knows to be in memory: it sends the headers
+		// and the start of the body in one write.
+		req.Body = io.NopCloser(bytes.NewReader(body[0]))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body[0])), nil }
+	default:
+		req.Body = &linesBody{parts: body}
+		req.GetBody = func() (io.ReadCloser, error) { return &linesBody{parts: body}, nil }
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	if trace != "" {
@@ -233,6 +304,32 @@ func (cl *Client) ingestOnce(v url.Values, trace string, body []byte) (IngestRes
 	}
 	return ingestReply(resp)
 }
+
+// linesBody reads a request body that is the concatenation of parts
+// without joining them. The parts are only read, and only until the
+// transport closes the body, which may be after the request returns
+// (see DESIGN.md, "Buffer ownership on the storage path").
+type linesBody struct {
+	parts [][]byte
+	off   int // into parts[0]
+}
+
+func (b *linesBody) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) && len(b.parts) > 0 {
+		c := copy(p[n:], b.parts[0][b.off:])
+		n += c
+		if b.off += c; b.off == len(b.parts[0]) {
+			b.parts, b.off = b.parts[1:], 0
+		}
+	}
+	if n == 0 && len(b.parts) == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (b *linesBody) Close() error { return nil }
 
 // ingestReply reads an /ingest reply: the IngestResult, or a *ShedError
 // for a 503.
@@ -252,7 +349,7 @@ func ingestReply(resp *http.Response) (IngestResult, error) {
 // duplicates. Shedding honours the server's Retry-After (or the
 // policy's backoff, whichever is longer); other errors retry only when
 // the resilience taxonomy classifies them Retryable.
-func (cl *Client) ingest(v url.Values, trace string, body []byte) (IngestResult, error) {
+func (cl *Client) ingest(v url.Values, trace string, body [][]byte) (IngestResult, error) {
 	res, err := cl.ingestOnce(v, trace, body)
 	if err == nil || !cl.Retry.Enabled() {
 		return res, err
@@ -280,17 +377,21 @@ func (cl *Client) ingest(v url.Values, trace string, body []byte) (IngestResult,
 	return res, err
 }
 
-// encodeBatch renders captures as an NDJSON request body.
+// encodeBatch renders captures as an NDJSON request body, into one
+// buffer sized for all of them.
 func encodeBatch(caps []*capture.Capture) ([]byte, error) {
-	var buf bytes.Buffer
+	n := 0
 	for _, c := range caps {
-		line, err := capturedb.Encode(c)
-		if err != nil {
+		n += capturedb.EncodedSize(c)
+	}
+	buf := make([]byte, 0, n)
+	for _, c := range caps {
+		var err error
+		if buf, err = capturedb.AppendEncode(buf, c); err != nil {
 			return nil, err
 		}
-		buf.Write(line)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // Record pushes one capture over /ingest (unordered mode). Re-delivery
@@ -306,7 +407,7 @@ func (cl *Client) RecordBatch(caps []*capture.Capture) (IngestResult, error) {
 	if err != nil {
 		return IngestResult{}, err
 	}
-	return cl.ingest(nil, "", body)
+	return cl.ingest(nil, "", [][]byte{body})
 }
 
 // RecordLinesTrace pushes wire lines, newline-terminated, over /ingest
@@ -314,7 +415,7 @@ func (cl *Client) RecordBatch(caps []*capture.Capture) (IngestResult, error) {
 // forwards the lines it received — carrying a propagated trace context
 // (traceparent form; empty disables).
 func (cl *Client) RecordLinesTrace(trace string, lines [][]byte) (IngestResult, error) {
-	return cl.ingest(nil, trace, bytes.Join(lines, nil))
+	return cl.ingest(nil, trace, lines)
 }
 
 // RecordBatchAt pushes the ordered batch covering work items [at, at+n)
@@ -338,7 +439,7 @@ func (cl *Client) RecordBatchAtTrace(trace string, at, n int64, caps []*capture.
 	v := url.Values{}
 	v.Set("at", strconv.FormatInt(at, 10))
 	v.Set("n", strconv.FormatInt(n, 10))
-	return cl.ingest(v, trace, body)
+	return cl.ingest(v, trace, [][]byte{body})
 }
 
 // RecordStream pushes a raw wire-format NDJSON stream over /ingest

@@ -205,6 +205,9 @@ func (s *Store) CompactShard(i int) (int64, error) {
 	return s.compactShard(i, nil)
 }
 
+// compactReaders holds the read buffers of finished compactions.
+var compactReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // compactShard is the compaction kernel. The shard lock is held only
 // to snapshot the tail prefix with its index and, at the end, to
 // publish the pack and swap in the rewritten tail; the pack build
@@ -262,7 +265,12 @@ func (s *Store) compactShard(i int, cfg *CompactConfig) (int64, error) {
 	if err != nil {
 		return done(err)
 	}
-	r := bufio.NewReaderSize(io.NewSectionReader(tail, metas[0].off, cut-metas[0].off), 64<<10)
+	r := compactReaders.Get().(*bufio.Reader)
+	r.Reset(io.NewSectionReader(tail, metas[0].off, cut-metas[0].off))
+	defer func() {
+		r.Reset(nil)
+		compactReaders.Put(r)
+	}()
 	next := metas[0].off
 	var buf []byte
 	for _, meta := range metas {
@@ -319,7 +327,7 @@ func (s *Store) compactShard(i int, cfg *CompactConfig) (int64, error) {
 	// in-flight queries may still be reading from it through their
 	// snapshot. It is garbage-collected once the last reader drops it.
 	sh.f = nf
-	sh.bw = bufio.NewWriterSize(nf, 1<<16)
+	sh.bw.Reset(nf) // flushed above
 	sh.end = newEnd
 
 	remaining := sh.recs[n:]

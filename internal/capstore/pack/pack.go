@@ -57,9 +57,14 @@ func HashUpdate(h uint64, p []byte) uint64 {
 	return h
 }
 
+// hashBufs holds HashReader's read buffers between calls.
+var hashBufs = sync.Pool{New: func() any { return new([64 << 10]byte) }}
+
 // HashReader folds everything read from r into h.
 func HashReader(h uint64, r io.Reader) (uint64, error) {
-	buf := make([]byte, 64<<10)
+	arr := hashBufs.Get().(*[64 << 10]byte)
+	defer hashBufs.Put(arr)
+	buf := arr[:]
 	for {
 		n, err := r.Read(buf)
 		h = HashUpdate(h, buf[:n])
@@ -175,10 +180,12 @@ func NewBuilder(path string, base Base) (*Builder, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := writers.Get().(*bufio.Writer)
+	w.Reset(tmp)
 	return &Builder{
 		path:    path,
 		tmp:     tmp,
-		w:       bufio.NewWriterSize(tmp, 64<<10),
+		w:       w,
 		base:    base,
 		hash:    base.Hash,
 		domains: make(map[string][]int32),
@@ -231,8 +238,21 @@ func (b *Builder) SetPostings(domains, hosts map[string][]int32) {
 	}
 }
 
-// Abort discards the temp file.
-func (b *Builder) Abort() { b.tmp.Abort() }
+// writers holds the write buffers of finished builders.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// errDone is a builder's error once it has committed or aborted.
+var errDone = errors.New("pack: builder already committed or aborted")
+
+// Abort discards the temp file and ends the builder.
+func (b *Builder) Abort() {
+	b.tmp.Abort()
+	if b.w != nil {
+		b.w.Reset(nil)
+		writers.Put(b.w)
+		b.w, b.err = nil, errDone
+	}
+}
 
 // checkPostings reports a posting list that is not ascending or names
 // a record the pack does not hold.

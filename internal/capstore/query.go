@@ -203,8 +203,8 @@ func (e *exec) keep(line []byte) (bool, error) {
 		c, err := capturedb.Decode(line)
 		return err == nil && e.q.Match(c), err
 	}
-	c, err := capturedb.DecodeHead(line)
-	return err == nil && c.Vantage.Name == e.q.Vantage, err
+	v, err := capturedb.Vantage(line)
+	return err == nil && string(v) == e.q.Vantage, err
 }
 
 // row accounts for one record read from disk and delivers its stored

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -46,6 +45,60 @@ func (w *Writer) Reader() *Reader { return &Reader{w: w} }
 // response, so a read buffers at most one budget per storage node
 // however large the segments are.
 const rowBudget = 256
+
+// blockRows is how many rows a stream copies into one block before it
+// hands the block to the merge. A stalled stream holds its channel's
+// blocks, the one it has filled and waits to send, and the one the
+// merge is reading: blockBudget channel slots keep that to rowBudget.
+const (
+	blockRows   = 32
+	blockBudget = rowBudget/blockRows - 2
+)
+
+// rowBlock is a run of rows copied out of one segment's stream, back
+// to back in buf, row i ending at ends[i]. A block goes back to
+// freeBlocks once the merge has handed its rows on, so a read copies
+// rows into buffers earlier reads grew.
+type rowBlock struct {
+	buf  []byte
+	ends []int
+}
+
+// freeBlocks holds released blocks: a bounded channel rather than a
+// sync.Pool, which every collection empties, so that the read-ahead of
+// a sweep — a few blocks per stream — is allocated once, not per sweep.
+// It holds what three nodes' streams have in flight; a block grown past
+// maxFreeBlock by long rows is left to the collector.
+var freeBlocks = make(chan *rowBlock, 3*(blockBudget+2))
+
+const maxFreeBlock = 2 * blockRows << 10
+
+func getBlock() *rowBlock {
+	select {
+	case b := <-freeBlocks:
+		return b
+	default:
+		return &rowBlock{ends: make([]int, 0, blockRows)}
+	}
+}
+
+func (b *rowBlock) add(line []byte) {
+	b.buf = append(b.buf, line...)
+	b.ends = append(b.ends, len(b.buf))
+}
+
+func (b *rowBlock) release() {
+	if cap(b.buf) > maxFreeBlock {
+		return
+	}
+	b.buf, b.ends = b.buf[:0], b.ends[:0]
+	select {
+	case freeBlocks <- b:
+	default:
+	}
+}
+
+func blockLen(b *rowBlock) int { return len(b.ends) }
 
 // The read plans, as the plan label of the repl_read_* families.
 const (
@@ -106,8 +159,8 @@ func (r *Reader) Query(q capturedb.Query, limit, offset int, fn func(*capture.Ca
 }
 
 // query merges the nodes' rows as the lines they stored: a row is
-// copied out of its stream, to wait in the read-ahead, but never
-// decoded.
+// copied out of its stream into a block, to wait in the read-ahead, but
+// never decoded.
 func (r *Reader) query(ctx context.Context, q capturedb.Query, limit, offset int, fn func(line []byte) bool) error {
 	segs := r.route(q)
 	plan := planFanout
@@ -115,13 +168,36 @@ func (r *Reader) query(ctx context.Context, q capturedb.Query, limit, offset int
 		plan = planRouted
 	}
 	defer r.observe(plan, len(segs), time.Now())
-	return mergeSegments(ctx, r, segs, rowBudget,
-		func(ctx context.Context, nd *node, s, got int, emit func([]byte) bool) error {
-			return nd.cl.QueryShardLines(ctx, s, q, 0, got, func(line []byte) bool {
-				return emit(bytes.Clone(line))
+	page := capstore.Page(limit, offset, fn)
+	return mergeSegments(ctx, r, segs, blockBudget, blockLen,
+		func(ctx context.Context, nd *node, s, got int, emit func(*rowBlock) bool) error {
+			blk := getBlock()
+			err := nd.cl.QueryShardLines(ctx, s, q, 0, got, func(line []byte) bool {
+				if blk.add(line); len(blk.ends) < blockRows {
+					return true
+				}
+				ok := emit(blk)
+				blk = getBlock()
+				return ok
 			})
+			if err == nil && len(blk.ends) > 0 {
+				emit(blk)
+			} else {
+				blk.release()
+			}
+			return err
 		},
-		capstore.Page(limit, offset, fn))
+		func(blk *rowBlock) bool {
+			start := 0
+			for _, end := range blk.ends {
+				if !page(blk.buf[start:end]) {
+					return false
+				}
+				start = end
+			}
+			blk.release()
+			return true
+		})
 }
 
 // Count sums per-segment counts over the segments Query would visit.
@@ -133,7 +209,7 @@ func (r *Reader) count(ctx context.Context, q capturedb.Query) (int, error) {
 	segs := r.route(q)
 	defer r.observe(planCount, len(segs), time.Now())
 	total := 0
-	err := mergeSegments(ctx, r, segs, 1,
+	err := mergeSegments(ctx, r, segs, 1, func(int) int { return 1 },
 		func(ctx context.Context, nd *node, s, _ int, emit func(int) bool) error {
 			n, err := nd.cl.CountShard(ctx, s, q)
 			if err == nil {
@@ -152,17 +228,18 @@ func (r *Reader) count(ctx context.Context, q capturedb.Query) (int, error) {
 }
 
 // segOp asks node nd for segment s, handing what it answers to emit.
-// got is how many values earlier attempts at the segment already
-// emitted — the resume offset; emit returning false means stop.
+// got is how many rows earlier attempts at the segment already emitted
+// — the resume offset; emit returning false means stop.
 type segOp[T any] func(ctx context.Context, nd *node, s, got int, emit func(T) bool) error
 
 // mergeSegments runs op over segs and hands what each segment emits to each,
 // strictly in segs order, until each returns false. Segments are
 // started in order, at most one per storage node ahead of the merge,
 // and each buffers at most budget values; a full buffer blocks its
-// stream. It returns once every stream it started has ended: an
-// early stop or a cancelled ctx cancels them.
-func mergeSegments[T any](ctx context.Context, r *Reader, segs []int, budget int, op segOp[T], each func(T) bool) error {
+// stream. rows says how many rows a value carries. It returns once
+// every stream it started has ended: an early stop or a cancelled ctx
+// cancels them.
+func mergeSegments[T any](ctx context.Context, r *Reader, segs []int, budget int, rows func(T) int, op segOp[T], each func(T) bool) error {
 	ctx, cancel := context.WithCancel(ctx)
 	f := newFanout(ctx, r)
 	var wg sync.WaitGroup
@@ -193,9 +270,10 @@ func mergeSegments[T any](ctx context.Context, r *Reader, segs []int, budget int
 				st.err = f.serve(s, func(ctx context.Context, nd *node) error {
 					cut := false
 					err := op(ctx, nd, s, got, func(v T) bool {
+						n := rows(v) // v is the merge's once sent
 						select {
 						case st.out <- v:
-							got++
+							got += n
 							return true
 						case <-ctx.Done():
 							cut = true

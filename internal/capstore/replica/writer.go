@@ -221,6 +221,7 @@ type node struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []item
+	sending bool // the sender holds a dequeued item
 	st      nodeState
 	dirty   bool
 	closed  bool
@@ -257,6 +258,10 @@ type Writer struct {
 	committed   int64
 	closed      bool
 	done        chan struct{}
+	// progress is closed and replaced whenever a sender finishes a
+	// delivery or a node finishes a revival: what WaitConverged waits on
+	// between looks.
+	progress chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -294,10 +299,11 @@ func NewWriter(cfg Config) (*Writer, error) {
 		awaiting:    make(map[int64]*commitWait),
 		shardCounts: make([]int64, cfg.Shards),
 		done:        make(chan struct{}),
+		progress:    make(chan struct{}),
 	}
 	httpClient := cfg.HTTP
 	if httpClient == nil {
-		httpClient = &http.Client{Timeout: cfg.NodeTimeout}
+		httpClient = capstore.HTTPClient(cfg.NodeTimeout)
 	}
 	for _, nc := range cfg.Nodes {
 		cl := capstore.NewClient(nc.URL)
@@ -539,6 +545,12 @@ func (w *Writer) fanOutLocked(b capstore.Batch) *commitWait {
 	return wait
 }
 
+// noteProgressLocked wakes WaitConverged. Caller holds w.mu.
+func (w *Writer) noteProgressLocked() {
+	close(w.progress)
+	w.progress = make(chan struct{})
+}
+
 // ackDelivery credits a delivered sub-batch against its commit's
 // quorum.
 func (w *Writer) ackDelivery(it item) {
@@ -642,7 +654,7 @@ func (w *Writer) Converged() (bool, error) {
 	}
 	for _, n := range w.nodes {
 		n.mu.Lock()
-		busy := len(n.queue) > 0 || n.st != nodeUp || n.dirty
+		busy := len(n.queue) > 0 || n.sending || n.st != nodeUp || n.dirty
 		n.mu.Unlock()
 		if busy {
 			return false, nil
@@ -663,21 +675,36 @@ func (w *Writer) Converged() (bool, error) {
 	return true, nil
 }
 
-// WaitConverged polls Converged until it holds or the deadline passes.
+// WaitConverged waits until Converged holds or timeout passes. It
+// looks again whenever a sender finishes a delivery or a node finishes
+// a revival, the events that can make it hold, and, after a look that
+// failed to reach a node, once per ProbeInterval.
 func (w *Writer) WaitConverged(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
+		w.mu.Lock()
+		progress := w.progress
+		w.mu.Unlock()
 		ok, err := w.Converged()
 		if ok {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		var retry <-chan time.Time
+		if err != nil {
+			retry = time.After(w.cfg.ProbeInterval)
+		}
+		select {
+		case <-progress:
+		case <-retry:
+		case <-w.done:
+			return ErrClosed
+		case <-deadline.C:
 			if err == nil {
 				err = errors.New("replicas not converged")
 			}
 			return fmt.Errorf("replica: convergence wait timed out: %w", err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -757,6 +784,7 @@ func (n *node) dequeue() (item, senderWork) {
 	}
 	it := n.queue[0]
 	n.queue = n.queue[1:]
+	n.sending = true
 	n.depth.Set(float64(len(n.queue)))
 	return it, workDeliver
 }
@@ -774,6 +802,12 @@ func (n *node) run() {
 			}
 		case workDeliver:
 			n.deliver(it)
+			n.w.mu.Lock()
+			n.mu.Lock()
+			n.sending = false
+			n.mu.Unlock()
+			n.w.noteProgressLocked()
+			n.w.mu.Unlock()
 		}
 	}
 }
@@ -899,6 +933,7 @@ func (n *node) awaitRevival() bool {
 				if !n.repair(watermark) {
 					return false
 				}
+				n.w.mu.Lock()
 				n.mu.Lock()
 				for s, c := range watermark {
 					if n.delivered[s] < c {
@@ -907,6 +942,8 @@ func (n *node) awaitRevival() bool {
 				}
 				n.dirty = false
 				n.mu.Unlock()
+				n.w.noteProgressLocked()
+				n.w.mu.Unlock()
 				return true
 			}
 			n.breaker.Failure() // reopen with a fresh cooldown

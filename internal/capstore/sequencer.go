@@ -3,6 +3,7 @@ package capstore
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strconv"
 
 	"repro/internal/capture"
@@ -41,6 +42,11 @@ type Batch struct {
 // A line that does not decode stops it: the result is its 1-based
 // number and capturedb.Decode's error — a line no tier may store.
 func (b *Batch) AddLines(data []byte) (int, error) {
+	lines := bytes.Count(data, []byte{'\n'})
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		lines++
+	}
+	b.grow(lines)
 	for n := 1; len(data) > 0; n++ {
 		end := bytes.IndexByte(data, '\n') + 1
 		if end == 0 {
@@ -66,6 +72,7 @@ func BatchOf(caps []*capture.Capture) (Batch, error) {
 		b     Batch
 		first error
 	)
+	b.grow(len(caps))
 	for _, c := range caps {
 		k := b.newKeys()
 		line, err := capturedb.EncodeKeys(c, &k)
@@ -78,6 +85,20 @@ func BatchOf(caps []*capture.Capture) (Batch, error) {
 		b.add(line, k)
 	}
 	return b, first
+}
+
+// hostsPerLine is how many distinct request hosts grow reserves room
+// for per line: a capture logs requests to a handful of hosts.
+const hostsPerLine = 8
+
+// grow makes room for n more lines, so that adding them grows no slice
+// unless their captures log more hosts than hostsPerLine on average.
+func (b *Batch) grow(n int) {
+	b.Lines = slices.Grow(b.Lines, n)
+	b.Keys = slices.Grow(b.Keys, n)
+	if free := cap(b.hosts) - len(b.hosts); free < n*hostsPerLine+16 {
+		b.hosts = make([][]byte, 0, n*hostsPerLine+16)
+	}
 }
 
 // newKeys returns empty keys for the next line, their host list cut

@@ -188,7 +188,7 @@ func Create(dir string, shards int) (*Store, error) {
 			return nil, err
 		}
 		s.shards[i].f = f
-		s.shards[i].bw = bufio.NewWriterSize(f, 1<<16)
+		s.shards[i].bw = tailWriter(f)
 	}
 	// Appends are never fsynced (Open repairs a torn tail and idempotent
 	// re-delivery refills a lost one), but the segment names must
@@ -438,7 +438,7 @@ func (s *Store) openTail(i int, sh *shard, segPath string) error {
 	if _, err := f.Seek(sh.end, io.SeekStart); err != nil {
 		return err
 	}
-	sh.bw = bufio.NewWriterSize(f, 1<<16)
+	sh.bw = tailWriter(f)
 	return nil
 }
 
@@ -526,6 +526,22 @@ func (s *Store) Flush() error {
 	return first
 }
 
+// tailWriters holds the append buffers of closed stores' shards.
+var tailWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
+
+// tailWriter returns a 64 KiB append buffer over a shard's tail file.
+func tailWriter(f *os.File) *bufio.Writer {
+	bw := tailWriters.Get().(*bufio.Writer)
+	bw.Reset(f)
+	return bw
+}
+
+// closedTail is what a closed shard appends to: its buffer went back to
+// tailWriters, and a late append or flush fails as on a closed file.
+type closedTail struct{}
+
+func (closedTail) Write([]byte) (int, error) { return 0, os.ErrClosed }
+
 // Close flushes and closes every segment and pack, returning the first
 // error encountered over the store's lifetime.
 func (s *Store) Close() error {
@@ -541,6 +557,11 @@ func (s *Store) Close() error {
 				s.fail(err)
 			}
 			sh.f = nil
+			if sh.bw != nil {
+				sh.bw.Reset(nil)
+				tailWriters.Put(sh.bw)
+				sh.bw = bufio.NewWriterSize(closedTail{}, 16)
+			}
 		}
 		for _, p := range sh.packs {
 			if err := p.Close(); err != nil {

@@ -119,7 +119,7 @@ func (r *rec) capture() (*capture.Capture, error) {
 // trailing newline, so other stores (capstore's segment files) can
 // reuse the framing byte-for-byte.
 func Encode(c *capture.Capture) ([]byte, error) {
-	line, err := AppendEncode(make([]byte, 0, encodedSize(c)), c)
+	line, err := AppendEncode(make([]byte, 0, EncodedSize(c)), c)
 	if err != nil {
 		return nil, err
 	}
@@ -253,6 +253,14 @@ type RecordReader struct {
 // NewRecordReader wraps r.
 func NewRecordReader(r io.Reader) *RecordReader {
 	return &RecordReader{br: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// Reset makes rr read r from its start, as NewRecordReader(r) would,
+// keeping its buffers: a reader that serves one stream after another
+// allocates them once. Lines rr returned before are invalid after it.
+func (rr *RecordReader) Reset(r io.Reader) {
+	rr.br.Reset(r)
+	*rr = RecordReader{br: rr.br, long: rr.long[:0]}
 }
 
 // Offset returns the byte offset at which the next record starts.

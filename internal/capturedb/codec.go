@@ -138,10 +138,11 @@ func AppendEncode(dst []byte, c *capture.Capture) ([]byte, error) {
 	return append(dst, "}\n"...), nil
 }
 
-// encodedSize bounds c's line length when its strings need no
-// escapes, so Encode allocates once: the keys and punctuation of every
-// field, 20 bytes per integer, and the strings' own bytes.
-func encodedSize(c *capture.Capture) int {
+// EncodedSize bounds c's line length when its strings need no escapes,
+// so a buffer of that size takes AppendEncode without growing: the keys
+// and punctuation of every field, 20 bytes per integer, and the
+// strings' own bytes.
+func EncodedSize(c *capture.Capture) int {
 	n := 182 + len(c.SeedURL) + len(c.FinalURL) + len(c.FinalDomain) + len(c.Vantage.Name) +
 		len(c.Config) + len(c.ScreenshotText) + len(c.Error)
 	for _, q := range c.Requests {
@@ -248,11 +249,18 @@ func (d *decoder) init(line []byte) {
 
 // has consumes s when the line continues with it — an optional key.
 func (c *cursor) has(s string) bool {
-	if c.ok && len(c.line)-c.i >= len(s) && string(c.line[c.i:c.i+len(s)]) == s {
-		c.i += len(s)
-		return true
+	if !c.ok || len(c.line)-c.i < len(s) {
+		return false
 	}
-	return false
+	// Byte by byte: inlined, this beats a memequal call on keys this
+	// short, and an absent optional key differs by its third byte.
+	for j, b := range c.line[c.i : c.i+len(s)] {
+		if b != s[j] {
+			return false
+		}
+	}
+	c.i += len(s)
+	return true
 }
 
 // lit consumes s, which the layout requires here.
@@ -352,6 +360,23 @@ func plain(line []byte, i int) int {
 		if b := line[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' {
 			break
 		}
+	}
+	return i
+}
+
+// plainCanonical is plain for a canonical string, which holds no raw
+// '<', '>' or '&' either (appendEscaped writes them as \u escapes): the
+// three more tests are the '"' test's with their own byte.
+func plainCanonical(line []byte, i int) int {
+	for ; i+8 <= len(line); i += 8 {
+		w := binary.LittleEndian.Uint64(line[i:])
+		m := (w - 0x20*lo) | ((w ^ '"'*lo) - lo) | ((w ^ '\\'*lo) - lo) | w |
+			((w ^ '<'*lo) - lo) | ((w ^ '>'*lo) - lo) | ((w ^ '&'*lo) - lo)
+		if m &= hi; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(line) && strClass[line[i]] == chPlain; i++ {
 	}
 	return i
 }
@@ -576,6 +601,31 @@ func decodeFast(line []byte) *capture.Capture {
 		return nil
 	}
 	return c
+}
+
+// Vantage returns the vantage name of line, read from its head — the
+// fields before "g" — as DecodeHead reads it, but without decoding: a
+// canonical head is walked in place, and the name is a slice of line
+// unless it holds an escape. Any other head is left to DecodeHead.
+func Vantage(line []byte) ([]byte, error) {
+	s := scanner{cursor: cursor{line: line, ok: true}}
+	s.lit(`{"s":`)
+	s.str()
+	s.lit(`,"f":`)
+	s.str()
+	s.lit(`,"d":`)
+	s.str()
+	s.lit(`,"t":`)
+	s.num()
+	s.lit(`,"v":`)
+	if v := s.key(); s.ok {
+		return v, nil
+	}
+	c, err := DecodeHead(line)
+	if err != nil {
+		return nil, err
+	}
+	return []byte(c.Vantage.Name), nil
 }
 
 // DecodeHead decodes only the head of a line — seed URL, final URL,

@@ -134,19 +134,19 @@ func (k *Keys) scan(line []byte) bool {
 	s.num()
 	if s.has(`,"r":[`) {
 		for more := true; more && s.ok; more = s.more() {
-			s.lit("[")
+			s.char('[')
 			if h := s.key(); len(h) > 0 {
 				s.addHost(h)
 			}
-			s.lit(",")
+			s.char(',')
 			s.str()
-			s.lit(",")
+			s.char(',')
 			s.num()
-			s.lit(",")
+			s.char(',')
 			s.num()
-			s.lit("]")
+			s.char(']')
 		}
-		s.lit("]")
+		s.char(']')
 	}
 	if s.has(`,"ck":[`) {
 		for more := true; more && s.ok; more = s.more() {
@@ -158,21 +158,21 @@ func (k *Keys) scan(line []byte) bool {
 				s.ok = false
 			}
 		}
-		s.lit("]")
+		s.char(']')
 	}
 	if s.has(`,"sto":[`) {
 		for more := true; more && s.ok; more = s.more() {
-			s.lit("[")
+			s.char('[')
 			s.num()
-			s.lit(",")
+			s.char(',')
 			s.str()
-			s.lit(",")
+			s.char(',')
 			s.str()
-			s.lit(",")
+			s.char(',')
 			s.bool()
-			s.lit("]")
+			s.char(']')
 		}
-		s.lit("]")
+		s.char(']')
 	}
 	if s.has(`,"sh":`) {
 		raw, _ := s.str()
@@ -235,18 +235,17 @@ var strClass = func() (t [256]uint8) {
 // str reads a string and returns its bytes between the quotes, escapes
 // as written, and whether it held any.
 func (s *scanner) str() (raw []byte, escaped bool) {
-	s.lit(`"`)
+	s.char('"')
 	if !s.ok {
 		return nil, false
 	}
 	line, start := s.line, s.i
-	for i := start; i < len(line); {
-		switch strClass[line[i]] {
-		case chPlain:
-			i++
-		case chQuote:
+	for i := plainCanonical(line, start); i < len(line); i = plainCanonical(line, i) {
+		if line[i] == '"' {
 			s.i = i + 1
 			return line[start:i:i], escaped
+		}
+		switch strClass[line[i]] {
 		case chEscape:
 			n := escapeLen(line[i:])
 			if n == 0 {

@@ -195,3 +195,36 @@ func BenchmarkScanKeys(b *testing.B) {
 		return err
 	})
 }
+
+// TestVantageMatchesDecodeHead: Vantage reads a line's vantage as
+// DecodeHead does, on canonical heads walked in place and on every
+// other head, which it leaves to DecodeHead.
+func TestVantageMatchesDecodeHead(t *testing.T) {
+	lines := append(readGolden(t), crawlLines(t)...)
+	for _, head := range []string{
+		`{"s":"a","f":"b","d":"c","t":3,"v":"EU \u003ccloud\u003e","g":0,"st":0}`, // escaped vantage
+		`{"s":"a<","f":"b","d":"c","t":3,"v":"US","g":0,"st":0}`,                  // raw '<': not canonical
+		`{"s":"a","f":"b","d":"c","t":-0,"v":"US","g":0,"st":0}`,                  // -0: not canonical
+		`{"v":"US","s":"a","f":"b","d":"c","t":3,"g":0,"st":0}`,                   // other key order
+		`{"s":"a","f":"b","d":"c","t":3,"v":"\ud83c","g":0,"st":0}`,               // lone surrogate
+		`{"s":"a","f":"b","d":"c","t":3,"v":"US"`,                                 // torn
+		`{"s":"a","f":"b"`, // torn in the head
+	} {
+		lines = append(lines, []byte(head+"\n"))
+	}
+	for _, line := range lines {
+		got, gerr := Vantage(line)
+		c, werr := DecodeHead(line)
+		var want string
+		if c != nil {
+			want = c.Vantage.Name
+		}
+		if (gerr != nil) != (werr != nil) || string(got) != want {
+			t.Errorf("%q: Vantage = %q (%v), DecodeHead's = %q (%v)", line, got, gerr, want, werr)
+		}
+	}
+	line := crawlLines(t)[0]
+	if n := testing.AllocsPerRun(100, func() { Vantage(line) }); n != 0 {
+		t.Errorf("Vantage of a canonical line: %v allocations, want 0", n)
+	}
+}

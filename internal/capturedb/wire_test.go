@@ -332,6 +332,23 @@ func TestStringKernel(t *testing.T) {
 			}
 		}
 	}
+	// plainCanonical stops where the key scanner's byte classes leave
+	// chPlain: also at a raw '<', '>' or '&'.
+	for off := 0; off <= 16; off++ {
+		for b := 0; b < 256; b++ {
+			s := bytes.Repeat([]byte{'a'}, 24)
+			s[off] = byte(b)
+			for start := 0; start < 8; start++ {
+				want := start
+				for want < len(s) && strClass[s[want]] == chPlain {
+					want++
+				}
+				if got := plainCanonical(s, start); got != want {
+					t.Fatalf("byte %#x at %d, from %d: plainCanonical = %d, want %d", b, off, start, got, want)
+				}
+			}
+		}
+	}
 	for _, r := range []string{"é", "—", "🍪", "\u2028", "\xe2\x80"} {
 		for off := 0; off <= 16; off++ {
 			v := strings.Repeat("a", off) + r + strings.Repeat("b", 24-off-len(r))

@@ -89,7 +89,11 @@ type CoordinatorConfig struct {
 	// its shares are dead-lettered (default 3).
 	LeaseRetryBudget int
 	// MaxActiveLeases bounds in-flight leases; requests beyond it are
-	// shed with an idle frame (default 64).
+	// shed with an idle frame (default 64). It is also the grant
+	// window: no chunk MaxActiveLeases or more chunks past the lowest
+	// unfinished one is granted, so it must not exceed the store's
+	// ordered-ingest reorder bound (capstore.IngestConfig and
+	// replica.Config MaxPendingBatches, also 64 by default).
 	MaxActiveLeases int
 	// IdleRetry is the retry hint sent with idle frames (default 250ms).
 	IdleRetry time.Duration
@@ -281,8 +285,18 @@ func (co *Coordinator) Grant(worker string, capacity int) *Frame {
 	// Lowest-first eligible chunk whose domains aren't already leased:
 	// the politeness guard, fleet-wide — two workers never crawl one
 	// registrable domain concurrently, mirroring StreamPlatform's
-	// per-domain spacing.
-	for _, c := range co.chunks {
+	// per-domain spacing. Only the MaxActiveLeases chunks from the
+	// lowest unfinished one on are eligible: the guard would otherwise
+	// let later chunks run past one it holds back until their pushes
+	// fill the store's reorder buffer, which then sheds every push
+	// while no worker is free to crawl the gap. Within the window at
+	// most MaxActiveLeases-1 batches wait there for the gap, so a store
+	// whose buffer holds MaxActiveLeases batches never sheds the fleet.
+	low := 0
+	for low < len(co.chunks) && (co.chunks[low].state == chunkDone || co.chunks[low].state == chunkDead) {
+		low++
+	}
+	for _, c := range co.chunks[low:min(low+co.cfg.MaxActiveLeases, len(co.chunks))] {
 		if c.state != chunkPending {
 			continue
 		}

@@ -339,3 +339,88 @@ func TestWorkerPatience(t *testing.T) {
 		t.Fatalf("worker took %v to give up, want ~patience", d)
 	}
 }
+
+// TestGrantWindowDrains: a hot domain in most chunks makes the
+// politeness guard hold chunks back while later ones run ahead. With a
+// store reorder buffer of four batches and four workers, the run must
+// drain: the coordinator grants no chunk MaxActiveLeases or more past
+// the lowest unfinished one, so pushes waiting for a held-back chunk
+// never fill the buffer and no worker is left retrying a shed push
+// while the chunk it waits for stays unleased.
+func TestGrantWindowDrains(t *testing.T) {
+	const leaseSize = 4
+	store, err := capstore.Create(t.TempDir(), fleetShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ing, err := capstore.NewIngester(store, capstore.IngestConfig{MaxPendingBatches: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := fleetWorld()
+	items := WorkFromFeed(fleetFeed(world), 0, fleetDays-1)
+	// The guard reads only an item's Domain; the crawl reads its URL. So
+	// relabelling makes one domain hot without changing what is crawled:
+	// it is in three chunks of every four, and each pair of chunks
+	// shares one more domain.
+	hot := items[0].Domain
+	for c := 0; c*leaseSize+1 < len(items); c++ {
+		if c%4 != 3 {
+			items[c*leaseSize].Domain = hot
+		}
+		items[c*leaseSize+1].Domain = fmt.Sprintf("pair-%d.example", c/2)
+	}
+	co, err := NewCoordinator(items, CoordinatorConfig{
+		LeaseSize:       leaseSize,
+		LeaseTTL:        time.Minute,
+		MaxActiveLeases: 4,
+		IdleRetry:       5 * time.Millisecond,
+		Skip: func(at, n int64) error {
+			_, err := ing.IngestBatchAt(at, n, nil)
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordSrv := httptest.NewServer(NewHandler(co, fleetRun, ServerConfig{}))
+	defer coordSrv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for i := 0; i < 4; i++ {
+		w, err := NewWorker(WorkerConfig{
+			ID:          fmt.Sprintf("worker-%d", i),
+			Coordinator: NewClient(coordSrv.URL),
+			Push: func(trace string, at, n int64, caps []*capture.Capture) error {
+				_, err := ing.IngestBatchAt(at, n, caps)
+				return err
+			},
+			World: world,
+			Run:   fleetRun,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	select {
+	case <-co.Done():
+	case <-time.After(20 * time.Second):
+		t.Fatalf("fleet did not drain: status=%+v ingest=%+v", co.Status(), ing.Stats())
+	}
+	if st := ing.Stats(); st.NextSeq != int64(len(items)) || st.Shed != 0 {
+		t.Errorf("ingest %+v: want every one of %d items committed and no push shed", st, len(items))
+	}
+}

@@ -248,12 +248,12 @@ func TestParseRule(t *testing.T) {
 	for _, bad := range []string{
 		"not-a-clause",
 		"name=x,kind=bogus,metric=m,threshold=1",
-		"name=x,kind=ratio,metric=m,threshold=0.1",         // ratio without denom
-		"name=x,kind=rate,metric=m",                        // threshold missing
-		"name=x,kind=rate,metric=m,threshold=1,fast=abc",   // bad duration
-		"name=x,kind=rate,metric=m,threshold=1,mystery=1",  // unknown key
-		"kind=rate,metric=m,threshold=1",                   // name missing
-		"name=x,kind=latency,metric=m,threshold=0",         // non-positive threshold
+		"name=x,kind=ratio,metric=m,threshold=0.1",        // ratio without denom
+		"name=x,kind=rate,metric=m",                       // threshold missing
+		"name=x,kind=rate,metric=m,threshold=1,fast=abc",  // bad duration
+		"name=x,kind=rate,metric=m,threshold=1,mystery=1", // unknown key
+		"kind=rate,metric=m,threshold=1",                  // name missing
+		"name=x,kind=latency,metric=m,threshold=0",        // non-positive threshold
 	} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) accepted", bad)
