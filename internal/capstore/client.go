@@ -54,9 +54,7 @@ func (cl *Client) httpClient() *http.Client {
 
 // storageTransport is what the storage tiers talk over: the default
 // transport, whose connections copy a request body through a pooled
-// buffer, and which keeps more idle connections per host than the
-// default two, because a ring node serves a sender, read lanes and
-// probes at once.
+// buffer.
 //
 // net/http sends a body of known length through an io.LimitReader, and
 // a body it does not know to be in memory (or one that overflows its
@@ -65,7 +63,6 @@ func (cl *Client) httpClient() *http.Client {
 // the largest garbage the storage path made that no tier keeps.
 var storageTransport = func() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConnsPerHost = 16
 	dial := t.DialContext
 	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
 		c, err := dial(ctx, network, addr)
@@ -97,6 +94,12 @@ var storageClient = HTTPClient(0)
 func HTTPClient(timeout time.Duration) *http.Client {
 	return &http.Client{Transport: storageTransport, Timeout: timeout}
 }
+
+// CloseIdleConnections closes the storage transport's idle
+// connections, as http.DefaultTransport's CloseIdleConnections does
+// for the default transport's: a process that tears down the servers
+// it talked to calls it so their connections do not pile up.
+func CloseIdleConnections() { storageTransport.CloseIdleConnections() }
 
 // params encodes the shared Query type as URL parameters; a set upper
 // bound is always sent explicitly so day-0 bounds survive the wire.

@@ -2,7 +2,10 @@ package replica
 
 import (
 	"errors"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -63,5 +66,65 @@ func TestWaitConvergedWakesOnDelivery(t *testing.T) {
 	go c2.w.Close()
 	if err := <-done; !errors.Is(err, ErrClosed) {
 		t.Fatalf("wait across Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseDropsIdleConnections: the node clients share the storage
+// transport, whose idle connections http.DefaultTransport's
+// CloseIdleConnections does not reach, so Close closes them: a node
+// the writer pushed to sees every connection closed once it returns.
+func TestCloseDropsIdleConnections(t *testing.T) {
+	store, err := capstore.Create(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ing, err := capstore.NewIngester(store, capstore.IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/ingest", ing)
+	mux.Handle("/", capstore.NewResilientHandler(store, capstore.ServeConfig{}))
+	srv := httptest.NewUnstartedServer(mux)
+	var mu sync.Mutex
+	open := 0
+	allClosed := make(chan struct{})
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch s {
+		case http.StateNew:
+			open++
+		case http.StateClosed, http.StateHijacked:
+			if open--; open == 0 {
+				close(allClosed)
+			}
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	w, err := NewWriter(Config{
+		Shards:        2,
+		Replicas:      1,
+		ProbeInterval: time.Hour,
+		Nodes:         []NodeConfig{{Name: "node-0", URL: srv.URL}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RecordBatch([]*capture.Capture{mkCapture(0), mkCapture(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-allClosed:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d connections still open after Close", open)
 	}
 }

@@ -57,30 +57,20 @@ const (
 
 // rowBlock is a run of rows copied out of one segment's stream, back
 // to back in buf, row i ending at ends[i]. A block goes back to
-// freeBlocks once the merge has handed its rows on, so a read copies
-// rows into buffers earlier reads grew.
+// blocks once the merge has handed its rows on, so a read copies rows
+// into buffers earlier reads grew.
 type rowBlock struct {
 	buf  []byte
 	ends []int
 }
 
-// freeBlocks holds released blocks: a bounded channel rather than a
-// sync.Pool, which every collection empties, so that the read-ahead of
-// a sweep — a few blocks per stream — is allocated once, not per sweep.
-// It holds what three nodes' streams have in flight; a block grown past
-// maxFreeBlock by long rows is left to the collector.
-var freeBlocks = make(chan *rowBlock, 3*(blockBudget+2))
+// blocks holds released blocks; a block grown past maxFreeBlock by
+// long rows is left to the collector.
+var blocks = sync.Pool{New: func() any { return &rowBlock{ends: make([]int, 0, blockRows)} }}
 
 const maxFreeBlock = 2 * blockRows << 10
 
-func getBlock() *rowBlock {
-	select {
-	case b := <-freeBlocks:
-		return b
-	default:
-		return &rowBlock{ends: make([]int, 0, blockRows)}
-	}
-}
+func getBlock() *rowBlock { return blocks.Get().(*rowBlock) }
 
 func (b *rowBlock) add(line []byte) {
 	b.buf = append(b.buf, line...)
@@ -92,10 +82,7 @@ func (b *rowBlock) release() {
 		return
 	}
 	b.buf, b.ends = b.buf[:0], b.ends[:0]
-	select {
-	case freeBlocks <- b:
-	default:
-	}
+	blocks.Put(b)
 }
 
 func blockLen(b *rowBlock) int { return len(b.ends) }

@@ -381,6 +381,11 @@ func (w *Writer) Close() error {
 		n.mu.Unlock()
 	}
 	w.wg.Wait()
+	if w.cfg.HTTP == nil {
+		// The node clients are the storage transport's: their
+		// connections to the nodes are idle now.
+		capstore.CloseIdleConnections()
+	}
 	var err error
 	for _, n := range w.nodes {
 		if n.handoff != nil {

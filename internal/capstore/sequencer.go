@@ -87,18 +87,10 @@ func BatchOf(caps []*capture.Capture) (Batch, error) {
 	return b, first
 }
 
-// hostsPerLine is how many distinct request hosts grow reserves room
-// for per line: a capture logs requests to a handful of hosts.
-const hostsPerLine = 8
-
-// grow makes room for n more lines, so that adding them grows no slice
-// unless their captures log more hosts than hostsPerLine on average.
+// grow makes room for n more lines; the host array grows in newKeys.
 func (b *Batch) grow(n int) {
 	b.Lines = slices.Grow(b.Lines, n)
 	b.Keys = slices.Grow(b.Keys, n)
-	if free := cap(b.hosts) - len(b.hosts); free < n*hostsPerLine+16 {
-		b.hosts = make([][]byte, 0, n*hostsPerLine+16)
-	}
 }
 
 // newKeys returns empty keys for the next line, their host list cut
