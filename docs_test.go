@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -299,4 +300,372 @@ func pathExists(p string) bool {
 	}
 	st, err := os.Stat(p[:dot])
 	return err == nil && st.IsDir()
+}
+
+// TestConfigFieldsSet: every exported field of an exported *Config
+// struct under internal/ is set somewhere outside its declaring
+// package's non-test files — by a key in a composite literal, an
+// unkeyed positional literal, an assignment to the field or taking its
+// address (flag.IntVar(&cfg.Workers, …)). Tests, cmd/, bench/ and
+// examples/ all count. A field nothing sets has one value in use and
+// is a constant; keeping it an option doubles the configurations the
+// tests must cover for nothing. Fields are matched by their owning
+// type, resolved syntactically (declared and inferred variable types,
+// struct field types, function results), not by name: two types'
+// same-named fields are different options.
+func TestConfigFieldsSet(t *testing.T) {
+	c := parseCensus(t)
+	type target struct{ typ, field string }
+	var targets []target
+	for _, typ := range c.configTypes {
+		for _, f := range c.structs[typ].order {
+			if token.IsExported(f) {
+				targets = append(targets, target{typ, f})
+			}
+		}
+	}
+	if len(targets) == 0 {
+		t.Fatal("no *Config structs found under internal/")
+	}
+	for _, f := range c.files {
+		c.scanSets(f)
+	}
+	for _, tg := range targets {
+		if !c.built[tg.typ] {
+			continue // a value the package hands out, such as crawler.ToplistConfig
+		}
+		if !c.set[tg.typ+"."+tg.field] {
+			t.Errorf("%s.%s: set nowhere outside its package's non-test files; make it a constant", tg.typ, tg.field)
+		}
+	}
+}
+
+// census is the parsed repository (both modules) with just enough
+// syntactic type information to tell which struct a field belongs to.
+// Type keys are "dir.Name", dir relative to the repository root.
+type census struct {
+	fset        *token.FileSet
+	files       []*censusFile
+	structs     map[string]*censusStruct
+	funcs       map[string]string // "dir.Func" or "dir.Recv.Method" → result type key
+	configTypes []string          // exported *Config structs of non-test internal/ files
+	set         map[string]bool   // "typeKey.Field" set by a counting file
+	built       map[string]bool   // struct types a counting file writes a literal of or sets a field of
+}
+
+type censusStruct struct {
+	dir    string
+	order  []string          // field names in declaration order
+	fields map[string]string // field name → type key ("" when not a known struct)
+	embeds []string          // embedded fields, for promotion
+}
+
+type censusFile struct {
+	f       *ast.File
+	dir     string
+	test    bool
+	imports map[string]string // local name → repository dir
+}
+
+func parseCensus(t *testing.T) *census {
+	c := &census{fset: token.NewFileSet(), structs: map[string]*censusStruct{},
+		funcs: map[string]string{}, set: map[string]bool{}, built: map[string]bool{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(c.fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		cf := &censusFile{f: f, dir: filepath.ToSlash(filepath.Dir(path)),
+			test: strings.HasSuffix(path, "_test.go"), imports: map[string]string{}}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			rel, ok := strings.CutPrefix(p, "repro/")
+			if !ok {
+				continue
+			}
+			name := rel[strings.LastIndex(rel, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			cf.imports[name] = rel
+		}
+		c.files = append(c.files, cf)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cf := range c.files {
+		for _, decl := range cf.f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					s := &censusStruct{dir: cf.dir, fields: map[string]string{}}
+					for _, fl := range st.Fields.List {
+						typ := cf.typeKey(fl.Type)
+						if len(fl.Names) == 0 {
+							name := embeddedName(fl.Type)
+							s.order = append(s.order, name)
+							s.fields[name] = typ
+							s.embeds = append(s.embeds, name)
+						}
+						for _, n := range fl.Names {
+							s.order = append(s.order, n.Name)
+							s.fields[n.Name] = typ
+						}
+					}
+					key := cf.dir + "." + ts.Name.Name
+					c.structs[key] = s
+					name := ts.Name.Name
+					if !cf.test && strings.HasPrefix(cf.dir, "internal/") && token.IsExported(name) &&
+						(name == "Config" || strings.HasSuffix(name, "Config")) {
+						c.configTypes = append(c.configTypes, key)
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Type.Results == nil || len(d.Type.Results.List) == 0 {
+					continue
+				}
+				res := cf.typeKey(d.Type.Results.List[0].Type)
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					c.funcs[cf.typeKey(d.Recv.List[0].Type)+"."+d.Name.Name] = res
+				} else {
+					c.funcs[cf.dir+"."+d.Name.Name] = res
+				}
+			}
+		}
+	}
+	sort.Strings(c.configTypes)
+	return c
+}
+
+func embeddedName(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return embeddedName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+// typeKey resolves a type expression written in cf to "dir.Name",
+// dropping pointers; "" for anything else.
+func (cf *censusFile) typeKey(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return cf.typeKey(x.X)
+	case *ast.ParenExpr:
+		return cf.typeKey(x.X)
+	case *ast.Ident:
+		if ast.IsExported(x.Name) || !isPredeclared(x.Name) {
+			return cf.dir + "." + x.Name
+		}
+	case *ast.SelectorExpr:
+		if pkg, ok := x.X.(*ast.Ident); ok && cf.imports[pkg.Name] != "" {
+			return cf.imports[pkg.Name] + "." + x.Sel.Name
+		}
+	}
+	return ""
+}
+
+func isPredeclared(name string) bool {
+	switch name {
+	case "bool", "byte", "rune", "string", "error", "any", "int", "int8", "int16", "int32", "int64",
+		"uint", "uint8", "uint16", "uint32", "uint64", "uintptr", "float32", "float64",
+		"complex64", "complex128":
+		return true
+	}
+	return false
+}
+
+// field returns the type key of owner's field name, looking through
+// embedded structs, and whether owner (or an embedded struct) has it;
+// found is the struct that declares it.
+func (c *census) field(owner, name string) (typ, found string, ok bool) {
+	s := c.structs[owner]
+	if s == nil {
+		return "", "", false
+	}
+	if typ, ok := s.fields[name]; ok {
+		return typ, owner, true
+	}
+	for _, e := range s.embeds {
+		if typ, found, ok := c.field(s.fields[e], name); ok {
+			return typ, found, true
+		}
+	}
+	return "", "", false
+}
+
+// scanSets records every field f sets on a struct of another package,
+// or of its own package when f is a test file.
+func (c *census) scanSets(f *censusFile) {
+	counts := func(typ string) bool { return f.test || c.structs[typ].dir != f.dir }
+	mark := func(owner, name string) {
+		if _, found, ok := c.field(owner, name); ok && counts(found) {
+			c.set[found+"."+name] = true
+			c.built[found] = true
+		}
+	}
+	var lit func(cl *ast.CompositeLit, typ string, elem ast.Expr)
+	lit = func(cl *ast.CompositeLit, typ string, elem ast.Expr) {
+		// elem is the element type elided literals inside cl take.
+		if s := c.structs[typ]; s != nil {
+			if counts(typ) {
+				c.built[typ] = true
+			}
+			for i, e := range cl.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if k, ok := kv.Key.(*ast.Ident); ok {
+						mark(typ, k.Name)
+					}
+				} else if i < len(s.order) {
+					mark(typ, s.order[i])
+				}
+			}
+			return
+		}
+		for _, e := range cl.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				e = kv.Value
+			}
+			if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				e = u.X
+			}
+			if inner, ok := e.(*ast.CompositeLit); ok && inner.Type == nil && elem != nil {
+				lit(inner, f.typeKey(elem), elemType(elem))
+			}
+		}
+	}
+	scope := map[string]string{}
+	var typeOf func(e ast.Expr) string
+	typeOf = func(e ast.Expr) string {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return scope[x.Name]
+		case *ast.ParenExpr:
+			return typeOf(x.X)
+		case *ast.StarExpr:
+			return typeOf(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				return typeOf(x.X)
+			}
+		case *ast.CompositeLit:
+			return f.typeKey(x.Type)
+		case *ast.SelectorExpr:
+			if pkg, ok := x.X.(*ast.Ident); ok && scope[pkg.Name] == "" && f.imports[pkg.Name] != "" {
+				return ""
+			}
+			typ, _, _ := c.field(typeOf(x.X), x.Sel.Name)
+			return typ
+		case *ast.CallExpr:
+			switch fn := x.Fun.(type) {
+			case *ast.Ident:
+				if fn.Name == "new" && len(x.Args) == 1 {
+					return f.typeKey(x.Args[0])
+				}
+				return c.funcs[f.dir+"."+fn.Name]
+			case *ast.SelectorExpr:
+				if pkg, ok := fn.X.(*ast.Ident); ok && scope[pkg.Name] == "" && f.imports[pkg.Name] != "" {
+					return c.funcs[f.imports[pkg.Name]+"."+fn.Sel.Name]
+				}
+				return c.funcs[typeOf(fn.X)+"."+fn.Sel.Name]
+			}
+		}
+		return ""
+	}
+	declare := func(fields *ast.FieldList) {
+		if fields == nil {
+			return
+		}
+		for _, fl := range fields.List {
+			for _, n := range fl.Names {
+				scope[n.Name] = f.typeKey(fl.Type)
+			}
+		}
+	}
+	setAt := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			mark(typeOf(sel.X), sel.Sel.Name)
+		}
+	}
+	ast.Inspect(f.f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncDecl:
+			scope = map[string]string{}
+			if x.Recv != nil {
+				declare(x.Recv)
+			}
+			declare(x.Type.Params)
+			declare(x.Type.Results)
+		case *ast.FuncLit:
+			declare(x.Type.Params)
+			declare(x.Type.Results)
+		case *ast.ValueSpec:
+			for i, n := range x.Names {
+				if x.Type != nil {
+					scope[n.Name] = f.typeKey(x.Type)
+				} else if len(x.Values) == len(x.Names) {
+					scope[n.Name] = typeOf(x.Values[i])
+				}
+			}
+		case *ast.AssignStmt:
+			for i, l := range x.Lhs {
+				if id, ok := l.(*ast.Ident); ok && x.Tok == token.DEFINE && len(x.Rhs) == len(x.Lhs) {
+					scope[id.Name] = typeOf(x.Rhs[i])
+				}
+				setAt(l)
+			}
+		case *ast.IncDecStmt:
+			setAt(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				setAt(x.X)
+			}
+		case *ast.CompositeLit:
+			if x.Type != nil {
+				lit(x, f.typeKey(x.Type), elemType(x.Type))
+			}
+		}
+		return true
+	})
+}
+
+// elemType is the element type of a slice, array or map type
+// expression, which composite literals inside its literal may elide.
+func elemType(e ast.Expr) ast.Expr {
+	switch x := e.(type) {
+	case *ast.ArrayType:
+		return x.Elt
+	case *ast.MapType:
+		return x.Value
+	}
+	return nil
 }
