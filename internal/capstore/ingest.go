@@ -20,19 +20,23 @@ import (
 // arrive with per-record idempotency; ordered batches commit through a
 // Sequencer, whose buffer IngestConfig.MaxPendingBatches bounds.
 
-// IngestKey is the per-share idempotency key, derived from the record
-// itself: after feed dedup a (seed URL, day, configuration) triple
-// identifies exactly one share, so re-delivered captures need no
-// side-channel key to be recognized.
+// IngestKey is the per-capture idempotency key, derived from the record
+// itself: after feed dedup a (seed URL, day, vantage, configuration)
+// tuple identifies exactly one capture — a social share is captured
+// from one vantage, a toplist domain from each of its campaign's
+// vantages — so re-delivered captures need no side-channel key to be
+// recognized.
 func IngestKey(c *capture.Capture) string {
-	return string(appendIngestKey(nil, c.SeedURL, c.Day, c.Config))
+	return string(appendIngestKey(nil, c.SeedURL, c.Day, c.Vantage.Name, c.Config))
 }
 
 // appendIngestKey appends the IngestKey of the record with these keys.
-func appendIngestKey[S string | []byte](dst []byte, seed S, day simtime.Day, config S) []byte {
+func appendIngestKey[S string | []byte](dst []byte, seed S, day simtime.Day, vantage, config S) []byte {
 	dst = append(dst, seed...)
 	dst = append(dst, '\x1f')
 	dst = strconv.AppendInt(dst, int64(day), 10)
+	dst = append(dst, '\x1f')
+	dst = append(dst, vantage...)
 	dst = append(dst, '\x1f')
 	return append(dst, config...)
 }
@@ -146,7 +150,7 @@ func NewIngester(s *Store, cfg IngestConfig) (*Ingester, error) {
 			serr = fmt.Errorf("capturedb: line %d: %w", n, serr)
 			return false
 		}
-		in.key = appendIngestKey(in.key[:0], k.Seed, k.Day, k.Config)
+		in.key = appendIngestKey(in.key[:0], k.Seed, k.Day, k.Vantage, k.Config)
 		in.seen[string(in.key)] = struct{}{}
 		return true
 	})
@@ -180,7 +184,7 @@ func (in *Ingester) apply(b Batch) (accepted, dups int64) {
 	var committed [][]byte
 	for i, line := range b.Lines {
 		k := &b.Keys[i]
-		in.key = appendIngestKey(in.key[:0], k.Seed, k.Day, k.Config)
+		in.key = appendIngestKey(in.key[:0], k.Seed, k.Day, k.Vantage, k.Config)
 		if _, ok := in.seen[string(in.key)]; ok {
 			dups++
 			continue

@@ -20,22 +20,10 @@ import (
 // the garbage the storage path makes per pushed record, times 64.
 func BenchmarkRingIngest(b *testing.B) {
 	const batch = 64
-	w := webworld.New(webworld.Config{Seed: 7, Domains: 2000})
-	var domains []string
-	for _, d := range w.Domains()[:2*batch] {
-		domains = append(domains, d.Name)
-	}
-	// One capture per share: the campaign visits a share from several
-	// vantages, and the nodes keep one record per idempotency key.
-	var caps []*capture.Capture
-	var days []simtime.Day
-	seen := map[string]bool{}
-	for _, c := range (&crawler.Campaign{World: w, Domains: domains, Day: simtime.Table1Snapshot, Workers: 1}).Run() {
-		if k := capstore.IngestKey(c); !seen[k] && len(caps) < batch {
-			seen[k] = true
-			cp := *c
-			caps, days = append(caps, &cp), append(days, c.Day)
-		}
+	caps := campaignCaptures(batch)
+	days := make([]simtime.Day, len(caps))
+	for i, c := range caps {
+		days[i] = c.Day
 	}
 
 	const shards = 8
@@ -80,5 +68,39 @@ func BenchmarkRingIngest(b *testing.B) {
 	}
 	if err := wr.WaitConverged(time.Minute); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// campaignCaptures returns the first n captures of a seed-7 toplist
+// campaign: each domain captured on one day from several vantages.
+func campaignCaptures(n int) []*capture.Capture {
+	w := webworld.New(webworld.Config{Seed: 7, Domains: 2000})
+	var domains []string
+	for _, d := range w.Domains()[:2*n] {
+		domains = append(domains, d.Name)
+	}
+	return (&crawler.Campaign{World: w, Domains: domains, Day: simtime.Table1Snapshot, Workers: 1}).Run()[:n]
+}
+
+// TestRingKeepsEveryVantage: the first 64 captures of a toplist
+// campaign, several vantages' captures of one domain on one day among
+// them, all reach their two replicas in a three-node ring, so the ring
+// converges; with a vantage-blind idempotency key the nodes dropped a
+// third of them and it never did.
+func TestRingKeepsEveryVantage(t *testing.T) {
+	caps := campaignCaptures(64)
+	c := newCluster(t, 3, 8, nil)
+	if _, err := c.w.RecordBatch(caps); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.w.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var held int64
+	for _, s := range c.stores {
+		held += s.Stats().Records
+	}
+	if held != 2*int64(len(caps)) {
+		t.Fatalf("nodes hold %d records, want %d (two replicas of %d)", held, 2*len(caps), len(caps))
 	}
 }

@@ -24,16 +24,16 @@ import (
 // line took.
 
 // Keys are the fields of a record the storage tiers need beside its
-// bytes: seed URL, day and configuration (the ingest idempotency key),
-// final domain (placement and the domain index), the failed flag, and
+// bytes: seed URL, day, vantage and configuration (the ingest
+// idempotency key), final domain (placement and the domain index), the failed flag, and
 // the request hosts the host index posts the record under. The slices
 // point into the scanned line, or into the Keys' own buffer for a key
 // that had to be unescaped; they stay valid until the Keys are scanned
 // into again.
 type Keys struct {
-	Seed, Domain, Config []byte
-	Day                  simtime.Day
-	Failed               bool
+	Seed, Domain, Vantage, Config []byte
+	Day                           simtime.Day
+	Failed                        bool
 	// Hosts are the distinct non-empty request hosts, first seen first.
 	Hosts [][]byte
 	// buf holds unescaped key strings, reused by the next scan.
@@ -75,8 +75,8 @@ func EncodeKeys(c *capture.Capture, k *Keys) ([]byte, error) {
 // of fills k from a decoded capture.
 func (k *Keys) of(c *capture.Capture) {
 	*k = Keys{
-		Seed: []byte(c.SeedURL), Domain: []byte(c.FinalDomain), Config: []byte(c.Config),
-		Day: c.Day, Failed: c.Failed, Hosts: k.Hosts[:0], buf: k.buf[:0],
+		Seed: []byte(c.SeedURL), Domain: []byte(c.FinalDomain), Vantage: []byte(c.Vantage.Name),
+		Config: []byte(c.Config), Day: c.Day, Failed: c.Failed, Hosts: k.Hosts[:0], buf: k.buf[:0],
 	}
 	for _, q := range c.Requests {
 		if q.Host != "" {
@@ -122,7 +122,7 @@ func (k *Keys) scan(line []byte) bool {
 	s.lit(`,"t":`)
 	s.Day = simtime.Day(s.num())
 	s.lit(`,"v":`)
-	s.str()
+	s.Vantage = s.key()
 	s.lit(`,"g":`)
 	s.num()
 	s.has(`,"c":true`)

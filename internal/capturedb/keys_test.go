@@ -18,8 +18,8 @@ func keysOf(c *capture.Capture) string {
 			hosts = append(hosts, q.Host)
 		}
 	}
-	return fmt.Sprintf("seed=%q domain=%q day=%d config=%q failed=%v hosts=%q",
-		c.SeedURL, c.FinalDomain, c.Day, c.Config, c.Failed, hosts)
+	return fmt.Sprintf("seed=%q domain=%q day=%d vantage=%q config=%q failed=%v hosts=%q",
+		c.SeedURL, c.FinalDomain, c.Day, c.Vantage.Name, c.Config, c.Failed, hosts)
 }
 
 func (k *Keys) String() string {
@@ -30,8 +30,8 @@ func (k *Keys) String() string {
 	if len(hosts) == 0 {
 		hosts = nil
 	}
-	return fmt.Sprintf("seed=%q domain=%q day=%d config=%q failed=%v hosts=%q",
-		k.Seed, k.Domain, k.Day, k.Config, k.Failed, hosts)
+	return fmt.Sprintf("seed=%q domain=%q day=%d vantage=%q config=%q failed=%v hosts=%q",
+		k.Seed, k.Domain, k.Day, k.Vantage, k.Config, k.Failed, hosts)
 }
 
 // nonCanonical are lines that decode but that Encode would not have
