@@ -38,8 +38,8 @@ func fleetWorker(coordURL, id string) int {
 		fmt.Fprintf(os.Stderr, "crawl: fetching fleet config from %s: %v\n", coordURL, err)
 		return 1
 	}
-	fmt.Printf("crawl: fleet worker %s: seed=%d domains=%d retries=%d breaker=%d politeness=%dms ingest=%s\n",
-		id, rc.WorldSeed, rc.WorldDomains, rc.RetryAttempts, rc.BreakerThreshold, rc.PolitenessMS, rc.IngestURL)
+	fmt.Printf("crawl: fleet worker %s: seed=%d domains=%d retries=%d politeness=%dms ingest=%s\n",
+		id, rc.WorldSeed, rc.WorldDomains, rc.RetryAttempts, rc.PolitenessMS, rc.IngestURL)
 
 	// The feed is materialized by the coordinator; workers only need
 	// the world to crawl against.

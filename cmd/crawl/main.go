@@ -6,19 +6,18 @@
 //
 //	crawl [-domains N] [-shares N] [-seed N] [-workers N] [-from YYYY-MM-DD] [-to YYYY-MM-DD]
 //	      [-store capdir [-store-shards N]]
-//	      [-retries N] [-breaker N] [-chaos SPEC] [-telemetry]
+//	      [-retries N] [-chaos SPEC] [-telemetry]
 //	crawl -fleet http://COORD [-worker-id NAME]
 //
 // The crawl runs the deployment architecture, the StreamPlatform: a
 // bounded capture queue feeding -workers browser workers, with
-// retry/backoff (-retries), per-domain circuit breakers (-breaker) and
-// a dead-letter ledger for shares that exhaust their chances. The
-// defaults (-retries 1 -breaker 0) record every capture on its first
-// attempt. -store receives captures as workers finish them: in share
+// retry/backoff (-retries) and a dead-letter ledger for shares that
+// exhaust their chances. The default (-retries 1) records every capture
+// on its first attempt. -store receives captures as workers finish them: in share
 // order at -workers 1, which makes that archive byte-reproducible.
 // -chaos injects deterministic faults into the substrate, e.g.:
 //
-//	crawl -retries 4 -breaker 8 -chaos '5xx=0.05,drop=0.02,antibot=0.01,seed=7'
+//	crawl -retries 4 -chaos '5xx=0.05,drop=0.02,antibot=0.01,seed=7'
 //
 // -telemetry attaches the unified metrics registry to the detector and
 // the pipeline, and dumps the Prometheus text exposition when the run
@@ -45,7 +44,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/crawler"
 	"repro/internal/detect"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/resilience/chaos"
@@ -66,7 +64,6 @@ func main() {
 		shards    = flag.Int("store-shards", capstore.DefaultShards, "segment count for -store")
 		telemetry = flag.Bool("telemetry", false, "meter the run (detector, stream pipeline) and dump the Prometheus exposition on exit")
 		retries   = flag.Int("retries", 1, "total attempt budget per share for transient failures (1 disables retrying)")
-		breaker   = flag.Int("breaker", 0, "per-domain circuit breaker: consecutive failures before opening (0 disables)")
 		chaosSpec = flag.String("chaos", "", "inject deterministic faults, e.g. '5xx=0.05,drop=0.02,antibot=0.01,latency=0.05,torn=0.01,seed=7'")
 		fleetURL  = flag.String("fleet", "", "run as a fleet worker against this coordinator (fleetd) URL; most other flags are ignored — run parameters come from the coordinator's /config")
 		workerID  = flag.String("worker-id", "", "worker name in the fleet protocol (default: host.pid)")
@@ -107,7 +104,7 @@ func main() {
 	feed := socialfeed.New(world, socialfeed.Config{Seed: *seed, SharesPerDay: *shares})
 	det := detect.Default()
 	det.SetMetrics(detect.NewMetrics(reg))
-	observations := analysis.NewPresenceFold(det, interp.Options{})
+	observations := analysis.NewPresenceFold(det)
 
 	var sink capture.Sink = observations
 	if *storeDir != "" {
@@ -146,7 +143,6 @@ func main() {
 		Seed:    *seed,
 		Workers: *workers,
 		Retry:   resilience.RetryPolicy{MaxAttempts: *retries},
-		Breaker: resilience.BreakerConfig{Threshold: *breaker},
 		Metrics: crawler.NewStreamMetrics(reg),
 	}
 	if inj != nil {
@@ -183,10 +179,10 @@ func main() {
 	fmt.Printf("  multi-CMP captures:  %d (%.4f%%; paper: 0.01%%)\n",
 		observations.MultiCMP, 100*float64(observations.MultiCMP)/float64(observations.Total))
 
-	// The ledger has news only when retries, breakers or injected faults
+	// The ledger has news only when retries or injected faults
 	// can end a share other than as a capture recorded on its first
 	// attempt.
-	if *retries > 1 || *breaker > 0 || inj != nil {
+	if *retries > 1 || inj != nil {
 		st := platform.Stats()
 		fmt.Printf("\nResilience (stream pipeline):\n")
 		fmt.Printf("  submitted:           %d\n", st.Submitted)
@@ -194,7 +190,6 @@ func main() {
 		fmt.Printf("  failed (recorded):   %d\n", st.FailedRecorded)
 		fmt.Printf("  retries:             %d\n", st.Retries)
 		fmt.Printf("  dead-lettered:       %d %v\n", st.DeadLettered+st.Dropped, platform.DeadLetters().ByReason())
-		fmt.Printf("  breakers open now:   %d\n", st.BreakersOpenNow)
 	}
 	if inj != nil {
 		c := inj.Counts()

@@ -11,7 +11,7 @@
 //	       [-from YYYY-MM-DD] [-to YYYY-MM-DD]
 //	       [-lease-size 32] [-lease-ttl 10s] [-retry-budget 3]
 //	       [-max-leases 64] [-checkpoint fleet.ckpt]
-//	       [-retries 3] [-breaker 0] [-politeness 2ms] [-metrics]
+//	       [-retries 3] [-politeness 2ms] [-metrics]
 //	       [-obsd http://127.0.0.1:8670]
 //
 // Endpoints:
@@ -79,7 +79,6 @@ func run() int {
 		maxLeases  = flag.Int("max-leases", 64, "in-flight lease ceiling and grant window; beyond it lease requests are shed (at most the store's -ingest-pending)")
 		checkpoint = flag.String("checkpoint", "", "progress log for crash-safe resume")
 		retries    = flag.Int("retries", 3, "worker-side attempt budget per share")
-		breaker    = flag.Int("breaker", 0, "worker-side per-domain breaker threshold (0 disables; breakers are order-dependent, keep 0 for reproducible runs)")
 		politeness = flag.Duration("politeness", 2*time.Millisecond, "worker-side per-domain politeness delay")
 		metrics    = flag.Bool("metrics", false, "expose /metrics, /debug/trace and /debug/pprof (outside the limiter)")
 		obsURL     = flag.String("obsd", "", "obsd aggregator base URL: served to workers on /config and the destination for fleetd's own span export at drain")
@@ -132,14 +131,13 @@ func run() int {
 	defer co.Close()
 
 	rc := fleet.RunConfig{
-		WorldSeed:        *seed,
-		WorldDomains:     *domains,
-		CrawlSeed:        *seed,
-		RetryAttempts:    *retries,
-		BreakerThreshold: *breaker,
-		PolitenessMS:     politeness.Milliseconds(),
-		IngestURL:        *ingestURL,
-		ObsURL:           *obsURL,
+		WorldSeed:     *seed,
+		WorldDomains:  *domains,
+		CrawlSeed:     *seed,
+		RetryAttempts: *retries,
+		PolitenessMS:  politeness.Milliseconds(),
+		IngestURL:     *ingestURL,
+		ObsURL:        *obsURL,
 	}
 	d.Handle("/", fleet.NewHandler(co, rc, fleet.ServerConfig{MaxInFlight: 2 * *maxLeases}))
 

@@ -23,7 +23,6 @@ import (
 	"repro/internal/capturedb"
 	"repro/internal/cmps"
 	"repro/internal/detect"
-	"repro/internal/interp"
 	"repro/internal/simtime"
 )
 
@@ -44,7 +43,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
 	}
-	fold := analysis.NewPresenceFold(detect.Default(), interp.Options{})
+	fold := analysis.NewPresenceFold(detect.Default())
 	var lastDay simtime.Day
 	n := 0
 	err = store.Query(capturedb.Query{}, func(c *capture.Capture) bool {

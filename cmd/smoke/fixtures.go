@@ -107,7 +107,7 @@ func bootFleet(ingestURL string, w crawlWindow, leaseTTL string, extra ...string
 		"-seed", strconv.Itoa(crawlSeed), "-domains", strconv.Itoa(w.domains), "-shares", strconv.Itoa(w.shares),
 		"-from", "0", "-to", strconv.Itoa(w.lastDay),
 		"-lease-size", "8", "-lease-ttl", leaseTTL, "-retry-budget", "10",
-		"-retries", strconv.Itoa(crawlRetries), "-breaker", "0", "-politeness", "1ms", "-metrics"}, extra...)...)
+		"-retries", strconv.Itoa(crawlRetries), "-politeness", "1ms", "-metrics"}, extra...)...)
 	w1 = start(bin("crawl"), "-fleet", fleetd.url(), "-worker-id", "smoke-w1")
 	w2 = start(bin("crawl"), "-fleet", fleetd.url(), "-worker-id", "smoke-w2")
 	return fleetd, w1, w2
@@ -125,8 +125,8 @@ func stopWorkers(workers ...*proc) {
 // buildBaseline runs the single-process reference — fleet.CrawlItems
 // over the whole window, which is what every worker runs per chunk —
 // into a fresh store at dir: the canonical byte layout a fleet over the
-// same window must reproduce. Retry budget, breaker setting and
-// politeness mirror bootFleet's flags.
+// same window must reproduce. Retry budget and politeness mirror
+// bootFleet's flags.
 func buildBaseline(dir string, shards int, w crawlWindow) crawler.StreamStats {
 	st, err := capstore.Create(dir, shards)
 	check(err)

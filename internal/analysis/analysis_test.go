@@ -19,7 +19,7 @@ func fakePresence(m map[string][]interp.Interval) *PresenceDB {
 func end() simtime.Day { return simtime.Day(simtime.NumDays) }
 
 func TestPresenceDB(t *testing.T) {
-	fold := NewPresenceFold(detect.Default(), interp.Options{})
+	fold := NewPresenceFold(detect.Default())
 	rec := func(domain string, day simtime.Day, host string) {
 		c := &capture.Capture{FinalDomain: domain, Day: day, Status: 200}
 		c.Requests = append(c.Requests, capture.Request{Host: host})

@@ -6,7 +6,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/cmps"
 	"repro/internal/detect"
-	"repro/internal/interp"
 	"repro/internal/simtime"
 )
 
@@ -38,7 +37,7 @@ func TestDetectAdoptionSpikesSingleDayWindow(t *testing.T) {
 }
 
 func TestCMPShareSeriesEmptyWorld(t *testing.T) {
-	fold := NewPresenceFold(detect.Default(), interp.Options{})
+	fold := NewPresenceFold(detect.Default())
 	p := fold.Presence()
 	days := []simtime.Day{0, 100, simtime.Day(simtime.NumDays - 1)}
 	pts := CMPShareSeries(p, days)
@@ -54,7 +53,7 @@ func TestCMPShareSeriesEmptyWorld(t *testing.T) {
 
 func TestCMPShareSeriesSingleDayWindow(t *testing.T) {
 	det := detect.Default()
-	fold := NewPresenceFold(det, interp.Options{})
+	fold := NewPresenceFold(det)
 	day := int(simtime.Date(2019, 6, 1))
 	// Two domains observed on exactly one day each: intervals collapse
 	// to the minimal censored span around that day.
@@ -85,7 +84,7 @@ func TestCMPShareSeriesSingleDayWindow(t *testing.T) {
 // halves to exercise the dirty-domain re-interpolation transition.
 func TestCMPShareSeriesMidWindowSwitch(t *testing.T) {
 	det := detect.Default()
-	fold := NewPresenceFold(det, interp.Options{})
+	fold := NewPresenceFold(det)
 	mid := simtime.NumDays / 2
 	// Dense observations so interpolation has no gaps to censor away.
 	for d := 0; d < mid; d += 3 {

@@ -68,8 +68,7 @@ func (d *foldDomain) sortedRecs() []detect.Rec {
 // part of a fold, runs outside its one mutex; under it a fold is a map
 // lookup and an append (DESIGN.md §7 "One presence lock").
 type PresenceFold struct {
-	det  *detect.Detector
-	opts interp.Options
+	det *detect.Detector
 
 	mu       sync.Mutex
 	domains  map[string]*foldDomain
@@ -83,11 +82,11 @@ type PresenceFold struct {
 }
 
 // NewPresenceFold returns an empty fold classifying with det and
-// interpolating with opts (zero opts reproduce the paper).
-func NewPresenceFold(det *detect.Detector, opts interp.Options) *PresenceFold {
+// interpolating as the paper does (interp.Options{}); Rebuild answers
+// under other options.
+func NewPresenceFold(det *detect.Detector) *PresenceFold {
 	return &PresenceFold{
 		det:      det,
-		opts:     opts,
 		domains:  make(map[string]*foldDomain),
 		presence: make(map[string][]interp.Interval),
 	}
@@ -127,7 +126,7 @@ func (f *PresenceFold) refresh() {
 		if !d.dirty {
 			continue
 		}
-		ivs := interp.Build(detect.ClassifyRecs(d.sortedRecs(), detect.SiteHeuristicThreshold), f.opts)
+		ivs := interp.Build(detect.ClassifyRecs(d.sortedRecs(), detect.SiteHeuristicThreshold), interp.Options{})
 		if len(ivs) > 0 {
 			f.presence[domain] = ivs
 		} else {

@@ -114,7 +114,7 @@ func TestPresenceFoldMatchesBatch(t *testing.T) {
 	det := detect.Default()
 	want, total, multi := referencePresence(det, caps)
 
-	fold := NewPresenceFold(det, interp.Options{})
+	fold := NewPresenceFold(det)
 	for i, c := range caps {
 		fold.Fold(c)
 		if i == len(caps)/2 {
@@ -149,7 +149,7 @@ func TestPresenceFoldOrderIndependence(t *testing.T) {
 	caps := syntheticStream(400)
 	det := detect.Default()
 
-	foldA := NewPresenceFold(det, interp.Options{})
+	foldA := NewPresenceFold(det)
 	for _, c := range caps {
 		foldA.Fold(c)
 	}
@@ -166,7 +166,7 @@ func TestPresenceFoldOrderIndependence(t *testing.T) {
 			byDomain[c.FinalDomain] = append(byDomain[c.FinalDomain], c)
 		}
 	}
-	foldB := NewPresenceFold(det, interp.Options{})
+	foldB := NewPresenceFold(det)
 	for _, d := range order {
 		for _, c := range byDomain[d] {
 			foldB.Fold(c)
@@ -191,12 +191,12 @@ func TestPresenceFoldCheckpointRoundTrip(t *testing.T) {
 	caps := syntheticStream(300)
 	det := detect.Default()
 
-	straight := NewPresenceFold(det, interp.Options{})
+	straight := NewPresenceFold(det)
 	for _, c := range caps {
 		straight.Fold(c)
 	}
 
-	first := NewPresenceFold(det, interp.Options{})
+	first := NewPresenceFold(det)
 	for _, c := range caps[:150] {
 		first.Fold(c)
 	}
@@ -205,7 +205,7 @@ func TestPresenceFoldCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := NewPresenceFold(det, interp.Options{})
+	resumed := NewPresenceFold(det)
 	if err := resumed.UnmarshalState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPresenceFoldCheckpointRoundTrip(t *testing.T) {
 // Folding stays allocation-free beyond the amortized growth of the
 // per-domain record slice.
 func TestPresenceFoldRecordAllocs(t *testing.T) {
-	f := NewPresenceFold(detect.Default(), interp.Options{})
+	f := NewPresenceFold(detect.Default())
 	c := hostCap("a.com", 12, "x.com", cmps.TrustArc.Hostname())
 	f.Record(c) // warm the domain slice
 	if n := testing.AllocsPerRun(100, func() { f.Record(c) }); n > 1 {
@@ -316,7 +316,7 @@ func TestFoldStateRejectsOutOfRange(t *testing.T) {
 		`{"total":1,"multi_cmp":0,"domains":{"a.com":[-1,1]}}`,
 		`{"total":1,"multi_cmp":0,"domains":{"a.com":[` + last + `,1]}}`,
 	} {
-		if err := NewPresenceFold(detect.Default(), interp.Options{}).UnmarshalState([]byte(st)); err == nil {
+		if err := NewPresenceFold(detect.Default()).UnmarshalState([]byte(st)); err == nil {
 			t.Errorf("presence state accepted: %s", st)
 		}
 	}
@@ -342,7 +342,7 @@ func FuzzFoldState(f *testing.F) {
 	det := detect.Default()
 	f.Add([]byte(`{"total":1,"multi_cmp":0,"domains":{"a.com":[100,9]}}`))
 	f.Add([]byte(`{"months":{"12x":{"us-cloud/default":{"a.com":9}}}}`))
-	presence, coverage := NewPresenceFold(det, interp.Options{}), NewCoverageFold(det)
+	presence, coverage := NewPresenceFold(det), NewCoverageFold(det)
 	// A short stream keeps the valid seeds small: the fuzzer minimizes
 	// every new input, and minimizing a large one stalls the run.
 	for _, c := range syntheticStream(24) {
@@ -357,14 +357,14 @@ func FuzzFoldState(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p := NewPresenceFold(det, interp.Options{})
+		p := NewPresenceFold(det)
 		if p.UnmarshalState(b) == nil {
 			p.Presence()
 			first, err := p.MarshalState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := NewPresenceFold(det, interp.Options{})
+			q := NewPresenceFold(det)
 			if err := q.UnmarshalState(first); err != nil {
 				t.Fatalf("presence re-restore: %v", err)
 			}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/detect"
 	"repro/internal/gvl"
-	"repro/internal/interp"
 	"repro/internal/obs"
 )
 
@@ -19,10 +18,6 @@ import (
 // paper: default detector fingerprints, paper interpolation, and the
 // default GVL history.
 type Config struct {
-	// Detector classifies captures; nil means detect.Default().
-	Detector *detect.Detector
-	// Interp are the presence-interpolation options.
-	Interp interp.Options
 	// GVL generates the deterministic vendor-list history backing the
 	// gvl view; a zero config means gvl.DefaultHistoryConfig().
 	GVL gvl.HistoryConfig
@@ -33,9 +28,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Detector == nil {
-		c.Detector = detect.Default()
-	}
 	if c.GVL.Versions == 0 {
 		c.GVL = gvl.DefaultHistoryConfig()
 	}
@@ -51,6 +43,7 @@ func (c Config) withDefaults() Config {
 // internal/analysis). Engine is safe for concurrent use.
 type Engine struct {
 	cfg Config
+	det *detect.Detector // the Table A.2 rules
 	m   *metrics
 
 	mu       sync.Mutex
@@ -71,10 +64,12 @@ type Engine struct {
 // NewEngine returns an empty engine.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
+	det := detect.Default()
 	e := &Engine{
 		cfg:          cfg,
-		presence:     analysis.NewPresenceFold(cfg.Detector, cfg.Interp),
-		coverage:     analysis.NewCoverageFold(cfg.Detector),
+		det:          det,
+		presence:     analysis.NewPresenceFold(det),
+		coverage:     analysis.NewCoverageFold(det),
 		shardCursors: make(map[int]int64),
 		gvlPoints:    buildGVLPoints(gvl.GenerateHistory(cfg.GVL)),
 		snaps:        make(map[string][]byte),
@@ -240,11 +235,11 @@ func (e *Engine) UnmarshalState(b []byte) error {
 	if err := json.Unmarshal(b, &st); err != nil {
 		return fmt.Errorf("analytics: engine state: %w", err)
 	}
-	presence := analysis.NewPresenceFold(e.cfg.Detector, e.cfg.Interp)
+	presence := analysis.NewPresenceFold(e.det)
 	if err := presence.UnmarshalState(st.Presence); err != nil {
 		return err
 	}
-	coverage := analysis.NewCoverageFold(e.cfg.Detector)
+	coverage := analysis.NewCoverageFold(e.det)
 	if err := coverage.UnmarshalState(st.Coverage); err != nil {
 		return err
 	}

@@ -47,7 +47,6 @@ import (
 	"repro/internal/capstore"
 	"repro/internal/capture"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/ring"
 )
 
@@ -225,8 +224,11 @@ type node struct {
 	st      nodeState
 	dirty   bool
 	closed  bool
-	breaker *resilience.Breaker
 	handoff *handoffLog // nil without HandoffDir
+	// probeAt is when awaitRevival may next probe /healthz: one
+	// ProbeInterval after the failed delivery or the failed probe
+	// before it. Only the sender goroutine reads or writes it.
+	probeAt time.Time
 	// delivered counts the records per shard this node has
 	// acknowledged — what its store must durably hold. A clean
 	// revival repairs to this watermark (anything above it is still
@@ -309,13 +311,9 @@ func NewWriter(cfg Config) (*Writer, error) {
 		cl := capstore.NewClient(nc.URL)
 		cl.HTTP = httpClient
 		n := &node{
-			name: nc.Name,
-			cl:   cl,
-			w:    w,
-			breaker: resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: 1,
-				Cooldown:  cfg.ProbeInterval,
-			}),
+			name:      nc.Name,
+			cl:        cl,
+			w:         w,
 			depth:     w.m.handoffDepth.With(nc.Name),
 			up:        w.m.nodeUp.With(nc.Name),
 			dead:      w.m.deadLetters.With(nc.Name),
@@ -863,7 +861,6 @@ func (n *node) deliver(it item) {
 
 func (n *node) noteSuccess(it item) {
 	n.mu.Lock()
-	n.breaker.Success()
 	if n.st != nodeUp {
 		n.st = nodeUp
 		n.up.Set(1)
@@ -880,8 +877,8 @@ func (n *node) noteSuccess(it item) {
 // overflow) the log mirrors the node's entire delivery debt, so a
 // proxy crash mid-outage loses nothing that was only hinted.
 func (n *node) noteFailure(it item) {
+	n.probeAt = time.Now().Add(n.w.cfg.ProbeInterval)
 	n.mu.Lock()
-	n.breaker.Failure()
 	if n.st != nodeDown {
 		n.st = nodeDown
 		n.up.Set(0)
@@ -895,7 +892,7 @@ func (n *node) noteFailure(it item) {
 	n.mu.Unlock()
 }
 
-// awaitRevival probes /healthz (paced by the breaker's cooldown) until
+// awaitRevival probes /healthz (once per ProbeInterval) until
 // the node answers, then transitions it back up — running anti-entropy
 // repair first when the handoff was dropped. Returns false when the
 // writer closed instead.
@@ -910,11 +907,10 @@ func (n *node) awaitRevival() bool {
 		if n.w.isClosed() {
 			return false
 		}
-		if n.breaker.Allow() {
+		if !time.Now().Before(n.probeAt) {
 			if _, err := n.cl.Health(); err == nil {
 				n.w.mu.Lock()
 				n.mu.Lock()
-				n.breaker.Success()
 				n.st = nodeUp
 				wasDirty := n.dirty
 				n.up.Set(1)
@@ -951,7 +947,7 @@ func (n *node) awaitRevival() bool {
 				n.w.mu.Unlock()
 				return true
 			}
-			n.breaker.Failure() // reopen with a fresh cooldown
+			n.probeAt = time.Now().Add(n.w.cfg.ProbeInterval)
 		}
 		time.Sleep(n.w.cfg.ProbeInterval / 4)
 	}

@@ -104,7 +104,7 @@ func NewStudy(cfg Config) *Study {
 		World:        world,
 		Feed:         socialfeed.New(world, socialfeed.Config{Seed: cfg.Seed, SharesPerDay: cfg.SharesPerDay}),
 		Detector:     det,
-		Observations: analysis.NewPresenceFold(det, interp.Options{}),
+		Observations: analysis.NewPresenceFold(det),
 		GVL:          gvl.GenerateHistory(gvl.HistoryConfig{Seed: cfg.Seed, Versions: 215, InitialVendors: 150, PeakVendors: 650}),
 	}
 	// The list covers the full universe so rank-based analyses can

@@ -44,12 +44,11 @@ func NewStreamMetrics(reg *obs.Registry) *StreamMetrics {
 			"Recorded captures with terminal failures."),
 		Retries: obs.NewCounter(reg, "crawler_retries_total",
 			"Retry loads beyond each share's first attempt."),
-		deadLetters: make(map[string]*obs.Counter, 4),
+		deadLetters: make(map[string]*obs.Counter, 3),
 		deadVec:     vec,
 	}
 	for _, reason := range []string{
 		resilience.ReasonBudgetExhausted,
-		resilience.ReasonBreakerOpen,
 		resilience.ReasonCancelled,
 		resilience.ReasonShutdownDrop,
 	} {
@@ -90,8 +89,7 @@ func (m *StreamMetrics) deadLetter(reason string) {
 }
 
 // RegisterMetrics publishes the platform's live state on reg — capture
-// queue depth and the per-domain breaker set (open/tracked gauges plus
-// transition counters) — complementing the per-visit recorder in
+// queue depth and capacity — complementing the per-visit recorder in
 // StreamConfig.Metrics. Call it once, before Run.
 func (p *StreamPlatform) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -103,5 +101,4 @@ func (p *StreamPlatform) RegisterMetrics(reg *obs.Registry) {
 	obs.NewGaugeFunc(reg, "crawler_queue_capacity",
 		"Capture queue bound; ingestion blocks when depth reaches it.",
 		func() float64 { return float64(cap(p.queue)) })
-	p.breakers.RegisterMetrics(reg)
 }

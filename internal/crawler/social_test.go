@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crawler"
 	"repro/internal/detect"
-	"repro/internal/interp"
 	"repro/internal/simtime"
 	"repro/internal/socialfeed"
 	"repro/internal/webworld"
@@ -58,7 +57,7 @@ func TestObservationsConcurrentCrawl(t *testing.T) {
 	}
 	det := detect.Default()
 	for _, workers := range []int{1, 2, 8} {
-		fold := analysis.NewPresenceFold(det, interp.Options{})
+		fold := analysis.NewPresenceFold(det)
 		store := capture.NewMemStore()
 		p := crawler.NewStreamPlatform(w, crawler.StreamConfig{Seed: 4, Workers: workers})
 		ctx := context.Background()
@@ -77,7 +76,7 @@ func TestObservationsConcurrentCrawl(t *testing.T) {
 		p.Close()
 		<-done
 
-		serial := analysis.NewPresenceFold(det, interp.Options{})
+		serial := analysis.NewPresenceFold(det)
 		for _, c := range store.All() {
 			serial.Fold(c)
 		}

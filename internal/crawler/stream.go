@@ -36,10 +36,11 @@ import (
 // The deployment path is hardened for the hostile substrate the paper
 // describes (~9% of toplist loads failed, Section 3.5): transient
 // failures are retried under StreamConfig.Retry with capped
-// exponential backoff and deterministic jitter, per-registrable-domain
-// circuit breakers stop hammering struggling sites, and every share
-// that cannot be captured is accounted for — routed to the dead-letter
-// sink with a reason, never silently dropped. Stats() exposes the full
+// exponential backoff and deterministic jitter, and every share that
+// cannot be captured is accounted for — routed to the dead-letter sink
+// with a reason, never silently dropped. What happens to a share
+// depends on the share alone, never on what other shares did before it,
+// so the captured bytes do not depend on scheduling. Stats() exposes the full
 // per-outcome ledger; Captures() + DeadLettered + Dropped always
 // equals the number of accepted submissions.
 type StreamPlatform struct {
@@ -53,9 +54,7 @@ type StreamPlatform struct {
 	// crawlers fall behind (backpressure instead of unbounded memory).
 	queue chan queued
 
-	breakers *resilience.BreakerSet
-	dead     resilience.DeadLetterSink
-	memDead  *resilience.MemDeadLetter // when dead is the default sink
+	dead *resilience.MemDeadLetter
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals inflight-submit drain during shutdown
@@ -88,15 +87,9 @@ type StreamConfig struct {
 	// disables retrying: every capture, failed or not, is recorded on
 	// its first attempt (the historical behaviour).
 	Retry resilience.RetryPolicy
-	// Breaker configures per-registrable-domain circuit breakers; a
-	// zero Threshold disables them.
-	Breaker resilience.BreakerConfig
 	// Visitor overrides the substrate the workers' browsers load from
 	// (chaos fault injection); nil means the world itself.
 	Visitor browser.Visitor
-	// DeadLetter receives shares that exhaust their chances; nil
-	// installs an in-memory sink readable via DeadLetters().
-	DeadLetter resilience.DeadLetterSink
 	// Metrics receives per-visit telemetry (latency histogram, outcome
 	// and dead-letter counters); nil is the no-op recorder. See also
 	// StreamPlatform.RegisterMetrics for the live-state gauges.
@@ -109,15 +102,14 @@ type StreamConfig struct {
 	// visits stitch into the fleetd-rooted trace.
 	TraceContext obs.SpanContext
 	// Now is the clock behind politeness scheduling and visit timing,
-	// injectable for deterministic tests — the same pattern as
-	// resilience.BreakerConfig.Now (default time.Now).
+	// injectable for deterministic tests (default time.Now).
 	Now func() time.Time
 }
 
 // StreamStats is the pipeline's per-outcome ledger. Succeeded +
 // FailedRecorded + DeadLettered + Dropped == Submitted once Run has
-// returned; Cancelled and BreakerOpen break down DeadLettered by
-// cause.
+// returned; Cancelled counts the DeadLettered shares that cancellation
+// cut short.
 type StreamStats struct {
 	// Submitted counts accepted Submit calls.
 	Submitted int64
@@ -137,11 +129,6 @@ type StreamStats struct {
 	// Cancelled counts dead-letters caused by cancellation landing
 	// mid-politeness-wait or mid-backoff.
 	Cancelled int64
-	// BreakerOpen counts dead-letters caused by an open domain
-	// breaker.
-	BreakerOpen int64
-	// BreakersOpenNow is the number of currently-open breakers.
-	BreakersOpenNow int
 }
 
 // ErrStopped is returned by Submit after Run has finished.
@@ -159,22 +146,17 @@ func NewStreamPlatform(w *webworld.World, cfg StreamConfig) *StreamPlatform {
 		cfg.Now = time.Now
 	}
 	p := &StreamPlatform{
-		cfg:      cfg,
-		world:    w,
-		visitor:  cfg.Visitor,
-		src:      rng.New(cfg.Seed).Derive("stream-crawler"),
-		vsrc:     VantageSource(cfg.Seed),
-		queue:    make(chan queued, cfg.QueueDepth),
-		breakers: resilience.NewBreakerSet(cfg.Breaker),
-		dead:     cfg.DeadLetter,
-		lastHit:  make(map[string]time.Time),
+		cfg:     cfg,
+		world:   w,
+		visitor: cfg.Visitor,
+		src:     rng.New(cfg.Seed).Derive("stream-crawler"),
+		vsrc:    VantageSource(cfg.Seed),
+		queue:   make(chan queued, cfg.QueueDepth),
+		dead:    resilience.NewMemDeadLetter(),
+		lastHit: make(map[string]time.Time),
 	}
 	if p.visitor == nil {
 		p.visitor = w
-	}
-	if p.dead == nil {
-		p.memDead = resilience.NewMemDeadLetter()
-		p.dead = p.memDead
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -221,15 +203,13 @@ func (p *StreamPlatform) Captures() int64 {
 // Stats snapshots the outcome ledger.
 func (p *StreamPlatform) Stats() StreamStats {
 	p.mu.Lock()
-	st := p.stats
-	p.mu.Unlock()
-	st.BreakersOpenNow = p.breakers.OpenCount()
-	return st
+	defer p.mu.Unlock()
+	return p.stats
 }
 
-// DeadLetters returns the default in-memory dead-letter sink, or nil
-// when StreamConfig.DeadLetter replaced it.
-func (p *StreamPlatform) DeadLetters() *resilience.MemDeadLetter { return p.memDead }
+// DeadLetters returns the dead-letter sink: one entry per share that
+// left the pipeline without a recorded capture.
+func (p *StreamPlatform) DeadLetters() *resilience.MemDeadLetter { return p.dead }
 
 // politenessReserve claims the domain's next capture slot under the
 // configured clock and returns how long the caller must wait for it.
@@ -319,11 +299,8 @@ func (p *StreamPlatform) deadLetter(q queued, attempts int, reason, lastErr stri
 		p.stats.Dropped++
 	} else {
 		p.stats.DeadLettered++
-		switch reason {
-		case resilience.ReasonCancelled:
+		if reason == resilience.ReasonCancelled {
 			p.stats.Cancelled++
-		case resilience.ReasonBreakerOpen:
-			p.stats.BreakerOpen++
 		}
 	}
 	p.mu.Unlock()
@@ -344,11 +321,6 @@ func (p *StreamPlatform) process(ctx context.Context, b *browser.Browser, sink c
 	if m := p.cfg.Metrics; m != nil {
 		start := p.cfg.Now()
 		defer func() { m.VisitSeconds.Observe(p.cfg.Now().Sub(start).Seconds()) }()
-	}
-	if !p.breakers.Allow(domain) {
-		visit.Attr("outcome", "dead-letter")
-		p.deadLetter(q, 0, resilience.ReasonBreakerOpen, "")
-		return
 	}
 	maxAttempts := p.cfg.Retry.MaxAttempts
 	if maxAttempts < 1 {
@@ -372,17 +344,14 @@ func (p *StreamPlatform) process(ctx context.Context, b *browser.Browser, sink c
 		retry.End()
 		switch resilience.ClassifyCapture(c) {
 		case resilience.Success:
-			p.breakers.Success(domain)
 			visit.Attr("outcome", "success")
 			p.record(sink, c, true, visit)
 			return
 		case resilience.Terminal:
-			p.breakers.Failure(domain)
 			visit.Attr("outcome", "failed")
 			p.record(sink, c, false, visit)
 			return
 		default: // Retryable
-			p.breakers.Failure(domain)
 			lastErr = c.Error
 			if attempt >= maxAttempts {
 				if maxAttempts == 1 {
@@ -394,12 +363,6 @@ func (p *StreamPlatform) process(ctx context.Context, b *browser.Browser, sink c
 					visit.Attr("outcome", "dead-letter")
 					p.deadLetter(q, attempt, resilience.ReasonBudgetExhausted, lastErr)
 				}
-				return
-			}
-			if !p.breakers.Allow(domain) {
-				// Our own failures opened the domain's breaker.
-				visit.Attr("outcome", "dead-letter")
-				p.deadLetter(q, attempt, resilience.ReasonBreakerOpen, lastErr)
 				return
 			}
 			p.mu.Lock()

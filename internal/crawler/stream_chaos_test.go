@@ -90,7 +90,6 @@ func TestChaosStreamRetryCompletion(t *testing.T) {
 			BaseDelay:   500 * time.Microsecond,
 			MaxDelay:    2 * time.Millisecond,
 		},
-		Breaker: resilience.BreakerConfig{Threshold: 8, Cooldown: 50 * time.Millisecond},
 	})
 	st := check("retry", retryP)
 	rate := float64(st.Succeeded) / float64(st.Submitted)
@@ -113,8 +112,7 @@ func TestChaosStreamRetryCompletion(t *testing.T) {
 
 // TestChaosStreamScheduleDeterminism: two identical seeded runs of the
 // retrying pipeline draw byte-identical fault schedules, even though
-// worker interleaving differs. (Breakers are disabled here: their
-// open/close decisions depend on cross-share ordering by design.)
+// worker interleaving differs.
 func TestChaosStreamScheduleDeterminism(t *testing.T) {
 	w := webworld.New(webworld.Config{Seed: 1, Domains: 800})
 	var schedules [][]byte

@@ -124,7 +124,6 @@ func TestStreamStressOrderings(t *testing.T) {
 			QueueDepth:     32,
 			PerDomainDelay: 100 * time.Microsecond,
 			Retry:          resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, MaxDelay: 500 * time.Microsecond},
-			Breaker:        resilience.BreakerConfig{Threshold: 4, Cooldown: 5 * time.Millisecond},
 			Metrics:        NewStreamMetrics(reg),
 			Tracer:         obs.NewTracer(obs.TracerConfig{}),
 		})

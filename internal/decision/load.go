@@ -49,14 +49,16 @@ type LoadConfig struct {
 	// Uniform disables the Zipf skew (every string equally likely) —
 	// the cache-hostile worst case.
 	Uniform bool
-	// MaxVendorID / MaxPurpose bound the query draws (defaults 650/10).
-	MaxVendorID int
-	MaxPurpose  int
-	// RunLength is the maximum decisions asked about one string before
-	// switching (default 16; real bid requests fan one user's string
-	// out across many vendors).
-	RunLength int
 }
+
+// The query draws: vendors up to the population's maxVendorID,
+// purposes up to maxPurpose, and at most runLength decisions asked
+// about one string before switching (real bid requests fan one user's
+// string out across many vendors).
+const (
+	maxPurpose = 10
+	runLength  = 16
+)
 
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Seed == 0 && c.Population != nil {
@@ -76,15 +78,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.ZipfExponent <= 0 {
 		c.ZipfExponent = 1.1
-	}
-	if c.MaxVendorID <= 0 {
-		c.MaxVendorID = 650
-	}
-	if c.MaxPurpose <= 0 {
-		c.MaxPurpose = 10
-	}
-	if c.RunLength <= 0 {
-		c.RunLength = 16
 	}
 	return c
 }
@@ -121,12 +114,12 @@ func buildBodies(cfg LoadConfig) []loadBody {
 			} else {
 				idx = r.Intn(len(cfg.Population.Strings))
 			}
-			run := 1 + r.Intn(cfg.RunLength)
+			run := 1 + r.Intn(runLength)
 			for j := 0; j < run && len(queries) < cfg.BatchSize; j++ {
 				q := loadQuery{
 					stringIdx: idx,
-					vendor:    1 + r.Intn(cfg.MaxVendorID),
-					purpose:   1 + r.Intn(cfg.MaxPurpose),
+					vendor:    1 + r.Intn(maxVendorID),
+					purpose:   1 + r.Intn(maxPurpose),
 				}
 				if j == 0 {
 					buf.WriteString(`{"t":"`)

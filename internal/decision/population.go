@@ -20,61 +20,40 @@ import (
 // generate identical populations, so a load run against consentd can
 // be re-validated offline against the naive path.
 
+// The population's mix. v2Share is the fraction of TCF v2 strings, the
+// rest are v1 (the 2020 migration-era mix); acceptAllShare and
+// rejectAllShare split user decisions, the remainder being partial
+// grants; maxVendorID bounds vendor sections (the GVL scale the paper
+// observed); minVLV is the lowest stamped vendor-list version;
+// restrictionShare and publisherTCShare are the fractions of v2
+// strings carrying publisher restrictions and a publisher-TC segment.
+const (
+	v2Share          = 0.7
+	acceptAllShare   = 0.55
+	rejectAllShare   = 0.25
+	maxVendorID      = 650
+	minVLV           = 1
+	restrictionShare = 0.08
+	publisherTCShare = 0.15
+)
+
 // PopulationConfig parameterizes the generator.
 type PopulationConfig struct {
 	// Seed roots all draws.
 	Seed uint64
 	// Size is the number of strings (default 10_000).
 	Size int
-	// V2Share is the fraction of TCF v2 strings; the rest are v1
-	// (default 0.7 — the 2020 migration-era mix).
-	V2Share float64
-	// AcceptAllShare / RejectAllShare split user decisions; the
-	// remainder are partial grants (defaults 0.55 / 0.25).
-	AcceptAllShare float64
-	RejectAllShare float64
-	// MaxVendorID bounds vendor sections (default 650, the GVL scale
-	// the paper observed).
-	MaxVendorID int
-	// MinVLV / MaxVLV bound the stamped vendor-list versions
-	// (defaults 1 / 215).
-	MinVLV int
+	// MaxVLV bounds the stamped vendor-list versions, which start at
+	// 1 (default 215).
 	MaxVLV int
-	// RestrictionShare is the fraction of v2 strings carrying
-	// publisher restrictions (default 0.08).
-	RestrictionShare float64
-	// PublisherTCShare is the fraction of v2 strings with a
-	// publisher-TC segment (default 0.15).
-	PublisherTCShare float64
 }
 
 func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.Size <= 0 {
 		c.Size = 10_000
 	}
-	if c.V2Share <= 0 {
-		c.V2Share = 0.7
-	}
-	if c.AcceptAllShare <= 0 {
-		c.AcceptAllShare = 0.55
-	}
-	if c.RejectAllShare <= 0 {
-		c.RejectAllShare = 0.25
-	}
-	if c.MaxVendorID <= 0 {
-		c.MaxVendorID = 650
-	}
-	if c.MinVLV <= 0 {
-		c.MinVLV = 1
-	}
-	if c.MaxVLV < c.MinVLV {
+	if c.MaxVLV < minVLV {
 		c.MaxVLV = 215
-	}
-	if c.RestrictionShare <= 0 {
-		c.RestrictionShare = 0.08
-	}
-	if c.PublisherTCShare <= 0 {
-		c.PublisherTCShare = 0.15
 	}
 	return c
 }
@@ -104,20 +83,20 @@ func generateString(src *rng.Source, cfg PopulationConfig, i int) (string, error
 	r := src.Stream("pop", rng.Key(i))
 	created := simtime.Date(2020, time.January, 1).Time().Add(
 		time.Duration(r.Intn(200*24)) * time.Hour)
-	vlv := cfg.MinVLV + r.Intn(cfg.MaxVLV-cfg.MinVLV+1)
-	maxVendor := 50 + r.Intn(cfg.MaxVendorID-49)
+	vlv := minVLV + r.Intn(cfg.MaxVLV-minVLV+1)
+	maxVendor := 50 + r.Intn(maxVendorID-49)
 	kindDraw := r.Float64()
 
-	if r.Float64() >= cfg.V2Share {
+	if r.Float64() >= v2Share {
 		// TCF v1.1 string.
 		c := tcf.New(created)
 		c.CMPID = 1 + r.Intn(300)
 		c.VendorListVersion = vlv
 		switch {
-		case kindDraw < cfg.AcceptAllShare:
+		case kindDraw < acceptAllShare:
 			c.SetAllPurposes(true)
 			c.SetAllVendors(maxVendor, true)
-		case kindDraw < cfg.AcceptAllShare+cfg.RejectAllShare:
+		case kindDraw < acceptAllShare+rejectAllShare:
 			c.MaxVendorID = maxVendor
 		default:
 			for p := 1; p <= tcf.NumPurposes; p++ {
@@ -147,7 +126,7 @@ func generateString(src *rng.Source, cfg PopulationConfig, i int) (string, error
 	c.PurposeOneTreatment = r.Float64() < 0.05
 	c.MaxVendorID = maxVendor
 	switch {
-	case kindDraw < cfg.AcceptAllShare:
+	case kindDraw < acceptAllShare:
 		for p := 1; p <= tcf.NumPurposesV2; p++ {
 			c.PurposesConsent[p] = true
 		}
@@ -156,7 +135,7 @@ func generateString(src *rng.Source, cfg PopulationConfig, i int) (string, error
 		}
 		c.SpecialFeatureOptIns[1] = true
 		c.SpecialFeatureOptIns[2] = true
-	case kindDraw < cfg.AcceptAllShare+cfg.RejectAllShare:
+	case kindDraw < acceptAllShare+rejectAllShare:
 		// Reject-all still establishes LI transparency for a few
 		// purposes — CMPs record the disclosure even on reject.
 		for p := 2; p <= tcf.NumPurposesV2; p++ {
@@ -182,7 +161,7 @@ func generateString(src *rng.Source, cfg PopulationConfig, i int) (string, error
 		}
 		c.SpecialFeatureOptIns[1] = r.Float64() < 0.4
 	}
-	if r.Float64() < cfg.RestrictionShare {
+	if r.Float64() < restrictionShare {
 		n := 1 + r.Intn(3)
 		for j := 0; j < n; j++ {
 			pr := tcf.PubRestriction{
@@ -195,7 +174,7 @@ func generateString(src *rng.Source, cfg PopulationConfig, i int) (string, error
 			c.PubRestrictions = append(c.PubRestrictions, pr)
 		}
 	}
-	if r.Float64() < cfg.PublisherTCShare {
+	if r.Float64() < publisherTCShare {
 		c.HasPublisherTC = true
 		for p := 1; p <= tcf.NumPurposesV2; p++ {
 			c.PubPurposesConsent[p] = r.Float64() < 0.5

@@ -57,9 +57,10 @@ type ServerConfig struct {
 	Registry *obs.Registry
 	// Tracer records decision spans.
 	Tracer *obs.Tracer
-	// MaxBatchBytes caps a /v1/batch request body (default 8 MiB).
-	MaxBatchBytes int64
 }
+
+// maxBatchBytes caps a /v1/batch request body.
+const maxBatchBytes = 8 << 20
 
 // Server answers consent decisions over HTTP.
 type Server struct {
@@ -69,7 +70,6 @@ type Server struct {
 	tracer   *obs.Tracer
 	m        *serverMetrics
 	start    time.Time
-	maxBatch int64
 
 	decisions atomic.Int64
 	requests  atomic.Int64
@@ -157,15 +157,11 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 8 << 20
-	}
 	s := &Server{
 		cache:    NewCache(cfg.Cache),
 		resolver: cfg.Resolver,
 		tracer:   cfg.Tracer,
 		start:    time.Now(),
-		maxBatch: cfg.MaxBatchBytes,
 	}
 	s.limiter = resilience.NewHTTPLimiter(resilience.HTTPLimiterConfig{
 		MaxInFlight: cfg.MaxInFlight,
@@ -303,7 +299,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sp = s.tracer.StartRemote("decision.batch", pctx)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, s.maxBatch), 64<<10)
+	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, maxBatchBytes), 64<<10)
 	bw := bufio.NewWriterSize(w, 64<<10)
 
 	var (

@@ -14,7 +14,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/cmps"
 	"repro/internal/detect"
-	"repro/internal/interp"
 	"repro/internal/simtime"
 )
 
@@ -27,7 +26,7 @@ func hostCap(domain string, day simtime.Day, hosts ...string) *capture.Capture {
 }
 
 func newFold() *analysis.PresenceFold {
-	return analysis.NewPresenceFold(detect.Default(), interp.Options{})
+	return analysis.NewPresenceFold(detect.Default())
 }
 
 func TestObservationsAggregation(t *testing.T) {

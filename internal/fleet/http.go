@@ -20,13 +20,10 @@ type RunConfig struct {
 	WorldSeed    uint64 `json:"world_seed"`
 	WorldDomains int    `json:"world_domains"`
 	CrawlSeed    uint64 `json:"crawl_seed"`
-	// RetryAttempts and BreakerThreshold parameterize the worker-side
-	// StreamPlatform; BreakerThreshold 0 disables breakers (their state
-	// is order-dependent across shares, so determinism runs disable
-	// them — see DESIGN.md §9).
-	RetryAttempts    int   `json:"retry_attempts"`
-	BreakerThreshold int   `json:"breaker_threshold"`
-	PolitenessMS     int64 `json:"politeness_ms"`
+	// RetryAttempts and PolitenessMS parameterize the worker-side
+	// StreamPlatform.
+	RetryAttempts int   `json:"retry_attempts"`
+	PolitenessMS  int64 `json:"politeness_ms"`
 	// IngestURL is the capd the workers push captures to.
 	IngestURL string `json:"ingest_url"`
 	// ObsURL, when set, is the obsd aggregator workers push their span
@@ -40,10 +37,11 @@ type ServerConfig struct {
 	// MaxInFlight bounds concurrently served protocol requests; excess
 	// is shed with 429 + Retry-After (default 128).
 	MaxInFlight int
-	// MaxBodyBytes caps one request body (default 1 MiB; completion
-	// frames are small).
-	MaxBodyBytes int64
 }
+
+// maxBodyBytes caps one protocol request body; completion frames are
+// small.
+const maxBodyBytes = 1 << 20
 
 // NewHandler mounts the fleet wire protocol over a coordinator:
 //
@@ -60,22 +58,19 @@ func NewHandler(co *Coordinator, rc RunConfig, cfg ServerConfig) http.Handler {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 128
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lease", func(w http.ResponseWriter, r *http.Request) {
-		frameExchange(w, r, cfg.MaxBodyBytes, FrameLeaseRequest, func(f *Frame) *Frame {
+		frameExchange(w, r, FrameLeaseRequest, func(f *Frame) *Frame {
 			return co.Grant(f.Worker, f.Capacity)
 		})
 	})
 	mux.HandleFunc("/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		frameExchange(w, r, cfg.MaxBodyBytes, FrameHeartbeat, func(f *Frame) *Frame {
+		frameExchange(w, r, FrameHeartbeat, func(f *Frame) *Frame {
 			return co.Heartbeat(f.Worker, f.Lease)
 		})
 	})
 	mux.HandleFunc("/complete", func(w http.ResponseWriter, r *http.Request) {
-		frameExchange(w, r, cfg.MaxBodyBytes, FrameCompletion, func(f *Frame) *Frame {
+		frameExchange(w, r, FrameCompletion, func(f *Frame) *Frame {
 			return co.Complete(f.Worker, f.Lease, f.Results)
 		})
 	})
@@ -104,13 +99,13 @@ func NewHandler(co *Coordinator, rc RunConfig, cfg ServerConfig) http.Handler {
 
 // frameExchange decodes one frame of the expected type, applies fn, and
 // writes the response frame.
-func frameExchange(w http.ResponseWriter, r *http.Request, maxBody int64, want FrameType, fn func(*Frame) *Frame) {
+func frameExchange(w http.ResponseWriter, r *http.Request, want FrameType, fn func(*Frame) *Frame) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "fleet: frame endpoints are POST-only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("fleet: reading frame: %v", err), http.StatusBadRequest)
 		return

@@ -282,10 +282,7 @@ func (w *Worker) heartbeat(ctx context.Context, grant *Frame, cancel context.Can
 // drift from what a worker does. Every byte-affecting field of the
 // pipeline is derived from run; wiring carries only what is the
 // caller's own (Visitor, Tracer, TraceContext). Workers=1 makes the
-// sink receive captures in item order. Breakers follow
-// RunConfig.BreakerThreshold (0 disables; their state is cross-share
-// order-dependent, so determinism runs keep them off). Backoff timing
-// is byte-neutral. A cancelled ctx stops submitting; what was
+// sink receive captures in item order. Backoff timing is byte-neutral. A cancelled ctx stops submitting; what was
 // submitted still drains.
 func CrawlItems(ctx context.Context, world *webworld.World, run RunConfig, wiring crawler.StreamConfig, items []WorkItem, sink capture.Sink) *crawler.StreamPlatform {
 	wiring.Seed = run.CrawlSeed
@@ -299,7 +296,6 @@ func CrawlItems(ctx context.Context, world *webworld.World, run RunConfig, wirin
 		Multiplier:  2,
 		Jitter:      0.5,
 	}
-	wiring.Breaker = resilience.BreakerConfig{Threshold: run.BreakerThreshold}
 	p := crawler.NewStreamPlatform(world, wiring)
 	done := make(chan struct{})
 	go func() {

@@ -45,8 +45,6 @@ type Config struct {
 	// Clock supplies scrape timestamps — injectable so SLO windows and
 	// trace watermarks are testable without sleeping (default time.Now).
 	Clock func() time.Time
-	// HTTP overrides the scrape client (default 10s timeout).
-	HTTP *http.Client
 	// Rules are the SLO rules evaluated after every scrape.
 	Rules []Rule
 	// TraceCap bounds retained assembled traces; beyond it the
@@ -61,15 +59,15 @@ type Config struct {
 	Registry *obs.Registry
 }
 
+// scrapeClient fetches every target's /metrics.json and /debug/trace.
+var scrapeClient = &http.Client{Timeout: 10 * time.Second}
+
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{Timeout: 10 * time.Second}
 	}
 	if c.TraceCap <= 0 {
 		c.TraceCap = 4096
@@ -188,7 +186,7 @@ func (a *Aggregator) Run(stop <-chan struct{}) {
 }
 
 func (a *Aggregator) scrapeMetrics(t Target) ([]obs.ExpositionFamily, error) {
-	resp, err := a.cfg.HTTP.Get(t.URL + "/metrics.json")
+	resp, err := scrapeClient.Get(t.URL + "/metrics.json")
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +199,7 @@ func (a *Aggregator) scrapeMetrics(t Target) ([]obs.ExpositionFamily, error) {
 }
 
 func (a *Aggregator) scrapeSpans(t Target, now time.Time) error {
-	resp, err := a.cfg.HTTP.Get(t.URL + "/debug/trace")
+	resp, err := scrapeClient.Get(t.URL + "/debug/trace")
 	if err != nil {
 		return err
 	}

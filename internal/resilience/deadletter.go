@@ -12,7 +12,6 @@ import (
 // for its toplist ("315 unreachable, 4 invalid, 70 HTTP error …").
 const (
 	ReasonBudgetExhausted = "budget-exhausted" // retry budget spent on transient failures
-	ReasonBreakerOpen     = "breaker-open"     // domain breaker rejecting
 	ReasonCancelled       = "cancelled"        // shutdown landed mid-wait or mid-backoff
 	ReasonShutdownDrop    = "shutdown-drop"    // queued but never dequeued before Run returned
 )

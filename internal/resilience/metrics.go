@@ -2,82 +2,6 @@ package resilience
 
 import "repro/internal/obs"
 
-// BreakerMetrics counts circuit-breaker state transitions. A nil
-// *BreakerMetrics is the no-op recorder, so breakers carry no feature
-// flag for disabled telemetry.
-type BreakerMetrics struct {
-	// Opened counts transitions into the open state (threshold trips
-	// and failed half-open probes re-opening).
-	Opened *obs.Counter
-	// HalfOpen counts cooldown expiries admitting a half-open probe.
-	HalfOpen *obs.Counter
-	// Closed counts successes that closed a non-closed breaker.
-	Closed *obs.Counter
-}
-
-// NewBreakerMetrics registers the transition counters on reg; returns
-// nil (the no-op recorder) when reg is nil.
-func NewBreakerMetrics(reg *obs.Registry) *BreakerMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &BreakerMetrics{
-		Opened: obs.NewCounter(reg, "resilience_breaker_opened_total",
-			"Breaker transitions into the open state."),
-		HalfOpen: obs.NewCounter(reg, "resilience_breaker_half_open_total",
-			"Cooldown expiries admitting a half-open probe."),
-		Closed: obs.NewCounter(reg, "resilience_breaker_closed_total",
-			"Successes closing a previously open or half-open breaker."),
-	}
-}
-
-func (m *BreakerMetrics) opened() {
-	if m != nil {
-		m.Opened.Inc()
-	}
-}
-
-func (m *BreakerMetrics) halfOpen() {
-	if m != nil {
-		m.HalfOpen.Inc()
-	}
-}
-
-func (m *BreakerMetrics) closed() {
-	if m != nil {
-		m.Closed.Inc()
-	}
-}
-
-// RegisterMetrics publishes the set's live breaker state on reg as
-// gauges and attaches transition counters to every breaker, existing
-// and future. Nil-safe on both receiver and registry.
-func (s *BreakerSet) RegisterMetrics(reg *obs.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	m := NewBreakerMetrics(reg)
-	s.mu.Lock()
-	s.cfg.Metrics = m
-	for _, b := range s.m {
-		b.mu.Lock()
-		b.cfg.Metrics = m
-		b.mu.Unlock()
-	}
-	s.mu.Unlock()
-	obs.NewGaugeFunc(reg, "resilience_breakers_open",
-		"Per-domain circuit breakers currently open (rejecting).",
-		func() float64 { return float64(s.OpenCount()) })
-	obs.NewGaugeFunc(reg, "resilience_breakers_tracked",
-		"Domains with an instantiated circuit breaker.",
-		func() float64 {
-			s.mu.Lock()
-			n := len(s.m)
-			s.mu.Unlock()
-			return float64(n)
-		})
-}
-
 // RegisterMetrics publishes the limiter's admission-queue state on
 // reg: requests in flight, capacity, and the cumulative admitted/shed
 // counters. Nil-safe on both receiver and registry.

@@ -5,96 +5,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
-
-func TestBreakerTransitionMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	now := time.Unix(0, 0)
-	cfg := BreakerConfig{Threshold: 2, Cooldown: time.Second, Now: func() time.Time { return now }}
-	s := NewBreakerSet(cfg)
-	s.RegisterMetrics(reg)
-	m := s.cfg.Metrics
-
-	// Two failures trip the breaker open.
-	s.Failure("example.com")
-	s.Failure("example.com")
-	if got := m.Opened.Value(); got != 1 {
-		t.Errorf("opened = %d, want 1", got)
-	}
-	if s.OpenCount() != 1 {
-		t.Errorf("open count = %d, want 1", s.OpenCount())
-	}
-	// Cooldown expiry admits a half-open probe; its failure re-opens.
-	now = now.Add(time.Second)
-	if !s.Allow("example.com") {
-		t.Fatal("cooldown expiry should admit a probe")
-	}
-	if got := m.HalfOpen.Value(); got != 1 {
-		t.Errorf("half-open = %d, want 1", got)
-	}
-	s.Failure("example.com")
-	if got := m.Opened.Value(); got != 2 {
-		t.Errorf("opened after failed probe = %d, want 2", got)
-	}
-	// A successful probe closes it.
-	now = now.Add(time.Second)
-	if !s.Allow("example.com") {
-		t.Fatal("second probe should be admitted")
-	}
-	s.Success("example.com")
-	if got := m.Closed.Value(); got != 1 {
-		t.Errorf("closed = %d, want 1", got)
-	}
-	// A success on an already-closed breaker is not a transition.
-	s.Success("example.com")
-	if got := m.Closed.Value(); got != 1 {
-		t.Errorf("closed after steady-state success = %d, want 1", got)
-	}
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"resilience_breaker_opened_total 2",
-		"resilience_breakers_tracked 1",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-// RegisterMetrics must patch breakers created before AND after the
-// call, and stay race-free against concurrent breaker traffic.
-func TestBreakerSetRegisterMetricsConcurrent(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Threshold: 1})
-	s.Failure("pre-existing.com")
-	reg := obs.NewRegistry()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		s.RegisterMetrics(reg)
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			s.Failure("busy.com")
-			s.Allow("busy.com")
-		}
-	}()
-	wg.Wait()
-	s.Failure("post.com") // created after registration: must be metered
-	if got := s.cfg.Metrics.Opened.Value(); got < 1 {
-		t.Errorf("opened = %d, want >= 1", got)
-	}
-}
 
 func TestHTTPLimiterMetrics(t *testing.T) {
 	reg := obs.NewRegistry()

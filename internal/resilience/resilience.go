@@ -2,19 +2,22 @@
 // the hostile substrate the paper's platform lived on: transient
 // outages, anti-bot interstitials and aggressive timeouts caused ~9% of
 // toplist loads to fail (Section 3.5), and the production pipeline must
-// neither lose those shares silently nor hammer a struggling domain.
+// not lose those shares silently.
 //
-// The package provides the four building blocks the stream pipeline and
+// The package provides the building blocks the stream pipeline and
 // capd wire together:
 //
 //   - failure classification (Classify*): transient vs. terminal, the
 //     split behind the paper's Section 3.5 loss categories;
 //   - RetryPolicy: capped exponential backoff with deterministic,
 //     seed-derived jitter and a bounded attempt budget;
-//   - Breaker / BreakerSet: per-registrable-domain circuit breakers
-//     (open after N consecutive failures, half-open probe, cooldown);
 //   - DeadLetterSink: the terminal parking lot for shares that exhaust
-//     their budget, so nothing is dropped without a trace.
+//     their budget, so nothing is dropped without a trace;
+//   - HTTPLimiter: load shedding with 429 + Retry-After.
+//
+// Every decision here is a function of the share alone — its seed,
+// URL, day and attempt — never of what other shares did before it, so
+// a crawl's bytes do not depend on scheduling.
 package resilience
 
 import (

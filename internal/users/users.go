@@ -68,8 +68,6 @@ type Config struct {
 	Seed uint64
 	// EUShare is the fraction of visitors from the EU.
 	EUShare float64
-	// RepeatShare is the fraction with an existing consent cookie.
-	RepeatShare float64
 	// RejectShare / AbandonShare are the intrinsic preference shares
 	// (the rest accept). mitmproxy.org's privacy-conscious audience
 	// rejects more than the average web population.
@@ -77,13 +75,16 @@ type Config struct {
 	AbandonShare float64
 }
 
+// repeatShare is the fraction of visitors with an existing consent
+// cookie.
+const repeatShare = 0.18
+
 // DefaultConfig is calibrated so the experiment reproduces the
 // Figure 10 sample sizes and consent rates (83% accept under config A).
 func DefaultConfig() Config {
 	return Config{
 		Seed:         1,
 		EUShare:      0.42,
-		RepeatShare:  0.18,
 		RejectShare:  0.175,
 		AbandonShare: 0.09,
 	}
@@ -107,7 +108,7 @@ func (p *Population) Visitor(i int) Visitor {
 	v := Visitor{
 		ID:               fmt.Sprintf("v-%08x", r.Uint32()),
 		EU:               r.Float64() < p.cfg.EUShare,
-		HasConsentCookie: r.Float64() < p.cfg.RepeatShare,
+		HasConsentCookie: r.Float64() < repeatShare,
 		Speed:            rng.LogNormal(r, 0, 0.35),
 		Persistence:      r.Float64(),
 	}

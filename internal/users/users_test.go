@@ -48,7 +48,7 @@ func TestPopulationShares(t *testing.T) {
 	if !within(eu, cfg.EUShare, 0.02) {
 		t.Errorf("EU share = %d/%d", eu, n)
 	}
-	if !within(repeat, cfg.RepeatShare, 0.02) {
+	if !within(repeat, repeatShare, 0.02) {
 		t.Errorf("repeat share = %d/%d", repeat, n)
 	}
 	if !within(reject, cfg.RejectShare, 0.02) {
