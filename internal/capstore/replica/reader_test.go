@@ -636,24 +636,29 @@ func TestEarlyStopLeavesNothingBehind(t *testing.T) {
 
 // TestFanoutMemoryBounded: against a consumer that stalls on the first
 // row, the streams of a sweep stop reading once each holds its row
-// budget, however large the segments are.
+// budget, however large the segments are. Every row is rowLen bytes
+// long, so the bound leaves no room for extra rows beyond the record
+// reader's buffer: a stream holding half its budget more fails it.
 func TestFanoutMemoryBounded(t *testing.T) {
 	const (
 		shards = 2
 		total  = 24 * rowBudget
+		rowLen = 1 << 10
 	)
 	c := newReadCluster(t, 3, shards, nil)
 	caps := make([]*capture.Capture, total)
 	var segBytes [shards]int64
-	var maxRow int64
 	for i := range caps {
 		caps[i] = readCapture(i)
 		line, err := capturedb.Encode(caps[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		segBytes[capstore.ShardOf(caps[i].FinalDomain, shards)] += int64(len(line))
-		maxRow = max(maxRow, int64(len(line)))
+		caps[i].Requests[0].Path += strings.Repeat("x", rowLen-len(line))
+		if line, err = capturedb.Encode(caps[i]); err != nil || len(line) != rowLen {
+			t.Fatalf("row %d is %d bytes (%v), want %d", i, len(line), err, rowLen)
+		}
+		segBytes[capstore.ShardOf(caps[i].FinalDomain, shards)] += rowLen
 	}
 	c.push(t, 0, caps)
 	if err := c.w.WaitConverged(10 * time.Second); err != nil {
@@ -661,7 +666,7 @@ func TestFanoutMemoryBounded(t *testing.T) {
 	}
 	// What one stalled stream may have pulled off its connection: the
 	// budget, the row it is blocked on, and the record reader's buffer.
-	perStream := (rowBudget+1)*maxRow + 1<<16
+	perStream := int64((rowBudget+1)*rowLen + 1<<16)
 	for s, b := range segBytes {
 		if b < 3*perStream {
 			t.Fatalf("segment %d is %d bytes, too small next to the %d-byte bound to show it", s, b, perStream)
