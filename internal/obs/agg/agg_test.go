@@ -2,6 +2,7 @@ package agg
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -21,16 +22,16 @@ func fakeNode(t *testing.T, reg *obs.Registry, tr *obs.Tracer) *httptest.Server 
 	return srv
 }
 
-func famByName(fams []RollupFamily, name string) (RollupFamily, bool) {
+func famByName(fams []obs.ExpositionFamily, name string) (obs.ExpositionFamily, bool) {
 	for _, f := range fams {
 		if f.Name == name {
 			return f, true
 		}
 	}
-	return RollupFamily{}, false
+	return obs.ExpositionFamily{}, false
 }
 
-func childValue(t *testing.T, f RollupFamily, labels map[string]string) float64 {
+func childValue(t *testing.T, f obs.ExpositionFamily, labels map[string]string) float64 {
 	t.Helper()
 	for _, m := range f.Metrics {
 		if labelKey(m.Labels) == labelKey(labels) {
@@ -42,6 +43,48 @@ func childValue(t *testing.T, f RollupFamily, labels map[string]string) float64 
 	}
 	t.Fatalf("%s has no child %v (have %+v)", f.Name, labels, f.Metrics)
 	return 0
+}
+
+// TestHelpEscapeMatchesNode: a help string holding a backslash and a
+// newline reads the same on a node's /metrics and in the cluster
+// rollup on /cluster/metrics, both escaped as the text format asks.
+func TestHelpEscapeMatchesNode(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.NewCounter(reg, "paths_total", `Paths under C:\data`+"\nper node.").Add(1)
+	node := fakeNode(t, reg, nil)
+	a, err := New(Config{Targets: []Target{{Name: "a", Role: "capd", URL: node.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.ScrapeOnce()
+	cluster := httptest.NewServer(Handler(a))
+	defer cluster.Close()
+	help := func(url, name string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if h, ok := strings.CutPrefix(line, "# HELP "+name+" "); ok {
+				return h
+			}
+		}
+		t.Fatalf("%s: no HELP line for %s in\n%s", url, name, body)
+		return ""
+	}
+	const want = `Paths under C:\\data\nper node.`
+	if got := help(node.URL+"/metrics", "paths_total"); got != want {
+		t.Errorf("node HELP %q, want %q", got, want)
+	}
+	if got := help(cluster.URL+"/cluster/metrics", "cluster:paths_total"); got != want {
+		t.Errorf("cluster HELP %q, want %q", got, want)
+	}
 }
 
 // Two nodes with disjoint counter-vec children, different gauge values,
@@ -119,7 +162,7 @@ func TestScrapeRollup(t *testing.T) {
 
 	// The full rollup must render as a valid exposition.
 	var buf strings.Builder
-	if err := WritePrometheus(&buf, fams); err != nil {
+	if err := obs.WriteExposition(&buf, fams); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateExposition(strings.NewReader(buf.String())); err != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // Handler mounts the aggregator's cluster surface:
@@ -20,12 +22,12 @@ func Handler(a *Aggregator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, a.Rollup()) //nolint:errcheck // client gone mid-scrape
+		obs.WriteExposition(w, a.Rollup()) //nolint:errcheck // client gone mid-scrape
 	})
 	mux.HandleFunc("/cluster/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct { //nolint:errcheck
-			Families []RollupFamily `json:"families"`
+			Families []obs.ExpositionFamily `json:"families"`
 		}{a.Rollup()})
 	})
 	mux.HandleFunc("/cluster/traces", func(w http.ResponseWriter, r *http.Request) {

@@ -1,11 +1,7 @@
 package agg
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -28,14 +24,6 @@ import (
 // Vecs with disjoint label children across nodes merge by label set:
 // a child seen on only one node contributes itself, unchanged, to the
 // cluster fold.
-
-// RollupFamily is one derived family in the cluster exposition.
-type RollupFamily struct {
-	Name    string                 `json:"name"`
-	Kind    string                 `json:"kind"`
-	Help    string                 `json:"help,omitempty"`
-	Metrics []obs.ExpositionMetric `json:"metrics"`
-}
 
 // labelKey canonicalizes a label set for grouping.
 func labelKey(labels map[string]string) string {
@@ -92,8 +80,8 @@ func (f *fold) add(m obs.ExpositionMetric, extra map[string]string) {
 	c.n++
 }
 
-func (f *fold) family(name string, value func(*foldChild) float64) RollupFamily {
-	rf := RollupFamily{Name: name, Kind: f.kind, Help: f.help}
+func (f *fold) family(name string, value func(*foldChild) float64) obs.ExpositionFamily {
+	rf := obs.ExpositionFamily{Name: name, Kind: f.kind, Help: f.help}
 	for _, key := range sortedKeys(f.children) {
 		c := f.children[key]
 		m := obs.ExpositionMetric{}
@@ -114,7 +102,7 @@ func (f *fold) family(name string, value func(*foldChild) float64) RollupFamily 
 
 // Rollup folds the latest scrape of every node into the derived
 // cluster families, sorted by name.
-func (a *Aggregator) Rollup() []RollupFamily {
+func (a *Aggregator) Rollup() []obs.ExpositionFamily {
 	nodes := a.snapshotNodes()
 
 	cluster := map[string]*fold{}
@@ -142,7 +130,7 @@ func (a *Aggregator) Rollup() []RollupFamily {
 
 	sum := func(c *foldChild) float64 { return c.sum }
 	max := func(c *foldChild) float64 { return c.max }
-	var out []RollupFamily
+	var out []obs.ExpositionFamily
 	for _, name := range sortedKeys(cluster) {
 		f := cluster[name]
 		out = append(out, f.family("cluster:"+name, sum))
@@ -160,70 +148,4 @@ func (a *Aggregator) Rollup() []RollupFamily {
 		out = append(out, node[name].family("node:"+name, sum))
 	}
 	return out
-}
-
-// WritePrometheus renders the rollup in the Prometheus text format —
-// the /cluster/metrics body, valid under obs.ValidateExposition.
-func WritePrometheus(w io.Writer, fams []RollupFamily) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		if f.Help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, strings.ReplaceAll(f.Help, "\n", `\n`))
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.Name, f.Kind)
-		for _, m := range f.Metrics {
-			labels := renderLabels(m.Labels, "", "")
-			switch {
-			case m.Histogram != nil:
-				for _, b := range m.Histogram.Buckets {
-					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.Name, renderLabels(m.Labels, "le", b.Label), b.Count)
-				}
-				fmt.Fprintf(bw, "%s_sum%s %s\n", f.Name, labels, formatValue(m.Histogram.Sum))
-				fmt.Fprintf(bw, "%s_count%s %d\n", f.Name, labels, m.Histogram.Count)
-			case m.Value != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.Name, labels, formatValue(*m.Value))
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-func renderLabels(labels map[string]string, extraK, extraV string) string {
-	if len(labels) == 0 && extraK == "" {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	for _, k := range sortedKeys(labels) {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(labels[k]))
-		b.WriteString(`"`)
-	}
-	if extraK != "" {
-		if !first {
-			b.WriteByte(',')
-		}
-		b.WriteString(extraK)
-		b.WriteString(`="`)
-		b.WriteString(extraV)
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func escapeLabelValue(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

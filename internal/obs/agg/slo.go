@@ -183,8 +183,8 @@ func newSLOState(rules []Rule) *sloState {
 }
 
 // observe folds one scrape's rollup into every rule and re-evaluates.
-func (s *sloState) observe(now time.Time, rollup []RollupFamily) {
-	byName := make(map[string]RollupFamily, len(rollup))
+func (s *sloState) observe(now time.Time, rollup []obs.ExpositionFamily) {
+	byName := make(map[string]obs.ExpositionFamily, len(rollup))
 	for _, f := range rollup {
 		byName[f.Name] = f
 	}

@@ -7,40 +7,50 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
 
 // WritePrometheus renders every family in the Prometheus text
-// exposition format (version 0.0.4): # HELP and # TYPE comments, then
-// one line per sample, with histogram buckets cumulative under the
-// canonical _bucket/_sum/_count suffixes. Families appear in
-// registration order, children sorted by label values. A nil registry
-// writes nothing.
+// exposition format (version 0.0.4) through WriteExposition: families
+// in registration order, children sorted by label values. A nil
+// registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	return WriteExposition(w, r.exposition())
+}
+
+// WriteExposition renders families in the Prometheus text exposition
+// format (version 0.0.4): # HELP and # TYPE comments, then one line per
+// sample in the order given, with histogram buckets cumulative under
+// the canonical _bucket/_sum/_count suffixes. A registry's labels keep
+// their declared order; other families' labels are sorted by name.
+// It is the one text writer: a registry's /metrics and obsd's
+// /cluster/metrics both render through it.
+func WriteExposition(w io.Writer, fams []ExpositionFamily) error {
 	bw := bufio.NewWriter(w)
-	for _, f := range r.snapshotFamilies() {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+	for _, f := range fams {
+		if f.Help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, c := range f.sortedChildren() {
-			labels := formatLabels(f.labelNames, c.labelValues)
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.Name, f.Kind)
+		for _, m := range f.Metrics {
+			names := f.labelNames
+			if names == nil {
+				names = sortedNames(m.Labels)
+			}
+			labels := formatLabels(names, m.Labels, "", "")
 			switch {
-			case c.hist != nil:
-				snap := c.hist.Snapshot()
-				for _, b := range snap.Buckets {
-					fmt.Fprintf(bw, "%s_bucket%s %d\n",
-						f.name, formatLabelsExtra(f.labelNames, c.labelValues, "le", b.Label), b.Count)
+			case m.Histogram != nil:
+				for _, b := range m.Histogram.Buckets {
+					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.Name, formatLabels(names, m.Labels, "le", b.Label), b.Count)
 				}
-				fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, labels, formatFloat(snap.Sum))
-				fmt.Fprintf(bw, "%s_count%s %d\n", f.name, labels, snap.Count)
-			case c.fn != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, labels, formatFloat(c.fn()))
-			case c.counter != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, labels, c.counter.Value())
-			case c.gauge != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, labels, formatFloat(c.gauge.Value()))
+				fmt.Fprintf(bw, "%s_sum%s %s\n", f.Name, labels, formatFloat(m.Histogram.Sum))
+				fmt.Fprintf(bw, "%s_count%s %d\n", f.Name, labels, m.Histogram.Count)
+			case m.Value != nil && m.count:
+				fmt.Fprintf(bw, "%s%s %d\n", f.Name, labels, int64(*m.Value))
+			case m.Value != nil:
+				fmt.Fprintf(bw, "%s%s %s\n", f.Name, labels, formatFloat(*m.Value))
 			}
 		}
 	}
@@ -58,13 +68,20 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// formatLabels renders {k="v",…}, or "" when there are no labels.
-func formatLabels(names, values []string) string {
-	return formatLabelsExtra(names, values, "", "")
+// sortedNames returns the label names sorted.
+func sortedNames(labels map[string]string) []string {
+	names := make([]string, 0, len(labels))
+	for n := range labels {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
-// formatLabelsExtra appends one extra pair (used for histogram le=).
-func formatLabelsExtra(names, values []string, extraK, extraV string) string {
+// formatLabels renders {k="v",…} in the order of names, then one extra
+// pair when extraK is set (histogram le=), or "" when there are no
+// labels at all.
+func formatLabels(names []string, labels map[string]string, extraK, extraV string) string {
 	if len(names) == 0 && extraK == "" {
 		return ""
 	}
@@ -76,7 +93,7 @@ func formatLabelsExtra(names, values []string, extraK, extraV string) string {
 		}
 		b.WriteString(n)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
+		b.WriteString(escapeLabel(labels[n]))
 		b.WriteString(`"`)
 	}
 	if extraK != "" {
@@ -99,6 +116,9 @@ type ExpositionMetric struct {
 	Labels    map[string]string  `json:"labels,omitempty"`
 	Value     *float64           `json:"value,omitempty"`
 	Histogram *HistogramSnapshot `json:"histogram,omitempty"`
+	// count marks a Counter's value, which the text format writes as
+	// the integer it is rather than as a float.
+	count bool
 }
 
 type ExpositionFamily struct {
@@ -106,6 +126,9 @@ type ExpositionFamily struct {
 	Kind    string             `json:"kind"`
 	Help    string             `json:"help,omitempty"`
 	Metrics []ExpositionMetric `json:"metrics"`
+	// labelNames is a registry family's declared label order, which
+	// its text exposition keeps.
+	labelNames []string
 }
 
 // ParseJSONExposition decodes a /metrics.json document. Histogram
@@ -145,9 +168,19 @@ func ParseJSONExposition(r io.Reader) ([]ExpositionFamily, error) {
 // exposition: {"families":[{name, kind, help, metrics:[…]}]}. A nil
 // registry writes an empty family list.
 func (r *Registry) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		Families []ExpositionFamily `json:"families"`
+	}{r.exposition()})
+}
+
+// exposition snapshots the registry's families in registration order,
+// children sorted by label values: what both exposition formats render.
+func (r *Registry) exposition() []ExpositionFamily {
 	fams := []ExpositionFamily{}
 	for _, f := range r.snapshotFamilies() {
-		jf := ExpositionFamily{Name: f.name, Kind: f.kind.String(), Help: f.help, Metrics: []ExpositionMetric{}}
+		jf := ExpositionFamily{Name: f.name, Kind: f.kind.String(), Help: f.help, Metrics: []ExpositionMetric{}, labelNames: f.labelNames}
 		for _, c := range f.sortedChildren() {
 			m := ExpositionMetric{}
 			if len(f.labelNames) > 0 {
@@ -165,7 +198,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				m.Value = &v
 			case c.counter != nil:
 				v := float64(c.counter.Value())
-				m.Value = &v
+				m.Value, m.count = &v, true
 			case c.gauge != nil:
 				v := c.gauge.Value()
 				m.Value = &v
@@ -174,11 +207,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		}
 		fams = append(fams, jf)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Families []ExpositionFamily `json:"families"`
-	}{fams})
+	return fams
 }
 
 var (
