@@ -13,8 +13,9 @@
 // bounded capture queue feeding -workers browser workers, with
 // retry/backoff (-retries) and a dead-letter ledger for shares that
 // exhaust their chances. The default (-retries 1) records every capture
-// on its first attempt. -store receives captures as workers finish them: in share
-// order at -workers 1, which makes that archive byte-reproducible.
+// on its first attempt. -store receives captures as workers finish
+// them: in share order at -workers 1, which makes that archive
+// byte-reproducible.
 // -chaos injects deterministic faults into the substrate, e.g.:
 //
 //	crawl -retries 4 -chaos '5xx=0.05,drop=0.02,antibot=0.01,seed=7'

@@ -344,7 +344,6 @@ func TestConfigFieldsSet(t *testing.T) {
 // syntactic type information to tell which struct a field belongs to.
 // Type keys are "dir.Name", dir relative to the repository root.
 type census struct {
-	fset        *token.FileSet
 	files       []*censusFile
 	structs     map[string]*censusStruct
 	funcs       map[string]string // "dir.Func" or "dir.Recv.Method" → result type key
@@ -368,8 +367,9 @@ type censusFile struct {
 }
 
 func parseCensus(t *testing.T) *census {
-	c := &census{fset: token.NewFileSet(), structs: map[string]*censusStruct{},
-		funcs: map[string]string{}, set: map[string]bool{}, built: map[string]bool{}}
+	c := &census{structs: map[string]*censusStruct{}, funcs: map[string]string{},
+		set: map[string]bool{}, built: map[string]bool{}}
+	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -383,7 +383,7 @@ func parseCensus(t *testing.T) *census {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(c.fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -483,7 +483,7 @@ func (cf *censusFile) typeKey(e ast.Expr) string {
 	case *ast.ParenExpr:
 		return cf.typeKey(x.X)
 	case *ast.Ident:
-		if ast.IsExported(x.Name) || !isPredeclared(x.Name) {
+		if !isPredeclared(x.Name) {
 			return cf.dir + "." + x.Name
 		}
 	case *ast.SelectorExpr:

@@ -39,10 +39,10 @@ import (
 // exponential backoff and deterministic jitter, and every share that
 // cannot be captured is accounted for — routed to the dead-letter sink
 // with a reason, never silently dropped. What happens to a share
-// depends on the share alone, never on what other shares did before it,
-// so the captured bytes do not depend on scheduling. Stats() exposes the full
-// per-outcome ledger; Captures() + DeadLettered + Dropped always
-// equals the number of accepted submissions.
+// depends on the share alone, never on what other shares did before
+// it. Stats() exposes the full per-outcome ledger; Captures() +
+// DeadLettered + Dropped always equals the number of accepted
+// submissions.
 type StreamPlatform struct {
 	cfg     StreamConfig
 	world   *webworld.World

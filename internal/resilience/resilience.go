@@ -17,7 +17,8 @@
 //
 // Every decision here is a function of the share alone — its seed,
 // URL, day and attempt — never of what other shares did before it, so
-// a crawl's bytes do not depend on scheduling.
+// a share's outcome is the same in whatever order the shares are
+// crawled.
 package resilience
 
 import (
