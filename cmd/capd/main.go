@@ -87,7 +87,7 @@ func run() int {
 		metrics    = flag.Bool("metrics", false, "expose /metrics, /debug/trace and /debug/pprof (outside the limiter)")
 		ingest     = flag.Bool("ingest", false, "accept remote writes on POST /ingest (fleet storage backend)")
 		initShards = flag.Int("init-shards", 0, "create the store with N shards if -store does not exist yet (requires -ingest)")
-		maxPending = flag.Int("ingest-pending", 64, "ordered-ingest reorder batches buffered before shedding with 503")
+		maxPending = flag.Int("ingest-pending", capstore.DefaultMaxPendingBatches, "ordered-ingest reorder batches buffered before shedding with 503")
 
 		compact      = flag.Bool("compact", false, "run the background segment compactor (pack engine)")
 		compactBytes = flag.Int64("compact-tail-bytes", capstore.DefaultMinTailBytes, "compact a shard once its tail reaches this many bytes")

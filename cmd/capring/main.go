@@ -47,6 +47,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/capstore"
 	"repro/internal/capstore/replica"
 	"repro/internal/daemon"
 )
@@ -88,7 +89,7 @@ func run() int {
 		addr       = flag.String("addr", "127.0.0.1:8660", "listen address")
 		handoffDir = flag.String("handoff-dir", "", "mirror hinted handoff to durable NDJSON logs in this directory")
 		maxHandoff = flag.Int("max-handoff", 256, "hinted-handoff batches queued per down node before it goes dirty (repair on return)")
-		maxPending = flag.Int("ingest-pending", 64, "ordered-ingest reorder batches buffered before shedding with 503")
+		maxPending = flag.Int("ingest-pending", capstore.DefaultMaxPendingBatches, "ordered-ingest reorder batches buffered before shedding with 503")
 		maxInFly   = flag.Int("max-inflight", 64, "concurrent requests served before shedding with 429")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 disables)")
 		nodeTO     = flag.Duration("node-timeout", 10*time.Second, "per-node HTTP call deadline")

@@ -16,17 +16,18 @@
 //
 // Endpoints:
 //
-//	POST /lease /heartbeat /complete   the fleet wire protocol
-//	GET  /status                       ledger + chunk states
-//	GET  /config                       RunConfig for workers
-//	GET  /healthz                      liveness (never load-shed)
+//	POST /lease /heartbeat   the fleet wire protocol: a lease request
+//	                         also reports the worker's previous lease
+//	GET  /status             ledger + chunk states
+//	GET  /config             RunConfig for workers
+//	GET  /healthz            liveness (never load-shed)
 //
 // -max-leases is also the grant window: no chunk that many chunks or
 // more past the lowest unfinished one is leased, so at most
 // -max-leases-1 batches wait in the store's reorder buffer for a gap.
 // It must not exceed the -ingest-pending of the capd or capring behind
-// -ingest (both default to 64), or pushes past the gap are shed while
-// no worker is free to crawl it.
+// -ingest (all three default to capstore.DefaultMaxPendingBatches, 64),
+// or pushes past the gap are shed while no worker is free to crawl it.
 //
 // Workers need only the coordinator address: every run parameter that
 // determinism depends on (world seed, crawl seed, retry budget,
@@ -76,7 +77,7 @@ func run() int {
 		leaseSize  = flag.Int("lease-size", 32, "work items per lease")
 		leaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "lease time-to-live without a heartbeat")
 		budget     = flag.Int("retry-budget", 3, "leases a chunk may consume before its shares are dead-lettered")
-		maxLeases  = flag.Int("max-leases", 64, "in-flight lease ceiling and grant window; beyond it lease requests are shed (at most the store's -ingest-pending)")
+		maxLeases  = flag.Int("max-leases", capstore.DefaultMaxPendingBatches, "in-flight lease ceiling and grant window; beyond it lease requests are shed (at most the store's -ingest-pending)")
 		checkpoint = flag.String("checkpoint", "", "progress log for crash-safe resume")
 		retries    = flag.Int("retries", 3, "worker-side attempt budget per share")
 		politeness = flag.Duration("politeness", 2*time.Millisecond, "worker-side per-domain politeness delay")
@@ -146,7 +147,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
 		return 1
 	}
-	fmt.Printf("fleetd: serving /lease /heartbeat /complete /status /config on %s\n", bound)
+	fmt.Printf("fleetd: serving /lease /heartbeat /status /config on %s\n", bound)
 	if *metrics {
 		fmt.Printf("fleetd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
 	}

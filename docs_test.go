@@ -32,6 +32,7 @@ var (
 	goRunRE     = regexp.MustCompile(`go run \./cmd/([\w-]+)([^\\#&|]*)`)
 	flagRefRE   = regexp.MustCompile(`(?:^|[\s\[])--?([A-Za-z][\w.-]*)`)
 	flagDefRE   = regexp.MustCompile(`flag\.[A-Z]\w*\((?:[^,()"]+,\s*)?"([^"]+)"`)
+	proseFlagRE = regexp.MustCompile(`^--?([A-Za-z][\w.-]*)`)
 )
 
 // TestDocReferences keeps the docFiles from going stale: in their code
@@ -40,17 +41,32 @@ var (
 // exist, every Test*, Benchmark*, Fuzz* or Example* name must be a
 // function in some _test.go file, and every -name written after
 // `go run ./cmd/X` (up to a comment, pipe or line continuation) must
-// be a flag cmd/X defines.
+// be a flag cmd/X defines. In prose, a code span that starts with a
+// command's name (`crawl`, `capd -ingest`, `cmd/fleetd`) names that
+// command, and the -names after it must be its flags; a code span
+// that starts with a -name must be a flag of some command the same
+// paragraph names.
 func TestDocReferences(t *testing.T) {
 	targets := makeTargets(t)
 	funcs := testFuncs(t)
 	flags := map[string]map[string]bool{}
+	cmdFlagSet := func(cmd string) map[string]bool {
+		if flags[cmd] == nil {
+			flags[cmd] = cmdFlags(t, cmd)
+		}
+		return flags[cmd]
+	}
 	for _, doc := range docFiles {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, span := range codeSpans(string(b)) {
+		prose, fenced := codeSpans(string(b))
+		spans := fenced
+		for _, para := range prose {
+			spans = append(spans, para...)
+		}
+		for _, span := range spans {
 			for _, m := range makeRefRE.FindAllStringSubmatch(span, -1) {
 				if !targets[m[1]] {
 					t.Errorf("%s: `%s` names no Makefile target", doc, "make "+m[1])
@@ -68,17 +84,61 @@ func TestDocReferences(t *testing.T) {
 			}
 			for _, m := range goRunRE.FindAllStringSubmatch(span, -1) {
 				cmd := m[1]
-				if flags[cmd] == nil {
-					flags[cmd] = cmdFlags(t, cmd)
-				}
 				for _, f := range flagRefRE.FindAllStringSubmatch(m[2], -1) {
-					if !flags[cmd][f[1]] {
+					if !cmdFlagSet(cmd)[f[1]] {
 						t.Errorf("%s: `go run ./cmd/%s` has no flag -%s", doc, cmd, f[1])
 					}
 				}
 			}
 		}
+		for _, para := range prose {
+			var named []string
+			for _, span := range para {
+				cmd, rest := spanCommand(span)
+				if cmd == "" {
+					continue
+				}
+				named = append(named, cmd)
+				for _, f := range flagRefRE.FindAllStringSubmatch(rest, -1) {
+					if !cmdFlagSet(cmd)[f[1]] {
+						t.Errorf("%s: `%s`: %s has no flag -%s", doc, span, cmd, f[1])
+					}
+				}
+			}
+			if len(named) == 0 {
+				continue
+			}
+		spans:
+			for _, span := range para {
+				m := proseFlagRE.FindStringSubmatch(span)
+				if m == nil {
+					continue
+				}
+				for _, cmd := range named {
+					if cmdFlagSet(cmd)[m[1]] {
+						continue spans
+					}
+				}
+				t.Errorf("%s: `%s` is a flag of none of the commands its paragraph names (%s)",
+					doc, span, strings.Join(named, ", "))
+			}
+		}
 	}
+}
+
+// spanCommand reports the command a code span starts with — its first
+// word is NAME, cmd/NAME or ./cmd/NAME for a directory cmd/NAME — and
+// the rest of the span.
+func spanCommand(span string) (cmd, rest string) {
+	first, rest, _ := strings.Cut(strings.TrimSpace(span), " ")
+	name := strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(first, "./"), "cmd/"), "/")
+	if name == "" || strings.ContainsAny(name, "/.") {
+		return "", ""
+	}
+	if st, err := os.Stat(filepath.Join("cmd", name)); err != nil || !st.IsDir() {
+		return "", ""
+	}
+	return name, rest
 }
 
 // cmdFlags returns the flag names cmd/NAME's non-test files define
@@ -223,28 +283,31 @@ func testFuncs(t *testing.T) map[string]bool {
 	return funcs
 }
 
-// codeSpans returns a markdown document's inline code spans (paired
-// within one paragraph, line breaks read as spaces) and the lines of
-// its fenced code blocks.
-func codeSpans(doc string) []string {
-	var spans []string
+// codeSpans returns a markdown document's inline code spans, one list
+// per prose paragraph (paired within the paragraph, line breaks read
+// as spaces), and the lines of its fenced code blocks.
+func codeSpans(doc string) (prose [][]string, fenced []string) {
 	var para []string
 	flush := func() {
 		text := strings.Join(para, " ")
 		para = para[:0]
 		parts := strings.Split(text, "`")
+		var spans []string
 		for i := 1; i+1 < len(parts); i += 2 {
 			spans = append(spans, parts[i])
 		}
+		if len(spans) > 0 {
+			prose = append(prose, spans)
+		}
 	}
-	fenced := false
+	inFence := false
 	for _, line := range strings.Split(doc, "\n") {
 		switch {
 		case strings.HasPrefix(strings.TrimSpace(line), "```"):
 			flush()
-			fenced = !fenced
-		case fenced:
-			spans = append(spans, line)
+			inFence = !inFence
+		case inFence:
+			fenced = append(fenced, line)
 		case strings.TrimSpace(line) == "":
 			flush()
 		default:
@@ -252,7 +315,7 @@ func codeSpans(doc string) []string {
 		}
 	}
 	flush()
-	return spans
+	return prose, fenced
 }
 
 // spanPaths returns the repository paths a code span names, trimmed to

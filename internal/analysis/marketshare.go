@@ -20,12 +20,6 @@ type MarketSharePoint struct {
 	TotalShare float64
 }
 
-// DefaultSizes are the x-axis sample points of Figure 5 (log-spaced,
-// top 100 through top 1M, clipped to the list length by the caller).
-func DefaultSizes() []int {
-	return []int{100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000}
-}
-
 // MarketShareByRank computes cumulative market share as a function of
 // toplist size at the snapshot day.
 func MarketShareByRank(p *PresenceDB, list *toplist.List, day simtime.Day, sizes []int) []MarketSharePoint {

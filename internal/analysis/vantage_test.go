@@ -129,15 +129,3 @@ func TestPromptChangesObservedUnit(t *testing.T) {
 		t.Errorf("empty changes = %d", got)
 	}
 }
-
-func TestDefaultSizes(t *testing.T) {
-	sizes := DefaultSizes()
-	if len(sizes) == 0 || sizes[0] != 100 || sizes[len(sizes)-1] != 1_000_000 {
-		t.Errorf("sizes = %v", sizes)
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] <= sizes[i-1] {
-			t.Fatal("sizes must increase")
-		}
-	}
-}

@@ -45,7 +45,7 @@ func appendIngestKey[S string | []byte](dst []byte, seed S, day simtime.Day, van
 type IngestConfig struct {
 	// MaxPendingBatches bounds the ordered-mode reorder buffer; an
 	// out-of-order batch arriving past the bound is shed with 503
-	// (default 64).
+	// (default DefaultMaxPendingBatches).
 	MaxPendingBatches int
 	// Registry, when non-nil, receives the ingest metric families.
 	Registry *obs.Registry

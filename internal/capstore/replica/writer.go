@@ -81,7 +81,8 @@ type Config struct {
 	// single-node loss.
 	Quorum int
 	// MaxPendingBatches bounds the ordered-mode reorder buffer; beyond
-	// it out-of-order pushes are shed with ErrIngestShed (default 64).
+	// it out-of-order pushes are shed with ErrIngestShed (default
+	// capstore.DefaultMaxPendingBatches).
 	MaxPendingBatches int
 	// MaxHandoff bounds the hinted-handoff queue of a down node, in
 	// batches; overflow drops the hints and flags the node dirty for

@@ -175,11 +175,16 @@ type Sequencer struct {
 	pending map[int64]Batch
 }
 
+// DefaultMaxPendingBatches is the reorder bound of every ordered-ingest
+// tier (capd, capring) and the fleet's default grant window, which must
+// not exceed it: one decision, so one constant.
+const DefaultMaxPendingBatches = 64
+
 // NewSequencer returns a Sequencer at cursor 0 buffering at most
-// maxPending out-of-order batches (default 64, on every tier).
+// maxPending out-of-order batches (default DefaultMaxPendingBatches).
 func NewSequencer(maxPending int) *Sequencer {
 	if maxPending <= 0 {
-		maxPending = 64
+		maxPending = DefaultMaxPendingBatches
 	}
 	return &Sequencer{max: maxPending, pending: make(map[int64]Batch)}
 }

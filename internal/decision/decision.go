@@ -59,10 +59,6 @@ func (b Basis) String() string {
 	}
 }
 
-// Letter is the one-byte wire encoding used by the batch endpoint:
-// 'N' denied, 'C' consent, 'L' legitimate interest.
-func (b Basis) Letter() byte { return "NCL"[b] }
-
 // NumPurposeBits is the width of the purpose fields on the wire; the
 // kernel answers purposes 1..NumPurposeBits (10 are standardized).
 const NumPurposeBits = 24

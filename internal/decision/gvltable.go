@@ -68,9 +68,6 @@ func purposeMask(purposes []int) uint16 {
 	return m
 }
 
-// Registered reports whether the vendor is on this list version.
-func (t *VendorTable) Registered(vendor int) bool { return t.present.test(vendor) }
-
 // Vendors returns the number of registered vendors.
 func (t *VendorTable) Vendors() int { return t.present.count() }
 

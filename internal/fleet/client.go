@@ -12,7 +12,7 @@ import (
 // Client speaks the wire protocol to a coordinator. It is a thin
 // transport: retry policy lives in the worker loop, which knows which
 // exchanges are idempotent (all of them — grants are leased, heartbeats
-// are monotone, completions dedup server-side).
+// are monotone, reported outcomes dedup server-side).
 type Client struct {
 	// BaseURL is the fleetd root, e.g. "http://127.0.0.1:8660".
 	BaseURL string
@@ -53,10 +53,12 @@ func (cl *Client) exchange(path string, f *Frame) (*Frame, error) {
 	return DecodeFrame(data)
 }
 
-// Lease asks for work. The response is a lease-grant, idle, or drained
+// Lease asks for work and reports lease's per-item outcomes (lease 0
+// and no results when there is nothing to report). The response is a
+// lease-grant, idle, drained, or — when the report is refused — error
 // frame.
-func (cl *Client) Lease(worker string, capacity int) (*Frame, error) {
-	return cl.exchange("/lease", &Frame{Type: FrameLeaseRequest, Worker: worker, Capacity: capacity})
+func (cl *Client) Lease(worker string, lease int64, results []Result) (*Frame, error) {
+	return cl.exchange("/lease", &Frame{Type: FrameLeaseRequest, Worker: worker, Lease: lease, Results: results})
 }
 
 // Heartbeat extends a lease; an error frame means the lease is gone and
@@ -64,11 +66,6 @@ func (cl *Client) Lease(worker string, capacity int) (*Frame, error) {
 // (empty for untraced runs) so the lease's frames share one trace.
 func (cl *Client) Heartbeat(worker string, lease int64, trace string) (*Frame, error) {
 	return cl.exchange("/heartbeat", &Frame{Type: FrameHeartbeat, Worker: worker, Lease: lease, Trace: trace})
-}
-
-// Complete reports a lease's outcomes; trace as on Heartbeat.
-func (cl *Client) Complete(worker string, lease int64, results []Result, trace string) (*Frame, error) {
-	return cl.exchange("/complete", &Frame{Type: FrameCompletion, Worker: worker, Lease: lease, Results: results, Trace: trace})
 }
 
 // Config fetches the coordinator's RunConfig.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/capstore"
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -89,11 +90,12 @@ type CoordinatorConfig struct {
 	// its shares are dead-lettered (default 3).
 	LeaseRetryBudget int
 	// MaxActiveLeases bounds in-flight leases; requests beyond it are
-	// shed with an idle frame (default 64). It is also the grant
-	// window: no chunk MaxActiveLeases or more chunks past the lowest
-	// unfinished one is granted, so it must not exceed the store's
-	// ordered-ingest reorder bound (capstore.IngestConfig and
-	// replica.Config MaxPendingBatches, also 64 by default).
+	// shed with an idle frame (default capstore.DefaultMaxPendingBatches).
+	// It is also the grant window: no chunk MaxActiveLeases or more
+	// chunks past the lowest unfinished one is granted, so it must not
+	// exceed the store's ordered-ingest reorder bound
+	// (capstore.IngestConfig and replica.Config MaxPendingBatches,
+	// whose default is the same capstore.DefaultMaxPendingBatches).
 	MaxActiveLeases int
 	// IdleRetry is the retry hint sent with idle frames (default 250ms).
 	IdleRetry time.Duration
@@ -104,8 +106,9 @@ type CoordinatorConfig struct {
 	// dead chunk's range so the store's ordered commit cursor does not
 	// stall behind work nobody will push.
 	Skip SkipFunc
-	// DeadLetter receives the coordinator's lease-expired shares.
-	DeadLetter resilience.DeadLetterSink
+	// DeadLetter receives the shares the coordinator accounts as dead
+	// (nil: the coordinator keeps its own).
+	DeadLetter *resilience.MemDeadLetter
 	// Now is injectable for tests (default time.Now).
 	Now func() time.Time
 	// Registry and Tracer attach the obs surface; both may be nil.
@@ -124,10 +127,13 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 		c.LeaseRetryBudget = 3
 	}
 	if c.MaxActiveLeases <= 0 {
-		c.MaxActiveLeases = 64
+		c.MaxActiveLeases = capstore.DefaultMaxPendingBatches
 	}
 	if c.IdleRetry <= 0 {
 		c.IdleRetry = 250 * time.Millisecond
+	}
+	if c.DeadLetter == nil {
+		c.DeadLetter = resilience.NewMemDeadLetter()
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -267,7 +273,7 @@ func (co *Coordinator) replay(recs []ckptRecord) error {
 }
 
 // Grant answers a lease request: a grant, an idle hint, or drained.
-func (co *Coordinator) Grant(worker string, capacity int) *Frame {
+func (co *Coordinator) Grant(worker string) *Frame {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.lastSeen[worker] = co.cfg.Now()
@@ -379,8 +385,9 @@ func (co *Coordinator) Heartbeat(worker string, lease int64) *Frame {
 
 // Complete accounts a lease's per-item outcomes. A completion for a
 // lease that was reassigned (and possibly finished elsewhere) is
-// acknowledged as a duplicate: the worker already pushed its batch, but
-// the ordered ingest path drops re-deliveries, so nothing double-counts.
+// acknowledged and counted as a duplicate: the worker already pushed
+// its batch, but the ordered ingest path drops re-deliveries, so
+// nothing double-counts.
 func (co *Coordinator) Complete(worker string, lease int64, results []Result) *Frame {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -391,7 +398,7 @@ func (co *Coordinator) Complete(worker string, lease int64, results []Result) *F
 		if co.metrics != nil {
 			co.metrics.dupCompletions.Inc()
 		}
-		return &Frame{Type: FrameAck, Dup: true}
+		return &Frame{Type: FrameAck}
 	}
 	lo, hi := c.first, c.first+int64(c.n())
 	for _, r := range results {
@@ -410,13 +417,11 @@ func (co *Coordinator) Complete(worker string, lease int64, results []Result) *F
 			caps++
 		} else {
 			dead++
-			if co.cfg.DeadLetter != nil {
-				it := c.items[r.Seq-c.first]
-				co.cfg.DeadLetter.Add(resilience.DeadEntry{
-					URL: it.URL, Domain: it.Domain, Day: it.Day,
-					Attempts: r.Attempts, Reason: r.Reason, LastErr: r.Err,
-				})
-			}
+			it := c.items[r.Seq-c.first]
+			co.cfg.DeadLetter.Add(resilience.DeadEntry{
+				URL: it.URL, Domain: it.Domain, Day: it.Day,
+				Attempts: r.Attempts, Reason: r.Reason, LastErr: r.Err,
+			})
 		}
 	}
 	co.ledger.Captures += caps
@@ -514,12 +519,10 @@ func (co *Coordinator) killLocked(c *chunk) {
 	var dead int64
 	for _, it := range c.items {
 		dead++
-		if co.cfg.DeadLetter != nil {
-			co.cfg.DeadLetter.Add(resilience.DeadEntry{
-				URL: it.URL, Domain: it.Domain, Day: it.Day,
-				Attempts: c.attempts, Reason: ReasonLeaseExpired,
-			})
-		}
+		co.cfg.DeadLetter.Add(resilience.DeadEntry{
+			URL: it.URL, Domain: it.Domain, Day: it.Day,
+			Attempts: c.attempts, Reason: ReasonLeaseExpired,
+		})
 	}
 	co.ledger.DeadLettered += dead
 	if co.metrics != nil {
@@ -546,13 +549,11 @@ func (co *Coordinator) Abort() {
 		}
 		c.state = chunkDead
 		co.ledger.Dropped += int64(c.n())
-		if co.cfg.DeadLetter != nil {
-			for _, it := range c.items {
-				co.cfg.DeadLetter.Add(resilience.DeadEntry{
-					URL: it.URL, Domain: it.Domain, Day: it.Day,
-					Reason: resilience.ReasonShutdownDrop,
-				})
-			}
+		for _, it := range c.items {
+			co.cfg.DeadLetter.Add(resilience.DeadEntry{
+				URL: it.URL, Domain: it.Domain, Day: it.Day,
+				Reason: resilience.ReasonShutdownDrop,
+			})
 		}
 	}
 	co.checkDrained()

@@ -66,7 +66,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1 := co.Grant("w1", 0)
+	g1 := co.Grant("w1")
 	if g1.Type != FrameLeaseGrant || g1.First != 0 || g1.N != 8 {
 		t.Fatalf("first grant = %+v", g1)
 	}
@@ -76,16 +76,16 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	if f := co.Heartbeat("w2", g1.Lease); f.Type != FrameError {
 		t.Fatalf("foreign heartbeat accepted: %+v", f)
 	}
-	if f := co.Complete("w1", g1.Lease, allCaptured(g1)); f.Type != FrameAck || f.Dup {
-		t.Fatalf("completion = %+v", f)
+	if f := co.Complete("w1", g1.Lease, allCaptured(g1)); f.Type != FrameAck || co.Ledger().DuplicateCompletions != 0 {
+		t.Fatalf("completion = %+v, ledger %+v", f, co.Ledger())
 	}
 	// A second completion for the same lease is a duplicate, not an error.
-	if f := co.Complete("w1", g1.Lease, allCaptured(g1)); f.Type != FrameAck || !f.Dup {
-		t.Fatalf("re-completion = %+v", f)
+	if f := co.Complete("w1", g1.Lease, allCaptured(g1)); f.Type != FrameAck || co.Ledger().DuplicateCompletions != 1 {
+		t.Fatalf("re-completion = %+v, ledger %+v", f, co.Ledger())
 	}
 
-	g2 := co.Grant("w1", 0)
-	g3 := co.Grant("w2", 0)
+	g2 := co.Grant("w1")
+	g3 := co.Grant("w2")
 	if g2.First != 8 || g3.First != 16 {
 		t.Fatalf("grants out of order: %d, %d", g2.First, g3.First)
 	}
@@ -97,7 +97,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	default:
 		t.Fatal("coordinator not drained after all completions")
 	}
-	if f := co.Grant("w1", 0); f.Type != FrameDrained {
+	if f := co.Grant("w1"); f.Type != FrameDrained {
 		t.Fatalf("post-drain grant = %+v", f)
 	}
 	l := co.Ledger()
@@ -117,15 +117,15 @@ func TestCoordinatorPolitenessGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1 := co.Grant("w1", 0)
+	g1 := co.Grant("w1")
 	if g1.Type != FrameLeaseGrant {
 		t.Fatalf("grant = %+v", g1)
 	}
-	if f := co.Grant("w2", 0); f.Type != FrameIdle {
+	if f := co.Grant("w2"); f.Type != FrameIdle {
 		t.Fatalf("conflicting grant = %+v, want idle (domain held by w1)", f)
 	}
 	co.Complete("w1", g1.Lease, allCaptured(g1))
-	if f := co.Grant("w2", 0); f.Type != FrameLeaseGrant || f.First != 1 {
+	if f := co.Grant("w2"); f.Type != FrameLeaseGrant || f.First != 1 {
 		t.Fatalf("post-release grant = %+v", f)
 	}
 }
@@ -153,7 +153,7 @@ func TestCoordinatorExpiryReassignsThenDeadLetters(t *testing.T) {
 	}
 	// Attempt 1 and 2: granted, never heartbeat, expired.
 	for attempt := 1; attempt <= 2; attempt++ {
-		g := co.Grant("w1", 0)
+		g := co.Grant("w1")
 		if g.Type != FrameLeaseGrant {
 			t.Fatalf("attempt %d: grant = %+v", attempt, g)
 		}
@@ -163,12 +163,12 @@ func TestCoordinatorExpiryReassignsThenDeadLetters(t *testing.T) {
 			t.Fatalf("attempt %d: reassigned = %d", attempt, l.Reassigned)
 		}
 		// The worker's late completion is a duplicate, not a crash.
-		if f := co.Complete("w1", g.Lease, allCaptured(g)); !f.Dup {
-			t.Fatalf("late completion = %+v", f)
+		if f := co.Complete("w1", g.Lease, allCaptured(g)); f.Type != FrameAck || co.Ledger().DuplicateCompletions != int64(attempt) {
+			t.Fatalf("late completion = %+v, ledger %+v", f, co.Ledger())
 		}
 	}
 	// Attempt 3 exceeds the budget on expiry: chunk dies.
-	g := co.Grant("w1", 0)
+	g := co.Grant("w1")
 	clock.Advance(2 * time.Second)
 	co.Sweep()
 	_ = g
@@ -203,9 +203,9 @@ func TestCoordinatorShedsAtMaxLeases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.Grant("w1", 0)
-	co.Grant("w2", 0)
-	if f := co.Grant("w3", 0); f.Type != FrameIdle {
+	co.Grant("w1")
+	co.Grant("w2")
+	if f := co.Grant("w3"); f.Type != FrameIdle {
 		t.Fatalf("grant past ceiling = %+v, want idle", f)
 	}
 	if l := co.Ledger(); l.Shed != 1 {
@@ -222,9 +222,9 @@ func TestCoordinatorAbortBalancesLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := co.Grant("w1", 0)
+	g := co.Grant("w1")
 	co.Complete("w1", g.Lease, allCaptured(g))
-	co.Grant("w1", 0) // leased but never completed
+	co.Grant("w1") // leased but never completed
 	co.Abort()
 	l := co.Ledger()
 	if l.Captures != 3 || l.Dropped != 7 {
@@ -255,13 +255,13 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1 := co1.Grant("w1", 0) // [0,4): completed
+	g1 := co1.Grant("w1") // [0,4): completed
 	co1.Complete("w1", g1.Lease, allCaptured(g1))
-	g2 := co1.Grant("w1", 0) // [4,8): one dead-letter result
+	g2 := co1.Grant("w1") // [4,8): one dead-letter result
 	rs := allCaptured(g2)
 	rs[1] = Result{Seq: g2.First + 1, Attempts: 3, Reason: resilience.ReasonBudgetExhausted, Err: "x"}
 	co1.Complete("w1", g2.Lease, rs)
-	co1.Grant("w1", 0) // [8,12): leased, never completed — lost with the crash
+	co1.Grant("w1") // [8,12): leased, never completed — lost with the crash
 	if err := co1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	// The resumed coordinator must grant only unfinished ranges.
 	seen := map[int64]bool{}
 	for {
-		g := co2.Grant("w", 0)
+		g := co2.Grant("w")
 		if g.Type == FrameDrained {
 			break
 		}
@@ -316,7 +316,7 @@ func TestCheckpointRejectsMismatchedWorkList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := co1.Grant("w", 0)
+	g := co1.Grant("w")
 	co1.Complete("w", g.Lease, allCaptured(g))
 	co1.Close()
 

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -422,5 +426,122 @@ func TestGrantWindowDrains(t *testing.T) {
 	}
 	if st := ing.Stats(); st.NextSeq != int64(len(items)) || st.Shed != 0 {
 		t.Errorf("ingest %+v: want every one of %d items committed and no push shed", st, len(items))
+	}
+}
+
+// TestLeaseReportsOutcome: a lease's outcome rides the worker's next
+// /lease request, so the protocol is two exchanges, /lease and
+// /heartbeat, and an uncontested lease costs one /lease request plus
+// one push. Every report reaches the ledger as a completion or a
+// duplicate.
+func TestLeaseReportsOutcome(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			store, err := capstore.Create(t.TempDir(), fleetShards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			ing, err := capstore.NewIngester(store, capstore.IngestConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			world := fleetWorld()
+			items := WorkFromFeed(fleetFeed(world), 0, fleetDays-1)
+			co, err := NewCoordinator(items, CoordinatorConfig{
+				LeaseSize: 16,
+				LeaseTTL:  time.Minute,
+				IdleRetry: 5 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			posts := map[string]int{}
+			reports := 0
+			h := NewHandler(co, fleetRun, ServerConfig{})
+			coordSrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				var f struct {
+					Results []Result `json:"res"`
+				}
+				json.Unmarshal(body, &f) //nolint:errcheck
+				mu.Lock()
+				if r.Method == http.MethodPost {
+					posts[r.URL.Path]++
+				}
+				if r.URL.Path == "/lease" && len(f.Results) > 0 {
+					reports++
+				}
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				h.ServeHTTP(rw, r)
+			}))
+			defer coordSrv.Close()
+
+			var pushes atomic.Int64
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				w, err := NewWorker(WorkerConfig{
+					ID:          fmt.Sprintf("worker-%d", i),
+					Coordinator: NewClient(coordSrv.URL),
+					Push: func(trace string, at, n int64, caps []*capture.Capture) error {
+						pushes.Add(1)
+						_, err := ing.IngestBatchAt(at, n, caps)
+						return err
+					},
+					World: world,
+					Run:   fleetRun,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := w.Run(ctx); err != nil {
+						t.Errorf("worker: %v", err)
+					}
+				}()
+			}
+			wg.Wait() // every worker exits on its drained frame
+			select {
+			case <-co.Done():
+			default:
+				t.Fatalf("workers exited before the window drained: %+v", co.Status())
+			}
+
+			l := co.Ledger()
+			mu.Lock()
+			defer mu.Unlock()
+			for path := range posts {
+				if path != "/lease" && path != "/heartbeat" {
+					t.Errorf("POST %s: the protocol is /lease and /heartbeat (all POSTs: %v)", path, posts)
+				}
+			}
+			if got := int64(reports); got != l.Completions+l.DuplicateCompletions {
+				t.Errorf("%d lease requests carried results; ledger has %d completions + %d duplicates",
+					got, l.Completions, l.DuplicateCompletions)
+			}
+			if want := int64(co.Status().Chunks); l.Completions != want {
+				t.Errorf("completions = %d, want one per chunk (%d)", l.Completions, want)
+			}
+			if l.Captures+l.DeadLettered != l.Submitted {
+				t.Errorf("ledger does not balance: %+v", l)
+			}
+			if workers == 1 {
+				// Uncontested: one /lease per lease plus the request
+				// answered drained, one push per lease, nothing else.
+				if posts["/lease"] != int(l.Leases)+1 || pushes.Load() != l.Leases || len(posts) != 1 {
+					t.Errorf("%d leases cost POSTs %v and %d pushes; want %d /lease and %d pushes",
+						l.Leases, posts, pushes.Load(), l.Leases+1, l.Leases)
+				}
+			}
+		})
 	}
 }

@@ -15,27 +15,32 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	seeds := []string{
 		`{"k":"lease-request","w":"worker-1"}`,
-		`{"k":"lease-request","w":"eu.4321","cap":64}`,
+		`{"k":"lease-request","w":"worker-1","l":7,"res":[` +
+			`{"q":96,"c":true},` +
+			`{"q":97,"a":3,"r":"budget-exhausted","e":"webworld: shop9.de: temporarily unavailable"}]}`,
 		`{"k":"lease-grant","l":7,"f":96,"n":2,"ttl":10000,"i":[` +
 			`{"q":96,"u":"https://news3.com/a?utm=1","d":"news3.com","t":12},` +
 			`{"q":97,"u":"https://shop9.de/b","d":"shop9.de","t":12}]}`,
 		`{"k":"idle","rty":250}`,
 		`{"k":"drained"}`,
 		`{"k":"heartbeat","w":"worker-1","l":7}`,
-		`{"k":"completion","w":"worker-1","l":7,"res":[` +
-			`{"q":96,"c":true},` +
-			`{"q":97,"a":3,"r":"budget-exhausted","e":"webworld: shop9.de: temporarily unavailable"}]}`,
+		`{"k":"lease-request","w":"eu.4321","l":3,"res":[{"q":0,"c":true}],"tp":"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"}`,
 		`{"k":"ack"}`,
-		`{"k":"ack","dup":true}`,
 		`{"k":"error","e":"unknown lease 7 for worker worker-1"}`,
 		// Malformed: unknown type, unknown field, non-contiguous range,
-		// item/N mismatch, results out of order, torn tails, garbage.
+		// item/N mismatch, results out of order or without their lease,
+		// a capacity hint and a completion frame (neither is part of
+		// the protocol), torn tails, garbage.
 		`{"k":"gossip"}`,
 		`{"k":"heartbeat","w":"w","l":7,"extra":1}`,
+		`{"k":"lease-request","w":"eu.4321","cap":64}`,
+		`{"k":"completion","w":"w","l":1,"res":[{"q":0,"c":true}]}`,
+		`{"k":"lease-request","w":"w","res":[{"q":0,"c":true}]}`,
+		`{"k":"lease-request","w":"w","l":1}`,
 		`{"k":"lease-grant","l":1,"f":0,"n":2,"ttl":1,"i":[{"q":0,"u":"u","d":"d","t":0},{"q":5,"u":"u","d":"d","t":0}]}`,
 		`{"k":"lease-grant","l":1,"f":0,"n":3,"ttl":1,"i":[]}`,
-		`{"k":"completion","w":"w","l":1,"res":[{"q":9,"c":true},{"q":3,"c":true}]}`,
-		`{"k":"completion","w":"w","l":1,"res":[{"q":0}]}`,
+		`{"k":"lease-request","w":"w","l":1,"res":[{"q":9,"c":true},{"q":3,"c":true}]}`,
+		`{"k":"lease-request","w":"w","l":1,"res":[{"q":0}]}`,
 		`{"k":"lease-grant","l":7,"f":96,"n":2,"tt`,
 		`{"k":"ack"}{"k":"ack"}`,
 		``,

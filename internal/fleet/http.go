@@ -39,21 +39,23 @@ type ServerConfig struct {
 	MaxInFlight int
 }
 
-// maxBodyBytes caps one protocol request body; completion frames are
-// small.
+// maxBodyBytes caps one protocol request body; a lease request's
+// results are small.
 const maxBodyBytes = 1 << 20
 
 // NewHandler mounts the fleet wire protocol over a coordinator:
 //
-//	POST /lease      lease-request frame → lease-grant | idle | drained
+//	POST /lease      lease-request frame → lease-grant | idle | drained | error
 //	POST /heartbeat  heartbeat frame     → ack | error
-//	POST /complete   completion frame    → ack (Dup marks stale) | error
 //	GET  /status     coordinator Status as JSON
 //	GET  /config     RunConfig as JSON
 //	GET  /healthz    liveness (outside the limiter)
 //
-// Protocol responses are HTTP 200 with the semantics in the frame Type,
-// so transport failures and protocol outcomes stay distinguishable.
+// A lease request that reports a lease's results has them accounted
+// (Coordinator.Complete) before it is answered; a refused report is
+// answered with the error frame instead of work. Protocol responses
+// are HTTP 200 with the semantics in the frame Type, so transport
+// failures and protocol outcomes stay distinguishable.
 func NewHandler(co *Coordinator, rc RunConfig, cfg ServerConfig) http.Handler {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 128
@@ -61,17 +63,17 @@ func NewHandler(co *Coordinator, rc RunConfig, cfg ServerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lease", func(w http.ResponseWriter, r *http.Request) {
 		frameExchange(w, r, FrameLeaseRequest, func(f *Frame) *Frame {
-			return co.Grant(f.Worker, f.Capacity)
+			if f.Lease > 0 {
+				if ack := co.Complete(f.Worker, f.Lease, f.Results); ack.Type == FrameError {
+					return ack
+				}
+			}
+			return co.Grant(f.Worker)
 		})
 	})
 	mux.HandleFunc("/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		frameExchange(w, r, FrameHeartbeat, func(f *Frame) *Frame {
 			return co.Heartbeat(f.Worker, f.Lease)
-		})
-	})
-	mux.HandleFunc("/complete", func(w http.ResponseWriter, r *http.Request) {
-		frameExchange(w, r, FrameCompletion, func(f *Frame) *Frame {
-			return co.Complete(f.Worker, f.Lease, f.Results)
 		})
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {

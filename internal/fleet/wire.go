@@ -29,7 +29,8 @@ type FrameType string
 
 const (
 	// FrameLeaseRequest asks the coordinator for work
-	// (worker → POST /lease).
+	// (worker → POST /lease) and reports the outcome of the worker's
+	// previous lease, if it has one to report.
 	FrameLeaseRequest FrameType = "lease-request"
 	// FrameLeaseGrant carries a contiguous chunk of work items
 	// (coordinator → worker).
@@ -42,11 +43,8 @@ const (
 	FrameDrained FrameType = "drained"
 	// FrameHeartbeat extends a lease (worker → POST /heartbeat).
 	FrameHeartbeat FrameType = "heartbeat"
-	// FrameCompletion reports per-item outcomes for a lease
-	// (worker → POST /complete).
-	FrameCompletion FrameType = "completion"
-	// FrameAck acknowledges a heartbeat or completion; Dup marks a
-	// completion for a chunk that was already accounted for.
+	// FrameAck acknowledges a heartbeat (and, in process, a report
+	// Coordinator.Complete accounted).
 	FrameAck FrameType = "ack"
 	// FrameError reports a protocol-level failure (unknown lease,
 	// malformed frame); Err carries the reason.
@@ -64,11 +62,12 @@ type WorkItem struct {
 	Day    simtime.Day `json:"t"`
 }
 
-// Result is one work item's outcome inside a completion frame.
+// Result is one work item's outcome, reported on the lease request
+// that follows the lease.
 type Result struct {
 	Seq int64 `json:"q"`
 	// Captured is set when the visit produced a capture record (pushed
-	// to capd by the worker before the completion was sent).
+	// to capd by the worker before the outcome was reported).
 	Captured bool `json:"c,omitempty"`
 	// Attempts is how many visit attempts the item consumed.
 	Attempts int `json:"a,omitempty"`
@@ -84,11 +83,9 @@ type Result struct {
 type Frame struct {
 	Type   FrameType `json:"k"`
 	Worker string    `json:"w,omitempty"`
-	// Lease identifies a grant; echoed on heartbeats and completions.
+	// Lease identifies a grant; echoed on heartbeats, and on the next
+	// lease request when that reports the lease's outcome.
 	Lease int64 `json:"l,omitempty"`
-	// Capacity is advisory on lease requests: how many items the
-	// worker wants (0 means coordinator default).
-	Capacity int `json:"cap,omitempty"`
 	// First and N describe the granted range [First, First+N) of the
 	// total order; Items lists the shares, in order.
 	First int64      `json:"f,omitempty"`
@@ -100,18 +97,16 @@ type Frame struct {
 	// RetryMS hints how long an idle worker should wait before asking
 	// again.
 	RetryMS int64 `json:"rty,omitempty"`
-	// Results carries per-item outcomes on completion frames.
+	// Results carries lease Lease's per-item outcomes on a lease
+	// request, present exactly when Lease is set.
 	Results []Result `json:"res,omitempty"`
-	// Dup marks an ack for a completion that was already accounted for
-	// (the chunk was reassigned and finished elsewhere first).
-	Dup bool `json:"dup,omitempty"`
 	// Err carries the reason on error frames.
 	Err string `json:"e,omitempty"`
 	// Trace carries the lease span's context in traceparent form: set
 	// by the coordinator on grants (when it runs a tracer), echoed by
-	// workers on heartbeats and completions, and adopted as the remote
-	// parent of every worker-side span. Optional — an empty string
-	// means the exchange is untraced.
+	// workers on heartbeats, and adopted as the remote parent of every
+	// worker-side span. Optional — an empty string means the exchange
+	// is untraced.
 	Trace string `json:"tp,omitempty"`
 }
 
@@ -155,8 +150,21 @@ func (f *Frame) Validate() error {
 		if f.Worker == "" {
 			return fmt.Errorf("fleet: %s frame without worker id", f.Type)
 		}
-		if f.Capacity < 0 {
-			return fmt.Errorf("fleet: %s frame with negative capacity %d", f.Type, f.Capacity)
+		if f.Lease < 0 || (f.Lease > 0) != (len(f.Results) > 0) {
+			return fmt.Errorf("fleet: %s frame with lease %d and %d results (results come with the lease they report)",
+				f.Type, f.Lease, len(f.Results))
+		}
+		for i, r := range f.Results {
+			if r.Seq < 0 {
+				return fmt.Errorf("fleet: %s frame result %d has seq %d", f.Type, i, r.Seq)
+			}
+			if i > 0 && r.Seq <= f.Results[i-1].Seq {
+				return fmt.Errorf("fleet: %s frame results out of order at %d (%d after %d)",
+					f.Type, i, r.Seq, f.Results[i-1].Seq)
+			}
+			if !r.Captured && r.Reason == "" {
+				return fmt.Errorf("fleet: %s frame result %d neither captured nor classified", f.Type, i)
+			}
 		}
 	case FrameLeaseGrant:
 		if f.Lease <= 0 {
@@ -188,26 +196,10 @@ func (f *Frame) Validate() error {
 			return fmt.Errorf("fleet: %s frame with retry %dms", f.Type, f.RetryMS)
 		}
 	case FrameDrained, FrameAck:
-		// No required fields; Dup is meaningful on acks.
+		// No required fields.
 	case FrameHeartbeat:
 		if f.Worker == "" || f.Lease <= 0 {
 			return fmt.Errorf("fleet: %s frame needs worker and lease (worker=%q lease=%d)", f.Type, f.Worker, f.Lease)
-		}
-	case FrameCompletion:
-		if f.Worker == "" || f.Lease <= 0 {
-			return fmt.Errorf("fleet: %s frame needs worker and lease (worker=%q lease=%d)", f.Type, f.Worker, f.Lease)
-		}
-		for i, r := range f.Results {
-			if r.Seq < 0 {
-				return fmt.Errorf("fleet: %s frame result %d has seq %d", f.Type, i, r.Seq)
-			}
-			if i > 0 && r.Seq <= f.Results[i-1].Seq {
-				return fmt.Errorf("fleet: %s frame results out of order at %d (%d after %d)",
-					f.Type, i, r.Seq, f.Results[i-1].Seq)
-			}
-			if !r.Captured && r.Reason == "" {
-				return fmt.Errorf("fleet: %s frame result %d neither captured nor classified", f.Type, i)
-			}
 		}
 	case FrameError:
 		if f.Err == "" {

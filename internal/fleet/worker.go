@@ -69,7 +69,8 @@ var ErrWorkerCrashed = errors.New("fleet: worker crashed (injected)")
 
 // Worker pulls leases from a coordinator, crawls them through the same
 // StreamPlatform path as a single-process run, pushes the captures to
-// the store at their canonical positions, and reports completions.
+// the store at their canonical positions, and reports each lease's
+// outcome on the request for the next one.
 type Worker struct {
 	id       string
 	coord    *Client
@@ -82,8 +83,9 @@ type Worker struct {
 
 	// crash, when set by in-package tests, is consulted at named stages
 	// ("granted" before processing, "processed" before the push,
-	// "pushed" before the completion); returning true abandons the
-	// worker abruptly, mid-lease, like a killed process.
+	// "pushed" before the lease request that reports the outcome);
+	// returning true abandons the worker abruptly, mid-lease, like a
+	// killed process.
 	crash func(stage string, first int64) bool
 }
 
@@ -109,16 +111,28 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // Run pulls and executes leases until the coordinator reports the
-// window drained, ctx is cancelled, or the crash hook fires.
+// window drained, ctx is cancelled, or the crash hook fires. Each lease
+// request reports the lease finished just before it, so a lease costs
+// one coordinator exchange plus its push. A worker that stops with an
+// outcome unreported leaves the lease to expire; its re-delivery
+// dedups at the ingester.
 func (w *Worker) Run(ctx context.Context) error {
+	var (
+		lease   int64 // the finished lease the next request reports (0: none)
+		results []Result
+	)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f, err := w.leaseWithRetry(ctx)
+		f, err := w.leaseWithRetry(ctx, lease, results)
 		if err != nil {
 			return err
 		}
+		if f.Type == FrameError {
+			return fmt.Errorf("fleet: outcome of lease %d rejected: %s", lease, f.Err)
+		}
+		lease, results = 0, nil
 		switch f.Type {
 		case FrameDrained:
 			return nil
@@ -127,8 +141,11 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		case FrameLeaseGrant:
-			if err := w.runLease(ctx, f); err != nil {
+			if results, err = w.runLease(ctx, f); err != nil {
 				return err
+			}
+			if len(results) > 0 {
+				lease = f.Lease
 			}
 		default:
 			return fmt.Errorf("fleet: unexpected %s frame from /lease", f.Type)
@@ -153,14 +170,17 @@ func (o *outage) fail() bool {
 
 func (o *outage) reset() { o.since = time.Time{} }
 
-// leaseWithRetry asks for work, retrying transport failures and 429
-// shedding with a flat delay — the coordinator may simply be saturated
-// or restarting. An outage longer than the worker's patience gives up:
-// a drained coordinator exits without telling idle-retrying workers.
-func (w *Worker) leaseWithRetry(ctx context.Context) (*Frame, error) {
+// leaseWithRetry asks for work, reporting lease's results, retrying
+// transport failures and 429 shedding with a flat delay — the
+// coordinator may simply be saturated or restarting. A retried report
+// that already landed is counted as a duplicate. An outage longer than
+// the worker's patience gives up: a drained coordinator exits without
+// telling idle-retrying workers, and an unreported lease expires and
+// its re-delivery dedups.
+func (w *Worker) leaseWithRetry(ctx context.Context, lease int64, results []Result) (*Frame, error) {
 	down := outage{limit: w.patience}
 	for {
-		f, err := w.coord.Lease(w.id, 0)
+		f, err := w.coord.Lease(w.id, lease, results)
 		if err == nil {
 			return f, nil
 		}
@@ -175,13 +195,14 @@ func (w *Worker) leaseWithRetry(ctx context.Context) (*Frame, error) {
 
 // runLease executes one granted chunk end to end: heartbeats keep the
 // lease alive while the chunk crawls; the captures are pushed at the
-// chunk's canonical range; the completion closes the loop. Losing the
-// lease (heartbeat rejected) abandons the chunk without pushing — the
+// chunk's canonical range; the per-item results are returned for the
+// next lease request to report. Losing the lease (heartbeat rejected)
+// abandons the chunk without pushing and returns no results — the
 // coordinator has already re-granted it, and the replacement worker's
 // push is byte-identical anyway.
-func (w *Worker) runLease(ctx context.Context, grant *Frame) error {
+func (w *Worker) runLease(ctx context.Context, grant *Frame) ([]Result, error) {
 	if w.crashed("granted", grant.First) {
-		return ErrWorkerCrashed
+		return nil, ErrWorkerCrashed
 	}
 	// Adopt the grant's trace context: the work span (and through it
 	// every visit and the push) becomes a child of fleetd's lease span.
@@ -207,39 +228,22 @@ func (w *Worker) runLease(ctx context.Context, grant *Frame) error {
 	if leaseCtx.Err() != nil && ctx.Err() == nil {
 		// Lease lost mid-crawl: abandon silently.
 		work.Attr("outcome", "lease-lost")
-		return nil
+		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if w.crashed("processed", grant.First) {
-		return ErrWorkerCrashed
+		return nil, ErrWorkerCrashed
 	}
 	if err := w.pushWithRetry(ctx, grant, caps, work); err != nil {
-		return err
+		return nil, err
 	}
 	if w.crashed("pushed", grant.First) {
-		return ErrWorkerCrashed
+		return nil, ErrWorkerCrashed
 	}
 	work.Attr("outcome", "completed")
-	down := outage{limit: w.patience}
-	for {
-		f, err := w.coord.Complete(w.id, grant.Lease, results, grant.Trace)
-		if err == nil {
-			if f.Type == FrameError {
-				return fmt.Errorf("fleet: completion rejected: %s", f.Err)
-			}
-			return nil // ack — Dup is fine, the chunk is accounted
-		}
-		// Giving up on a completion is safe: the lease expires, the
-		// chunk is reassigned, and the replacement delivery dedups.
-		if down.fail() {
-			return fmt.Errorf("fleet: coordinator unreachable for %v: %w", w.patience, err)
-		}
-		if serr := sleepCtx(ctx, 100*time.Millisecond); serr != nil {
-			return serr
-		}
-	}
+	return results, nil
 }
 
 func (w *Worker) crashed(stage string, first int64) bool {

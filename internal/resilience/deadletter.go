@@ -26,13 +26,8 @@ type DeadEntry struct {
 	LastErr  string // last capture error observed, if any
 }
 
-// DeadLetterSink consumes dead-lettered shares. Implementations must be
-// safe for concurrent use.
-type DeadLetterSink interface {
-	Add(e DeadEntry)
-}
-
-// MemDeadLetter retains dead-lettered shares in memory.
+// MemDeadLetter retains dead-lettered shares in memory. It is safe for
+// concurrent use.
 type MemDeadLetter struct {
 	mu      sync.Mutex
 	entries []DeadEntry
@@ -41,7 +36,7 @@ type MemDeadLetter struct {
 // NewMemDeadLetter returns an empty sink.
 func NewMemDeadLetter() *MemDeadLetter { return &MemDeadLetter{} }
 
-// Add implements DeadLetterSink.
+// Add records one dead-lettered share.
 func (m *MemDeadLetter) Add(e DeadEntry) {
 	m.mu.Lock()
 	m.entries = append(m.entries, e)

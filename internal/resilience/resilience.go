@@ -11,7 +11,7 @@
 //     split behind the paper's Section 3.5 loss categories;
 //   - RetryPolicy: capped exponential backoff with deterministic,
 //     seed-derived jitter and a bounded attempt budget;
-//   - DeadLetterSink: the terminal parking lot for shares that exhaust
+//   - MemDeadLetter: the terminal parking lot for shares that exhaust
 //     their budget, so nothing is dropped without a trace;
 //   - HTTPLimiter: load shedding with 429 + Retry-After.
 //

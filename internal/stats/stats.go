@@ -88,22 +88,6 @@ func Summarize(xs []float64) (Summary, error) {
 	return Summary{N: len(xs), Median: med, P25: p25, P75: p75, Mean: mean, Min: min, Max: max}, nil
 }
 
-// ECDF returns the empirical CDF evaluated at each of the (sorted)
-// sample points, as (x, F(x)) pairs. Used for the Figure 10 curves.
-func ECDF(xs []float64) (x, f []float64) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	x = append([]float64(nil), xs...)
-	sort.Float64s(x)
-	f = make([]float64, len(x))
-	n := float64(len(x))
-	for i := range x {
-		f[i] = float64(i+1) / n
-	}
-	return x, f
-}
-
 // MannWhitneyResult reports the U statistic, the normal-approximation
 // z-score (with tie correction and continuity correction), and the
 // two-sided p-value, matching how the paper reports e.g.
@@ -196,29 +180,4 @@ func MannWhitney(a, b []float64) (MannWhitneyResult, error) {
 // normSurvival returns P(Z > z) for a standard normal variable.
 func normSurvival(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// Histogram bins values into n equal-width bins over [min,max] and
-// returns bin edges (n+1) and counts (n). Used by report renderers.
-func Histogram(xs []float64, n int, min, max float64) (edges []float64, counts []int) {
-	if n <= 0 || max <= min {
-		return nil, nil
-	}
-	edges = make([]float64, n+1)
-	counts = make([]int, n)
-	width := (max - min) / float64(n)
-	for i := range edges {
-		edges[i] = min + float64(i)*width
-	}
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / width)
-		if i == n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return edges, counts
 }

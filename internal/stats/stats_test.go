@@ -68,19 +68,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	x, f := ECDF([]float64{3, 1, 2})
-	if len(x) != 3 || x[0] != 1 || x[2] != 3 {
-		t.Errorf("ECDF x = %v", x)
-	}
-	if !almost(f[0], 1.0/3, 1e-12) || !almost(f[2], 1, 1e-12) {
-		t.Errorf("ECDF f = %v", f)
-	}
-	if x, f := ECDF(nil); x != nil || f != nil {
-		t.Error("empty ECDF must return nil")
-	}
-}
-
 func TestMannWhitneyKnown(t *testing.T) {
 	// Classic example: group A clearly below group B.
 	a := []float64{1, 2, 3, 4, 5}
@@ -187,18 +174,5 @@ func TestMannWhitneyBalanced(t *testing.T) {
 	}
 	if res.P < 0.9 {
 		t.Errorf("p = %v, want ≈1 (no evidence)", res.P)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0.5, 1.5, 1.6, 2.5, 10}, 3, 0, 3)
-	if len(edges) != 4 || len(counts) != 3 {
-		t.Fatalf("edges=%v counts=%v", edges, counts)
-	}
-	if counts[0] != 1 || counts[1] != 2 || counts[2] != 1 {
-		t.Errorf("counts = %v, want [1 2 1] (10 out of range)", counts)
-	}
-	if e, c := Histogram(nil, 0, 0, 1); e != nil || c != nil {
-		t.Error("invalid bin count must return nil")
 	}
 }

@@ -1,7 +1,5 @@
 package users
 
-import "math"
-
 // Habituation: "Herding may also strengthen the widely documented
 // habituation effect in both privacy and security notices"
 // (Section 5.2, citing Böhme & Köpsell's "Trained to Accept?" field
@@ -82,11 +80,4 @@ func (h Habituation) Apply(v Visitor) Visitor {
 		v.Pref = PrefAccept
 	}
 	return v
-}
-
-// ExpectedAcceptRate returns the population accept share (among
-// deciders) after habituation, given the unhabituated rates.
-func ExpectedAcceptRate(baseAccept float64, h Habituation) float64 {
-	r := baseAccept + h.AcceptBoost()
-	return math.Min(1, r)
 }

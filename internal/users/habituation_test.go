@@ -71,13 +71,3 @@ func TestHabituationApply(t *testing.T) {
 		t.Errorf("flipped %d of %d rejectors; want a proper fraction", flipped, rejectors)
 	}
 }
-
-func TestExpectedAcceptRate(t *testing.T) {
-	h := DefaultHabituation(1_000_000) // near saturation
-	if got := ExpectedAcceptRate(0.83, h); got < 0.92 || got > 0.94 {
-		t.Errorf("saturated rate = %v, want ≈0.93", got)
-	}
-	if got := ExpectedAcceptRate(0.99, DefaultHabituation(1_000_000)); got > 1 {
-		t.Error("rate must cap at 1")
-	}
-}
