@@ -99,7 +99,8 @@ obs-overhead:
 # encoding/json one and its key scanner against the decoder, retry
 # classification of malformed webworld/chaos error strings, the fleet
 # wire-protocol decoder, both TCF consent-string codecs, the
-# compiled-vs-naive decision kernel differential, the placement-ring
+# compiled-vs-naive decision kernel differential, the consentd batch
+# line parser against its canonical rendering, the placement-ring
 # invariants, the durable append-log scan behind the fleet checkpoint
 # and handoff logs, the analytics checkpoint header, the analysis
 # folds' checkpointed state (FuzzFoldState caps input minimization at
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test ./internal/tcf/ -run '^$$' -fuzz FuzzDecode$$ -fuzztime 20s
 	$(GO) test ./internal/tcf/ -run '^$$' -fuzz FuzzDecodeV2 -fuzztime 20s
 	$(GO) test ./internal/decision/ -run '^$$' -fuzz FuzzDecideDifferential -fuzztime 30s
+	$(GO) test ./internal/decision/ -run '^$$' -fuzz FuzzBatchLine -fuzztime 15s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogScan -fuzztime 15s
 	$(GO) test ./internal/analytics/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 15s
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzFoldState -fuzztime 15s -fuzzminimizetime 1s

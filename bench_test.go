@@ -726,6 +726,7 @@ func BenchmarkDecideBatch(b *testing.B) {
 			b.Fatalf("batch returned %s", resp.Status)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {

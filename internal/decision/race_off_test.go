@@ -5,3 +5,6 @@ package decision
 // differentialPopulationSize is the full acceptance-scale population
 // for the compiled-vs-naive identity check.
 const differentialPopulationSize = 100_000
+
+// raceEnabled reports a race-detector build.
+const raceEnabled = false

@@ -7,3 +7,7 @@ package decision
 // stays inside `make race`'s budget. The acceptance-scale run happens
 // in the regular test build (see race_off_test.go).
 const differentialPopulationSize = 10_000
+
+// raceEnabled reports a race-detector build, where sync.Pool drops
+// items at random and allocation pins do not hold.
+const raceEnabled = true

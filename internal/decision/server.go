@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,7 +34,9 @@ import (
 //	     asked about many vendors — and keeps the per-line cost to a
 //	     few dozen nanoseconds. Response lines are {"b":"C"} with
 //	     b ∈ {"N","C","L"} (denied / consent / legitimate interest),
-//	     in request order.
+//	     in request order. A line that cannot be answered ends the
+//	     batch: a 400 carrying the error while no answer has been
+//	     sent, else the answers so far and the end of the stream.
 //
 //	POST /v1/filter
 //	     {"t":"<tc>","purpose":P,"vendors":[…]} →
@@ -199,11 +203,16 @@ func (s *Server) table(c *Compiled) *VendorTable {
 }
 
 func (s *Server) clientErr(w http.ResponseWriter, ep int, code int, msg string) {
+	s.countErr(ep)
+	http.Error(w, msg, code)
+}
+
+// countErr counts a request the endpoint could not answer in full.
+func (s *Server) countErr(ep int) {
 	s.errors.Add(1)
 	if s.m != nil {
 		s.m.errorsBy[ep].Inc()
 	}
-	http.Error(w, msg, code)
 }
 
 // decideResponse is the single-decision JSON shape.
@@ -280,6 +289,16 @@ const BatchAnswerLen = 10
 // batchAnswerOffset is where the basis letter sits in a response line.
 const batchAnswerOffset = 6
 
+// batchReaders and batchWriters hold the batch endpoint's 64 KiB
+// line and answer buffers between requests. Only the handler reads or
+// writes them, and no line slice outlives it (GetBytes copies a key it
+// keeps), so each goes back reset to nil when the handler returns and
+// never pins a request body or a ResponseWriter.
+var (
+	batchReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+	batchWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+)
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.requests.Add(1)
@@ -299,9 +318,62 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sp = s.tracer.StartRemote("decision.batch", pctx)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, maxBatchBytes), 64<<10)
-	bw := bufio.NewWriterSize(w, 64<<10)
+	// Answers stream while lines are still being read. Without this an
+	// HTTP/1 server discards the unread body when the first answers go
+	// out, and a batch of more lines than the writer holds is cut short.
+	// A writer that cannot switch (HTTP/2's) never discards.
+	_ = http.NewResponseController(w).EnableFullDuplex()
+	br := batchReaders.Get().(*bufio.Reader)
+	bw := batchWriters.Get().(*bufio.Writer)
+	br.Reset(http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	bw.Reset(w)
 
+	n, err := s.answerBatch(br, bw)
+	// Every answer is still in bw until it first fills; only then has
+	// the client seen a status line.
+	unsent := int64(bw.Buffered()) == n*BatchAnswerLen
+	switch {
+	case err == nil:
+		if unsent {
+			// The whole answer is known: net/http sends it without
+			// chunked framing.
+			w.Header().Set("Content-Length", strconv.FormatInt(n*BatchAnswerLen, 10))
+		}
+		bw.Flush()
+	case unsent:
+		// Nothing has reached the client: drop the answers and send a
+		// clean 400 carrying the error.
+		bw.Reset(nil)
+		s.clientErr(w, epBatch, http.StatusBadRequest, err.Error())
+	default:
+		// The status is sent: end the stream after the answered prefix,
+		// so the client sees fewer answers than lines.
+		bw.Flush()
+		s.countErr(epBatch)
+	}
+	br.Reset(nil)
+	bw.Reset(nil)
+	batchReaders.Put(br)
+	batchWriters.Put(bw)
+
+	s.decisions.Add(n)
+	if s.m != nil {
+		s.m.batchSec.Observe(time.Since(start).Seconds())
+		s.m.batchPerReq.Observe(float64(n))
+	}
+	if sp != nil {
+		if err != nil {
+			sp.Attr("error", err.Error())
+		}
+		sp.Attr("decisions", strconv.FormatInt(n, 10))
+		sp.End()
+	}
+}
+
+// answerBatch answers br's lines into bw in order until the body ends
+// or a line cannot be answered. It returns how many it answered and
+// the error that stopped it, nil at the end of the body.
+func (s *Server) answerBatch(br *bufio.Reader, bw *bufio.Writer) (int64, error) {
 	var (
 		cur  *Compiled // sticky consent string
 		curT *VendorTable
@@ -310,58 +382,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for {
 		line, err := br.ReadSlice('\n')
 		if err == io.EOF && len(line) == 0 {
-			break
+			return n, nil
 		}
 		if err != nil && err != io.EOF {
-			// Oversized line or transport error: cut the stream. If
-			// nothing was written yet this surfaces as a clean 400.
-			if n == 0 {
-				s.clientErr(w, epBatch, http.StatusBadRequest, "batch line unreadable: "+err.Error())
-			}
-			if sp != nil {
-				sp.Attr("error", err.Error())
-				sp.End()
-			}
-			return
+			// Oversized line or transport error.
+			return n, fmt.Errorf("batch line unreadable: %w", err)
 		}
-		line = bytes.TrimSuffix(line, []byte{'\n'})
-		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if k := len(line); k > 0 && line[k-1] == '\n' {
+			line = line[:k-1]
+		}
+		if k := len(line); k > 0 && line[k-1] == '\r' {
+			line = line[:k-1]
+		}
 		if len(line) == 0 {
 			continue
 		}
-		tc, vendor, purpose, perr := parseBatchLine(line)
-		if perr != nil {
-			if n == 0 {
-				s.clientErr(w, epBatch, http.StatusBadRequest, perr.Error())
-			}
-			if sp != nil {
-				sp.Attr("error", perr.Error())
-				sp.End()
-			}
-			return
+		tc, vendor, purpose, err := parseBatchLine(line)
+		if err != nil {
+			return n, err
 		}
 		if tc != nil {
-			c, cerr := s.cache.GetBytes(tc)
-			if cerr != nil {
-				if n == 0 {
-					s.clientErr(w, epBatch, http.StatusBadRequest, "bad consent string: "+cerr.Error())
-				}
-				if sp != nil {
-					sp.Attr("error", cerr.Error())
-					sp.End()
-				}
-				return
+			c, err := s.cache.GetBytes(tc)
+			if err != nil {
+				return n, fmt.Errorf("bad consent string: %w", err)
 			}
 			cur, curT = c, s.table(c)
 		}
 		if cur == nil {
-			if n == 0 {
-				s.clientErr(w, epBatch, http.StatusBadRequest, "first batch line must carry a consent string")
-			}
-			if sp != nil {
-				sp.End()
-			}
-			return
+			return n, fmt.Errorf("first batch line must carry a consent string")
 		}
 		basis := Decide(cur, curT, vendor, purpose)
 		if s.m != nil {
@@ -370,29 +418,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		bw.Write(batchAnswers[basis])
 		n++
 	}
-	bw.Flush()
-	s.decisions.Add(n)
-	if s.m != nil {
-		s.m.batchSec.Observe(time.Since(start).Seconds())
-		s.m.batchPerReq.Observe(float64(n))
-	}
-	if sp != nil {
-		sp.Attr("decisions", strconv.FormatInt(n, 10))
-		sp.End()
-	}
 }
 
 // parseBatchLine parses one canonical batch line. tc is nil when the
 // line reuses the previous string. The grammar is deliberately rigid —
-// no whitespace, keys in order — so the hot path is a byte scan, not a
-// JSON parse.
+// no whitespace, keys in order, integers in JSON's form without sign
+// or leading zeros and at most 2^31−1 — so the hot path is a byte
+// scan, not a JSON parse. The fixed parts are compared by index: the
+// compiler turns each into a few loads, not a memequal call.
 func parseBatchLine(line []byte) (tc []byte, vendor, purpose int, err error) {
 	rest := line
-	if !bytes.HasPrefix(rest, []byte(`{"`)) {
+	if len(rest) < 2 || rest[0] != '{' || rest[1] != '"' {
 		return nil, 0, 0, fmt.Errorf("decision: batch line must be a canonical JSON object")
 	}
 	rest = rest[2:]
-	if bytes.HasPrefix(rest, []byte(`t":"`)) {
+	if len(rest) >= 4 && string(rest[:4]) == `t":"` {
 		rest = rest[4:]
 		end := bytes.IndexByte(rest, '"')
 		if end < 0 {
@@ -405,12 +445,12 @@ func parseBatchLine(line []byte) (tc []byte, vendor, purpose int, err error) {
 			}
 		}
 		rest = rest[end+1:]
-		if !bytes.HasPrefix(rest, []byte(`,"`)) {
+		if len(rest) < 2 || rest[0] != ',' || rest[1] != '"' {
 			return nil, 0, 0, fmt.Errorf("decision: expected vendor after consent string")
 		}
 		rest = rest[2:]
 	}
-	if !bytes.HasPrefix(rest, []byte(`v":`)) {
+	if len(rest) < 3 || string(rest[:3]) != `v":` {
 		return nil, 0, 0, fmt.Errorf("decision: batch line missing vendor")
 	}
 	rest = rest[3:]
@@ -418,7 +458,7 @@ func parseBatchLine(line []byte) (tc []byte, vendor, purpose int, err error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if !bytes.HasPrefix(rest, []byte(`,"p":`)) {
+	if len(rest) < 5 || string(rest[:5]) != `,"p":` {
 		return nil, 0, 0, fmt.Errorf("decision: batch line missing purpose")
 	}
 	rest = rest[5:]
@@ -432,16 +472,21 @@ func parseBatchLine(line []byte) (tc []byte, vendor, purpose int, err error) {
 	return tc, vendor, purpose, nil
 }
 
+// parseInt reads a JSON non-negative integer no larger than 2^31−1.
 func parseInt(b []byte) (int, []byte, error) {
 	n, i := 0, 0
 	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		if n > (1<<31)/10 {
+		d := int(b[i] - '0')
+		if n > (math.MaxInt32-d)/10 {
 			return 0, nil, fmt.Errorf("decision: integer out of range")
 		}
-		n = n*10 + int(b[i]-'0')
+		n = n*10 + d
 	}
 	if i == 0 {
 		return 0, nil, fmt.Errorf("decision: expected integer")
+	}
+	if i > 1 && b[0] == '0' {
+		return 0, nil, fmt.Errorf("decision: integer with a leading zero")
 	}
 	return n, b[i:], nil
 }

@@ -1,10 +1,13 @@
 package decision
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,6 +29,19 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// badBatchLines are lines the canonical grammar rejects.
+var badBatchLines = []string{
+	``, `{}`, `{"v":1}`, `{"p":1,"v":2}`, `[1,2]`,
+	`{"t":"abc","v":1,"p":2} `, `{"v":1,"p":2}x`,
+	`{"t":"unterminated,"v":1,"p":2}`,
+	"{\"t\":\"a\x00b\",\"v\":1,\"p\":2}",
+	`{"v":99999999999999999999,"p":1}`,
+	`{"v":-1,"p":2}`, `{"v":1.5,"p":2}`,
+	`{ "v":1,"p":2}`, `{"v":1, "p":2}`,
+	`{"v":007,"p":01}`, `{"v":1,"p":00}`,
+	`{"v":2147483648,"p":1}`, `{"v":1,"p":2147483649}`,
+}
+
 func TestParseBatchLine(t *testing.T) {
 	tc, v, p, err := parseBatchLine([]byte(`{"t":"COtybn4PA","v":12,"p":3}`))
 	if err != nil || string(tc) != "COtybn4PA" || v != 12 || p != 3 {
@@ -35,19 +51,44 @@ func TestParseBatchLine(t *testing.T) {
 	if err != nil || tc != nil || v != 650 || p != 10 {
 		t.Fatalf("sticky line: tc=%q v=%d p=%d err=%v", tc, v, p, err)
 	}
-	for _, bad := range []string{
-		``, `{}`, `{"v":1}`, `{"p":1,"v":2}`, `[1,2]`,
-		`{"t":"abc","v":1,"p":2} `, `{"v":1,"p":2}x`,
-		`{"t":"unterminated,"v":1,"p":2}`,
-		"{\"t\":\"a\x00b\",\"v\":1,\"p\":2}",
-		`{"v":99999999999999999999,"p":1}`,
-		`{"v":-1,"p":2}`, `{"v":1.5,"p":2}`,
-		`{ "v":1,"p":2}`, `{"v":1, "p":2}`,
-	} {
+	tc, v, p, err = parseBatchLine([]byte(`{"v":2147483647,"p":0}`))
+	if err != nil || tc != nil || v != 1<<31-1 || p != 0 {
+		t.Fatalf("range ends: tc=%q v=%d p=%d err=%v", tc, v, p, err)
+	}
+	for _, bad := range badBatchLines {
 		if _, _, _, err := parseBatchLine([]byte(bad)); err == nil {
 			t.Errorf("parseBatchLine(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzBatchLine holds the parser to the grammar: a line it accepts is
+// exactly the canonical rendering of what it returned.
+func FuzzBatchLine(f *testing.F) {
+	for _, s := range badBatchLines {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(`{"t":"COtybn4PA","v":12,"p":3}`))
+	f.Add([]byte(`{"v":650,"p":10}`))
+	pop, err := GeneratePopulation(PopulationConfig{Seed: 3, Size: 4, MaxVLV: 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := PrerenderBodies(LoadConfig{Population: pop, BatchSize: 4, Bodies: 1})[0]
+	f.Add(body[:bytes.IndexByte(body, '\n')])
+	f.Fuzz(func(t *testing.T, line []byte) {
+		tc, v, p, err := parseBatchLine(line)
+		if err != nil {
+			return
+		}
+		want := `{"v":` + strconv.Itoa(v) + `,"p":` + strconv.Itoa(p) + `}`
+		if tc != nil {
+			want = `{"t":"` + string(tc) + `","v":` + strconv.Itoa(v) + `,"p":` + strconv.Itoa(p) + `}`
+		}
+		if string(line) != want {
+			t.Fatalf("parseBatchLine(%q) = (%q, %d, %d), which renders as %q", line, tc, v, p, want)
+		}
+	})
 }
 
 func TestServerDecide(t *testing.T) {
@@ -88,6 +129,14 @@ func TestServerDecide(t *testing.T) {
 func TestServerBatch(t *testing.T) {
 	srv, ts := testServer(t)
 	raw := mustEncodeV2(t, acceptAllV2(t, 100))
+	good := func(k int) string {
+		var b strings.Builder
+		b.WriteString(`{"t":"` + raw + `","v":3,"p":1}` + "\n")
+		for i := 1; i < k; i++ {
+			b.WriteString(`{"v":5,"p":2}` + "\n")
+		}
+		return b.String()
+	}
 
 	body := `{"t":"` + raw + `","v":3,"p":1}` + "\n" +
 		`{"v":5,"p":2}` + "\n" +
@@ -121,6 +170,31 @@ func TestServerBatch(t *testing.T) {
 		t.Errorf("server counted %d decisions, want 3", got)
 	}
 
+	// An answer that fits the pooled writer is sent with its length,
+	// not in chunks (net/http measures only answers under 2 KiB itself).
+	r1, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(good(512)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, r1.Body)
+	r1.Body.Close()
+	if err != nil || n != 512*BatchAnswerLen || r1.ContentLength != n || len(r1.TransferEncoding) != 0 {
+		t.Errorf("512 answers: %d bytes, Content-Length %d, Transfer-Encoding %q, err %v",
+			n, r1.ContentLength, r1.TransferEncoding, err)
+	}
+
+	// A batch of more answers than the writer holds streams them all
+	// while its lines are still arriving.
+	r4, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(good(20000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err = io.Copy(io.Discard, r4.Body)
+	r4.Body.Close()
+	if err != nil || r4.StatusCode != http.StatusOK || n != 20000*BatchAnswerLen {
+		t.Errorf("20000 answers: status %s, %d bytes, err %v", r4.Status, n, err)
+	}
+
 	// First line without a consent string is a 400.
 	r2, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson",
 		strings.NewReader(`{"v":1,"p":1}`+"\n"))
@@ -139,6 +213,106 @@ func TestServerBatch(t *testing.T) {
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET batch: status %s, want 405", r3.Status)
+	}
+
+	// A line that cannot be answered ends the batch. While every answer
+	// is still buffered the client gets a 400 carrying the error; once
+	// answers have been sent it gets them and the stream ends. Either
+	// way the error and the decisions made are counted.
+	for _, tc := range []struct {
+		name       string
+		answered   int
+		wantStatus int
+		wantBody   int // answer bytes, -1 for an error text
+	}{
+		{"buffered", 3, http.StatusBadRequest, -1},
+		{"sent", 8000, http.StatusOK, 8000 * BatchAnswerLen},
+	} {
+		t.Run("bad line "+tc.name, func(t *testing.T) {
+			srv, ts := testServer(t)
+			body := good(tc.answered) + `{"v":5,"p":x}` + "\n" + `{"v":6,"p":1}` + "\n"
+			resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status %s, want %d (body %.80q)", resp.Status, tc.wantStatus, out)
+			}
+			if tc.wantBody < 0 {
+				if !strings.Contains(string(out), "expected integer") {
+					t.Errorf("400 body %q does not carry the parse error", out)
+				}
+			} else if len(out) != tc.wantBody {
+				t.Errorf("got %d answer bytes, want %d", len(out), tc.wantBody)
+			}
+			if got := srv.decisions.Load(); got != int64(tc.answered) {
+				t.Errorf("server counted %d decisions, want %d", got, tc.answered)
+			}
+			if got := srv.errors.Load(); got != 1 {
+				t.Errorf("server counted %d errors, want 1", got)
+			}
+			if got := srv.m.batchPerReq.Snapshot().Count; got != 1 {
+				t.Errorf("batch histogram saw %d requests, want 1", got)
+			}
+		})
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) EnableFullDuplex() error     { return nil }
+
+// TestBatchAllocations pins what one 512-decision batch allocates when
+// served in process: the handler's line and answer buffers come from
+// pools, so what is left is the request plumbing around it.
+func TestBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const batches, perBatch = 350, 2 << 10
+	srv, _ := testServer(t)
+	pop, err := GeneratePopulation(PopulationConfig{Seed: 3, Size: 300, MaxVLV: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := PrerenderBodies(LoadConfig{Population: pop, BatchSize: 512, Bodies: 8})
+	h := srv.Handler()
+	w := &discardWriter{h: http.Header{}}
+	serve := func(reqs []*http.Request) {
+		for _, r := range reqs {
+			h.ServeHTTP(w, r)
+		}
+	}
+	requests := func(k int) []*http.Request {
+		reqs := make([]*http.Request, k)
+		for i := range reqs {
+			reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(bodies[i%len(bodies)]))
+		}
+		return reqs
+	}
+	serve(requests(len(bodies))) // compile every string once
+	reqs := requests(batches)
+	before := srv.decisions.Load()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	serve(reqs)
+	runtime.ReadMemStats(&m1)
+	if got := srv.decisions.Load() - before; got != batches*512 {
+		t.Fatalf("served %d decisions, want %d", got, batches*512)
+	}
+	per := (m1.TotalAlloc - m0.TotalAlloc) / batches
+	t.Logf("a batch allocates %d B", per)
+	if per > perBatch {
+		t.Errorf("a batch allocates %d B, want at most %d", per, perBatch)
 	}
 }
 
