@@ -102,8 +102,9 @@ obs-overhead:
 # compiled-vs-naive decision kernel differential, the consentd batch
 # line parser against its canonical rendering, the placement-ring
 # invariants, the durable append-log scan behind the fleet checkpoint
-# and handoff logs, the analytics checkpoint header, the analysis
-# folds' checkpointed state (FuzzFoldState caps input minimization at
+# and handoff logs, the analytics checkpoint header, the analytics
+# key-scan row producer against RowOf over the decoded capture, the
+# analysis folds' checkpointed state (FuzzFoldState caps input minimization at
 # 1s: at the 60s default, minimizing its first new inputs takes the
 # whole budget), and the lazily seeded rng stream source against
 # math/rand over seeds and draw mixes.
@@ -120,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/decision/ -run '^$$' -fuzz FuzzBatchLine -fuzztime 15s
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz FuzzLogScan -fuzztime 15s
 	$(GO) test ./internal/analytics/ -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 15s
+	$(GO) test ./internal/analytics/ -run '^$$' -fuzz FuzzRowOfLine -fuzztime 15s
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzFoldState -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/rng/ -run '^$$' -fuzz FuzzLazySource -fuzztime 30s
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	consentd [-addr 127.0.0.1:8344] [-max-inflight N] [-request-timeout 10s]
+//	consentd [-addr 127.0.0.1:8344] [-max-inflight N]
 //	         [-cache N] [-cache-shards N] [-metrics]
 //	         [-gvl-seed S] [-gvl-versions N] [-gvl-vendors N] [-flexible-prob P]
 //
@@ -52,7 +52,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8344", "listen address")
 		maxInFly   = flag.Int("max-inflight", 256, "concurrent requests served before shedding with 429")
-		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request deadline (0 disables)")
 		cacheCap   = flag.Int("cache", 32768, "compiled consent strings cached")
 		cacheShard = flag.Int("cache-shards", 16, "cache shard count (rounded up to a power of two)")
 		metrics    = flag.Bool("metrics", false, "expose /metrics, /debug/trace and /debug/pprof (outside the limiter)")
@@ -80,12 +79,11 @@ func main() {
 
 	d := daemon.New("consentd", *metrics, *metrics)
 	srv := decision.NewServer(decision.ServerConfig{
-		Resolver:       resolver,
-		Cache:          decision.CacheConfig{Capacity: *cacheCap, Shards: *cacheShard},
-		MaxInFlight:    *maxInFly,
-		RequestTimeout: *reqTimeout,
-		Registry:       d.Registry,
-		Tracer:         d.Tracer,
+		Resolver:    resolver,
+		Cache:       decision.CacheConfig{Capacity: *cacheCap, Shards: *cacheShard},
+		MaxInFlight: *maxInFly,
+		Registry:    d.Registry,
+		Tracer:      d.Tracer,
 	})
 	d.Handle("/", srv.Handler())
 
@@ -96,8 +94,8 @@ func main() {
 	}
 	fmt.Printf("consentd: %d GVL versions (v%d–v%d) pre-resolved in %v; serving on %s\n",
 		nV, minV, maxV, time.Since(t0).Round(time.Millisecond), bound)
-	fmt.Printf("consentd: endpoints /decide /v1/batch /v1/filter /healthz; ≤%d in flight, %v/request; cache %d strings.\n",
-		*maxInFly, *reqTimeout, *cacheCap)
+	fmt.Printf("consentd: endpoints /decide /v1/batch /v1/filter /healthz; ≤%d in flight; cache %d strings.\n",
+		*maxInFly, *cacheCap)
 	if *metrics {
 		fmt.Printf("consentd: telemetry on /metrics, /metrics.json, /debug/trace, /debug/pprof/\n")
 	}

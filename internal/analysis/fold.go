@@ -16,25 +16,69 @@ import (
 )
 
 // Incremental folds: the longitudinal analyses re-expressed as
-// Fold(state, capture) → state plus a snapshot step, so materialized
+// Fold(state, row) → state plus a snapshot step, so materialized
 // views can advance record-by-record as captures stream in instead of
 // re-reading the whole world per run (DESIGN.md §14).
 //
 // The fold contract every state type here obeys: state is partitioned
 // by final registrable domain, and folding depends only on the
-// relative order of captures *within* one domain. Any interleaving of
+// relative order of records *within* one domain. Any interleaving of
 // a capture stream that preserves per-domain order — the ingest commit
 // order, a shard-by-shard batch sweep, or a live per-shard follower —
 // folds to an identical state, and therefore to byte-identical
 // snapshots. This is the same decomposition the capture store's
 // hash-partitioned shards implement, which is what lets a follower
 // consume per-shard segment streams without a global sequence number.
+//
+// A fold reads a Row, not a capture: a record's keys and its one
+// detection. Every record is classified once, by whoever builds its
+// row, and every fold reads that one classification.
 
 // ConfigKeyOf returns a capture's vantage/configuration column key,
 // matching crawler.ConfigKey for campaign-produced captures (e.g.
 // "eu-university/extended-timeout").
 func ConfigKeyOf(c *capture.Capture) string {
 	return c.Vantage.Name + "/" + c.Config
+}
+
+// Row is what the folds read of one record. RowOf builds it from a
+// capture; the analytics follower builds it from a stored line's keys
+// (capturedb.Keys) without decoding the line. Both give equal rows for
+// one record, so no fold can tell which producer fed it.
+type Row struct {
+	// Domain is the final registrable domain. Vantage and Config are
+	// the parts of the vantage/configuration column ConfigKeyOf joins.
+	Domain, Vantage, Config string
+	Day                     simtime.Day
+	Failed                  bool
+	// CMP is the first CMP matched in request order, cmps.None when
+	// none matched; Mask has bit i set iff cmps.ID(i) matched. A row
+	// the folds skip (!Folded) is not classified: both stay zero.
+	CMP  cmps.ID
+	Mask uint32
+}
+
+// Folded reports whether the folds read the row: failed and
+// domain-less records fold to a no-op.
+func (r *Row) Folded() bool { return !r.Failed && r.Domain != "" }
+
+// RowOf classifies c into its row with one DetectMask, or none for a
+// row the folds skip. It allocates nothing.
+func RowOf(det *detect.Detector, c *capture.Capture) Row {
+	r := Row{Domain: c.FinalDomain, Vantage: c.Vantage.Name, Config: c.Config, Day: c.Day, Failed: c.Failed}
+	if r.Folded() {
+		r.CMP, r.Mask = det.DetectMask(c)
+	}
+	return r
+}
+
+// RowsOf is RowOf over a batch of captures.
+func RowsOf(det *detect.Detector, caps []*capture.Capture) []Row {
+	rows := make([]Row, len(caps))
+	for i, c := range caps {
+		rows[i] = RowOf(det, c)
+	}
+	return rows
 }
 
 // foldDomain is one domain's presence-fold state: the compact
@@ -56,7 +100,7 @@ func (d *foldDomain) sortedRecs() []detect.Rec {
 }
 
 // PresenceFold is the one presence implementation: it accumulates
-// per-domain detection records capture by capture and maintains a
+// per-domain detection records row by row and maintains a
 // presence-interval cache that is re-interpolated only for domains
 // that changed since the last snapshot. The social crawl records into
 // it as the StreamPlatform's sink, and the analytics engine folds
@@ -92,27 +136,41 @@ func NewPresenceFold(det *detect.Detector) *PresenceFold {
 	}
 }
 
-// Fold advances the state by one capture. Failed and domain-less
-// captures fold to a no-op.
+// Fold advances the state by one capture, classified outside the
+// lock. Failed and domain-less captures fold to a no-op.
 func (f *PresenceFold) Fold(c *capture.Capture) {
-	if c.Failed || c.FinalDomain == "" {
+	r := RowOf(f.det, c)
+	f.mu.Lock()
+	f.fold(&r)
+	f.mu.Unlock()
+}
+
+// FoldRows advances the state by a batch of rows under one lock.
+func (f *PresenceFold) FoldRows(rows []Row) {
+	f.mu.Lock()
+	for i := range rows {
+		f.fold(&rows[i])
+	}
+	f.mu.Unlock()
+}
+
+// fold advances the state by one row. Callers hold f.mu.
+func (f *PresenceFold) fold(r *Row) {
+	if !r.Folded() {
 		return
 	}
-	id, mask := f.det.DetectMask(c)
-	f.mu.Lock()
 	f.Total++
-	if bits.OnesCount32(mask) > 1 {
+	if bits.OnesCount32(r.Mask) > 1 {
 		f.MultiCMP++
 	}
-	d := f.domains[c.FinalDomain]
+	d := f.domains[r.Domain]
 	if d == nil {
 		d = &foldDomain{}
-		f.domains[c.FinalDomain] = d
+		f.domains[r.Domain] = d
 	}
-	d.recs = append(d.recs, detect.Rec{Day: int32(c.Day), CMP: int8(id)})
+	d.recs = append(d.recs, detect.Rec{Day: int32(r.Day), CMP: int8(r.CMP)})
 	d.sorted = false
 	d.dirty = true
-	f.mu.Unlock()
 }
 
 // Record implements capture.Sink, so a crawl records straight into
@@ -310,27 +368,40 @@ func (f *PresenceFold) UnmarshalState(b []byte) error {
 // domain) triple wins, mirroring ComputeVantageTable's store-order
 // sweep; captures without a detection never occupy a slot.
 type CoverageFold struct {
-	det *detect.Detector
 	// months[month][configKey][domain] = first detected CMP.
 	months map[simtime.Day]map[string]map[string]cmps.ID
+	// keys holds ConfigKeyOf's key per (vantage, config), so a column
+	// already seen costs no allocation.
+	keys map[[2]string]string
 }
 
 // NewCoverageFold returns an empty coverage fold.
-func NewCoverageFold(det *detect.Detector) *CoverageFold {
-	return &CoverageFold{det: det, months: make(map[simtime.Day]map[string]map[string]cmps.ID)}
+func NewCoverageFold() *CoverageFold {
+	return &CoverageFold{
+		months: make(map[simtime.Day]map[string]map[string]cmps.ID),
+		keys:   make(map[[2]string]string),
+	}
 }
 
-// Fold advances the state by one capture.
-func (f *CoverageFold) Fold(c *capture.Capture) {
-	if c.Failed || c.FinalDomain == "" {
+// FoldRows advances the state by a batch of rows.
+func (f *CoverageFold) FoldRows(rows []Row) {
+	for i := range rows {
+		f.fold(&rows[i])
+	}
+}
+
+// fold advances the state by one row: a detected row takes its
+// (month, column, domain) slot unless an earlier one holds it.
+func (f *CoverageFold) fold(r *Row) {
+	if !r.Folded() || r.CMP == cmps.None {
 		return
 	}
-	id := f.det.DetectOne(c)
-	if id == cmps.None {
-		return
+	month := r.Day.Month()
+	key, ok := f.keys[[2]string{r.Vantage, r.Config}]
+	if !ok {
+		key = r.Vantage + "/" + r.Config
+		f.keys[[2]string{r.Vantage, r.Config}] = key
 	}
-	month := c.Day.Month()
-	key := ConfigKeyOf(c)
 	configs := f.months[month]
 	if configs == nil {
 		configs = make(map[string]map[string]cmps.ID)
@@ -341,8 +412,8 @@ func (f *CoverageFold) Fold(c *capture.Capture) {
 		domains = make(map[string]cmps.ID)
 		configs[key] = domains
 	}
-	if _, dup := domains[c.FinalDomain]; !dup {
-		domains[c.FinalDomain] = id
+	if _, dup := domains[r.Domain]; !dup {
+		domains[r.Domain] = r.CMP
 	}
 }
 

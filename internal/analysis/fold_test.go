@@ -243,23 +243,25 @@ func TestPresenceFoldRecordAllocs(t *testing.T) {
 // hand-computed expectations, including first-detection-wins dedup.
 func TestCoverageFold(t *testing.T) {
 	det := detect.Default()
-	f := NewCoverageFold(det)
+	f := NewCoverageFold()
 	jan, feb := simtime.Date(2019, 1, 10), simtime.Date(2019, 2, 5)
 	us, eu := capture.USCloud, capture.EUCloud
 
-	f.Fold(foldCap("a.com", int(jan), cmps.OneTrust, us, "default"))
-	// Same month+config+domain: a later detection must not overwrite.
-	f.Fold(foldCap("a.com", int(jan)+1, cmps.Quantcast, us, "default"))
-	f.Fold(foldCap("b.com", int(jan), cmps.Quantcast, us, "default"))
-	// Different config column counts separately.
-	f.Fold(foldCap("a.com", int(jan), cmps.OneTrust, eu, "default"))
-	// CMP-less and failed captures never occupy a slot.
-	f.Fold(foldCap("c.com", int(jan), cmps.None, us, "default"))
 	failed := foldCap("d.com", int(jan), cmps.OneTrust, us, "default")
 	failed.Failed = true
-	f.Fold(failed)
-	// February: a.com switches to Quantcast — new month, fresh slot.
-	f.Fold(foldCap("a.com", int(feb), cmps.Quantcast, us, "default"))
+	f.FoldRows(RowsOf(det, []*capture.Capture{
+		foldCap("a.com", int(jan), cmps.OneTrust, us, "default"),
+		// Same month+config+domain: a later detection must not overwrite.
+		foldCap("a.com", int(jan)+1, cmps.Quantcast, us, "default"),
+		foldCap("b.com", int(jan), cmps.Quantcast, us, "default"),
+		// Different config column counts separately.
+		foldCap("a.com", int(jan), cmps.OneTrust, eu, "default"),
+		// CMP-less and failed captures never occupy a slot.
+		foldCap("c.com", int(jan), cmps.None, us, "default"),
+		failed,
+		// February: a.com switches to Quantcast — new month, fresh slot.
+		foldCap("a.com", int(feb), cmps.Quantcast, us, "default"),
+	}))
 
 	months := f.Months()
 	if len(months) != 2 || months[0] != jan.Month() || months[1] != feb.Month() {
@@ -292,7 +294,7 @@ func TestCoverageFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewCoverageFold(det)
+	g := NewCoverageFold()
 	if err := g.UnmarshalState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestFoldStateRejectsOutOfRange(t *testing.T) {
 		`{"months":{"` + feb + `":{"us-cloud/default":{"a.com":0}}}}`,
 		`{"months":{"` + feb + `":{"us-cloud/default":{"a.com":9}}}}`,
 	} {
-		if err := NewCoverageFold(detect.Default()).UnmarshalState([]byte(st)); err == nil {
+		if err := NewCoverageFold().UnmarshalState([]byte(st)); err == nil {
 			t.Errorf("coverage state accepted: %s", st)
 		}
 	}
@@ -342,13 +344,13 @@ func FuzzFoldState(f *testing.F) {
 	det := detect.Default()
 	f.Add([]byte(`{"total":1,"multi_cmp":0,"domains":{"a.com":[100,9]}}`))
 	f.Add([]byte(`{"months":{"12x":{"us-cloud/default":{"a.com":9}}}}`))
-	presence, coverage := NewPresenceFold(det), NewCoverageFold(det)
+	presence, coverage := NewPresenceFold(det), NewCoverageFold()
 	// A short stream keeps the valid seeds small: the fuzzer minimizes
 	// every new input, and minimizing a large one stalls the run.
 	for _, c := range syntheticStream(24) {
 		presence.Fold(c)
-		coverage.Fold(c)
 	}
+	coverage.FoldRows(RowsOf(det, syntheticStream(24)))
 	for _, fold := range []interface{ MarshalState() ([]byte, error) }{presence, coverage} {
 		b, err := fold.MarshalState()
 		if err != nil {
@@ -372,7 +374,7 @@ func FuzzFoldState(f *testing.F) {
 				t.Fatalf("presence round trip:\n%s\n%s", first, again)
 			}
 		}
-		c := NewCoverageFold(det)
+		c := NewCoverageFold()
 		if c.UnmarshalState(b) == nil {
 			c.Cumulative()
 			for _, m := range c.Months() {
@@ -382,7 +384,7 @@ func FuzzFoldState(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := NewCoverageFold(det)
+			d := NewCoverageFold()
 			if err := d.UnmarshalState(first); err != nil {
 				t.Fatalf("coverage re-restore: %v", err)
 			}

@@ -57,7 +57,7 @@ type Engine struct {
 	// gvlPoints is the static payload of the gvl view, computed once.
 	gvlPoints []GVLViewPoint
 
-	// snaps caches serialized views; invalidated by Apply/restore.
+	// snaps caches serialized views; emptied by every fold and restore.
 	snaps map[string][]byte
 }
 
@@ -69,7 +69,7 @@ func NewEngine(cfg Config) *Engine {
 		cfg:          cfg,
 		det:          det,
 		presence:     analysis.NewPresenceFold(det),
-		coverage:     analysis.NewCoverageFold(det),
+		coverage:     analysis.NewCoverageFold(),
 		shardCursors: make(map[int]int64),
 		gvlPoints:    buildGVLPoints(gvl.GenerateHistory(cfg.GVL)),
 		snaps:        make(map[string][]byte),
@@ -82,20 +82,25 @@ func NewEngine(cfg Config) *Engine {
 // that shard's cursor by len(caps). Callers must deliver each shard's
 // records in its commit order; interleaving across shards is free.
 func (e *Engine) Apply(shard int, caps []*capture.Capture) {
-	if len(caps) == 0 {
+	e.applyRows(shard, analysis.RowsOf(e.det, caps))
+}
+
+// applyRows is Apply over classified rows, the form a follower builds
+// from stored lines. Each fold reads the one classification a row
+// carries.
+func (e *Engine) applyRows(shard int, rows []analysis.Row) {
+	if len(rows) == 0 {
 		return
 	}
 	start := time.Now()
 	e.mu.Lock()
-	for _, c := range caps {
-		e.presence.Fold(c)
-		e.coverage.Fold(c)
-	}
-	e.shardCursors[shard] += int64(len(caps))
-	e.cursor += int64(len(caps))
-	e.snaps = make(map[string][]byte)
+	e.presence.FoldRows(rows)
+	e.coverage.FoldRows(rows)
+	e.shardCursors[shard] += int64(len(rows))
+	e.cursor += int64(len(rows))
+	clear(e.snaps)
 	e.mu.Unlock()
-	e.m.foldRecords.Add(int64(len(caps)))
+	e.m.foldRecords.Add(int64(len(rows)))
 	e.m.foldSeconds.Observe(time.Since(start).Seconds())
 }
 
@@ -239,7 +244,7 @@ func (e *Engine) UnmarshalState(b []byte) error {
 	if err := presence.UnmarshalState(st.Presence); err != nil {
 		return err
 	}
-	coverage := analysis.NewCoverageFold(e.det)
+	coverage := analysis.NewCoverageFold()
 	if err := coverage.UnmarshalState(st.Coverage); err != nil {
 		return err
 	}

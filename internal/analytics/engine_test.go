@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/capstore"
 	"repro/internal/capture"
+	"repro/internal/capturedb"
 	"repro/internal/cmps"
 	"repro/internal/gvl"
 	"repro/internal/simtime"
@@ -95,13 +97,16 @@ func TestPrefixReplayByteIdentity(t *testing.T) {
 	defer store.Close()
 
 	live := NewEngine(testConfig())
+	scan := rowScanner{det: live.det, names: make(map[string]string)}
 	var committed []*capture.Capture
 	ing, err := capstore.NewIngester(store, capstore.IngestConfig{
-		OnCommit: func(caps []*capture.Capture) {
-			committed = append(committed, caps...)
-			for _, c := range caps {
-				live.Apply(capstore.ShardOf(c.FinalDomain, nshards), []*capture.Capture{c})
+		OnCommit: func(line []byte, k *capturedb.Keys) {
+			c, err := capturedb.Decode(line)
+			if err != nil {
+				t.Fatal(err)
 			}
+			committed = append(committed, c)
+			live.applyRows(capstore.ShardOf(k.Domain, nshards), []analysis.Row{scan.rowOf(k)})
 		},
 	})
 	if err != nil {

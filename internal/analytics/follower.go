@@ -7,9 +7,10 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/capstore"
-	"repro/internal/capture"
 	"repro/internal/capturedb"
+	"repro/internal/detect"
 )
 
 // Source is where a follower reads committed capture records from: a
@@ -107,13 +108,65 @@ type Follower struct {
 	lastCkpt   int64
 	lastCounts []int
 	// rr reads every shard stream in turn, so a sweep allocates no
-	// reader buffer.
-	rr *capturedb.RecordReader
+	// reader buffer; scan turns its lines into rows, and rows holds
+	// one batch of them.
+	rr   *capturedb.RecordReader
+	scan rowScanner
+	rows []analysis.Row
 }
 
 // NewFollower returns a follower over the config.
 func NewFollower(cfg FollowerConfig) *Follower {
-	return &Follower{cfg: cfg.withDefaults(), lastCkpt: -1, rr: capturedb.NewRecordReader(nil)}
+	cfg = cfg.withDefaults()
+	return &Follower{
+		cfg:      cfg,
+		lastCkpt: -1,
+		rr:       capturedb.NewRecordReader(nil),
+		scan:     rowScanner{det: cfg.Engine.det, names: make(map[string]string)},
+		rows:     make([]analysis.Row, 0, cfg.BatchSize),
+	}
+}
+
+// rowScanner builds rows from stored lines: one key scan
+// (capturedb.Canonical) and one detection over the scanned hosts per
+// line, and no decode. Its strings are interned, so a row shares
+// nothing with the line it came from, and a domain or column already
+// seen costs no allocation.
+type rowScanner struct {
+	det   *detect.Detector
+	keys  capturedb.Keys
+	names map[string]string
+}
+
+// row scans one wire line into its row. It fails on exactly the lines
+// capturedb.Decode refuses, with Decode's error.
+func (s *rowScanner) row(line []byte) (analysis.Row, error) {
+	if _, err := capturedb.Canonical(line, &s.keys); err != nil {
+		return analysis.Row{}, err
+	}
+	return s.rowOf(&s.keys), nil
+}
+
+// rowOf builds the row of a record with these keys.
+func (s *rowScanner) rowOf(k *capturedb.Keys) analysis.Row {
+	r := analysis.Row{
+		Domain: s.name(k.Domain), Vantage: s.name(k.Vantage), Config: s.name(k.Config),
+		Day: k.Day, Failed: k.Failed,
+	}
+	if r.Folded() {
+		r.CMP, r.Mask = s.det.DetectHosts(k.Hosts)
+	}
+	return r
+}
+
+// name returns b as an interned string.
+func (s *rowScanner) name(b []byte) string {
+	if n, ok := s.names[string(b)]; ok {
+		return n
+	}
+	n := string(b)
+	s.names[n] = n
+	return n
 }
 
 // Resume loads the newest valid checkpoint into the engine, if any.
@@ -216,7 +269,8 @@ func (f *Follower) updateLag() {
 }
 
 // followShard streams up to want records of one shard starting at
-// record index from, folding them in batches.
+// record index from, folding them in batches. Each line becomes a row
+// through one key scan; nothing on this path decodes a record.
 func (f *Follower) followShard(shard, from, want int) (int64, error) {
 	rc, err := f.cfg.Source.Stream(shard, from)
 	if err != nil {
@@ -226,17 +280,17 @@ func (f *Follower) followShard(shard, from, want int) (int64, error) {
 	rr := f.rr
 	rr.Reset(rc)
 	defer rr.Reset(nil)
-	batch := make([]*capture.Capture, 0, f.cfg.BatchSize)
+	rows := f.rows[:0]
 	var applied int64
 	flush := func() {
-		if len(batch) > 0 {
-			f.cfg.Engine.Apply(shard, batch)
-			applied += int64(len(batch))
-			batch = batch[:0]
+		if len(rows) > 0 {
+			f.cfg.Engine.applyRows(shard, rows)
+			applied += int64(len(rows))
+			rows = rows[:0]
 		}
 	}
-	for applied+int64(len(batch)) < int64(want) {
-		c, err := rr.Next()
+	for applied+int64(len(rows)) < int64(want) {
+		line, err := rr.NextLine()
 		if err != nil {
 			flush()
 			if err == io.EOF || errors.Is(err, capturedb.ErrTruncated) {
@@ -246,8 +300,13 @@ func (f *Follower) followShard(shard, from, want int) (int64, error) {
 			}
 			return applied, err
 		}
-		batch = append(batch, c)
-		if len(batch) >= f.cfg.BatchSize {
+		row, err := f.scan.row(line)
+		if err != nil {
+			flush()
+			return applied, fmt.Errorf("capturedb: line %d: %w", rr.Line(), err)
+		}
+		rows = append(rows, row)
+		if len(rows) >= f.cfg.BatchSize {
 			flush()
 		}
 	}

@@ -222,7 +222,7 @@ func (s linesSource) Stream(shard, from int) (io.ReadCloser, error) {
 
 // TestFollowShardReusesReader: the follower reads every shard stream of
 // every sweep through one record reader, so a short stream costs its
-// records' decoding, not a 64 KiB read buffer.
+// records' key scans, not a 64 KiB read buffer.
 func TestFollowShardReusesReader(t *testing.T) {
 	var body []byte
 	for i := 0; i < 4; i++ {

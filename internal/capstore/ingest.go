@@ -57,11 +57,12 @@ type IngestConfig struct {
 	// OnCommit, when non-nil, observes every record the ingest path
 	// appends to the store, in commit order, after idempotency dedup —
 	// the subscription feed incremental consumers (analytics views)
-	// fold record-by-record. The committed lines are decoded for it, and
-	// only when it is set. It runs under the ingest lock so commit
-	// order is exact; implementations must be fast and must not call
-	// back into the ingester.
-	OnCommit func(caps []*capture.Capture)
+	// fold record-by-record. It gets the stored line and the keys it
+	// was stored by, both valid only during the call; nothing is
+	// decoded for it. It runs under the ingest lock so commit order is
+	// exact; implementations must be fast and must not call back into
+	// the ingester.
+	OnCommit func(line []byte, k *capturedb.Keys)
 }
 
 // IngestStats is a point-in-time snapshot of the ingest path.
@@ -181,7 +182,6 @@ func (in *Ingester) Stats() IngestStats {
 
 // apply appends b's lines with per-key idempotency. Callers hold in.mu.
 func (in *Ingester) apply(b Batch) (accepted, dups int64) {
-	var committed [][]byte
 	for i, line := range b.Lines {
 		k := &b.Keys[i]
 		in.key = appendIngestKey(in.key[:0], k.Seed, k.Day, k.Vantage, k.Config)
@@ -192,7 +192,7 @@ func (in *Ingester) apply(b Batch) (accepted, dups int64) {
 		in.seen[string(in.key)] = struct{}{}
 		in.store.append(line, k)
 		if in.cfg.OnCommit != nil {
-			committed = append(committed, line)
+			in.cfg.OnCommit(line, k)
 		}
 		accepted++
 	}
@@ -200,25 +200,7 @@ func (in *Ingester) apply(b Batch) (accepted, dups int64) {
 	in.stats.Duplicates += dups
 	in.metrics.records.Add(accepted)
 	in.metrics.duplicates.Add(dups)
-	if len(committed) > 0 {
-		in.onCommit(committed)
-	}
 	return accepted, dups
-}
-
-// onCommit decodes committed lines for IngestConfig.OnCommit. They were
-// certified or re-encoded on the way in, so none fails to decode.
-func (in *Ingester) onCommit(lines [][]byte) {
-	caps := make([]*capture.Capture, 0, len(lines))
-	for _, line := range lines {
-		c, err := capturedb.Decode(line)
-		if err != nil {
-			in.store.fail(fmt.Errorf("capstore: decoding a committed record for OnCommit: %w", err))
-			continue
-		}
-		caps = append(caps, c)
-	}
-	in.cfg.OnCommit(caps)
 }
 
 // Ingest applies one /ingest batch. An unordered batch is applied now,

@@ -69,6 +69,44 @@ func TestWaitConvergedWakesOnDelivery(t *testing.T) {
 	}
 }
 
+// TestConvergedReadsNoManifest: a look at converged nodes compares
+// record counts from /stats and fetches no /manifest, which would hash
+// every tail of every node.
+func TestConvergedReadsNoManifest(t *testing.T) {
+	var mu sync.Mutex
+	paths := map[string]int{}
+	c := newWrappedCluster(t, 3, 4, nil, func(name string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			paths[r.URL.Path]++
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		})
+	})
+	var caps []*capture.Capture
+	for i := 0; i < 24; i++ {
+		caps = append(caps, mkCapture(i))
+	}
+	if _, err := c.w.RecordBatch(caps); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.w.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := c.w.Converged()
+	if err != nil || !ok {
+		t.Fatalf("Converged after WaitConverged: %v, %v", ok, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if paths["/manifest"] != 0 {
+		t.Errorf("convergence looks fetched /manifest %d times, want 0 (requests by path: %v)", paths["/manifest"], paths)
+	}
+	if paths["/stats"] < 3 {
+		t.Errorf("a converged look read /stats %d times, want one per node (requests by path: %v)", paths["/stats"], paths)
+	}
+}
+
 // TestCloseDropsIdleConnections: the node clients share the storage
 // transport, whose idle connections http.DefaultTransport's
 // CloseIdleConnections does not reach, so Close closes them: a node

@@ -2,7 +2,9 @@ package capturedb
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/capture"
@@ -34,21 +36,23 @@ func (k *Keys) String() string {
 		k.Seed, k.Domain, k.Day, k.Vantage, k.Config, k.Failed, hosts)
 }
 
-// nonCanonical are lines that decode but that Encode would not have
-// written, each with its departure from the canonical layout.
-var nonCanonical = []struct{ why, line string }{
-	{"reordered keys", `{"f":"","s":"https://a.example/","d":"a.example","t":1,"v":"","g":0,"st":200}` + "\n"},
-	{`\u0041 for A`, `{"s":"https://\u0041.example/","f":"","d":"a.example","t":1,"v":"","g":0,"st":200}` + "\n"},
-	{`\/`, `{"s":"https:\/\/a.example\/","f":"","d":"a.example","t":1,"v":"","g":0,"st":200}` + "\n"},
-	{`\ufffd`, `{"s":"https://a.example/","f":"","d":"a.example","t":1,"v":"","g":0,"st":200,"r":[["a.example","/\ufffd",200,1]]}` + "\n"},
-	{"-0", `{"s":"https://a.example/","f":"","d":"a.example","t":-0,"v":"","g":0,"st":200}` + "\n"},
-	{`"cfg":""`, `{"s":"https://a.example/","f":"","d":"a.example","t":1,"v":"","g":0,"cfg":"","st":200}` + "\n"},
-	{"uppercase hex", `{"s":"https://a.example/?a=1\u0026b=2","f":"","d":"a.example","t":1,"v":"","g":0,"st":200,"sh":"x \u003C y"}` + "\n"},
-	{"raw U+2028", "{\"s\":\"https://a.example/\",\"f\":\"\",\"d\":\"a.example\",\"t\":1,\"v\":\"\",\"g\":0,\"st\":200,\"sh\":\"a\u2028b\"}\n"},
-	{"missing final newline", `{"s":"https://a.example/","f":"","d":"a.example","t":1,"v":"","g":0,"st":200}`},
-	{"raw <", `{"s":"https://a.example/?q=<","f":"","d":"a.example","t":1,"v":"","g":0,"st":200}` + "\n"},
-	{`\u000a for \n`, `{"s":"https://a.example/","f":"","d":"a.example","t":1,"v":"","g":0,"st":200,"e":"a\u000ab"}` + "\n"},
-	{"16-digit integer", `{"s":"https://a.example/","f":"","d":"a.example","t":1,"v":"","g":0,"st":1234567890123456}` + "\n"},
+// nonCanonicalPath holds lines that decode but that Encode would not
+// have written, each with its departure from the canonical layout. The
+// analytics row fuzz target seeds from it too.
+const nonCanonicalPath = "testdata/noncanonical.json"
+
+// nonCanonical reads nonCanonicalPath.
+func nonCanonical(t testing.TB) []struct{ Why, Line string } {
+	t.Helper()
+	data, err := os.ReadFile(nonCanonicalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tcs []struct{ Why, Line string }
+	if err := json.Unmarshal(data, &tcs); err != nil {
+		t.Fatal(err)
+	}
+	return tcs
 }
 
 // TestCanonical: a line Encode wrote is certified and handed back as it
@@ -89,8 +93,8 @@ func TestCanonical(t *testing.T) {
 		}
 		check("encoded "+c.SeedURL, line, true)
 	}
-	for _, tc := range nonCanonical {
-		check(tc.why, []byte(tc.line), false)
+	for _, tc := range nonCanonical(t) {
+		check(tc.Why, []byte(tc.Line), false)
 	}
 }
 
@@ -152,8 +156,8 @@ func FuzzCanonicalKeys(f *testing.F) {
 	for _, line := range readGolden(f) {
 		f.Add(string(line))
 	}
-	for _, tc := range nonCanonical {
-		f.Add(tc.line)
+	for _, tc := range nonCanonical(f) {
+		f.Add(tc.Line)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		line := []byte(input)

@@ -183,9 +183,12 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		requests  atomic.Int64
 		nextBody  atomic.Int64
 		basisCnt  [3]atomic.Int64
-		firstErr  atomic.Value
-		wg        sync.WaitGroup
+		// firstErr is a pointer, not an atomic.Value: the errors
+		// stored differ in concrete type, which a Value refuses.
+		firstErr atomic.Pointer[error]
+		wg       sync.WaitGroup
 	)
+	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
 	latencies := make([][]time.Duration, cfg.Workers)
 
 	start := time.Now()
@@ -203,7 +206,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 				t0 := time.Now()
 				resp, err := client.Post(url, "application/x-ndjson", bytes.NewReader(lb.body))
 				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
+					fail(err)
 					return
 				}
 				if resp.StatusCode == http.StatusTooManyRequests {
@@ -215,16 +218,20 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 				}
 				if resp.StatusCode != http.StatusOK {
 					resp.Body.Close()
-					firstErr.CompareAndSwap(nil, fmt.Errorf("decision: batch returned %s", resp.Status))
+					fail(fmt.Errorf("decision: batch returned %s", resp.Status))
 					return
 				}
 				// Every answer line is exactly BatchAnswerLen bytes;
 				// carry keeps a partial line across reads since TCP
 				// chunking ignores line boundaries.
-				var n int64
-				carry := 0
-				for {
-					k, rerr := resp.Body.Read(respBuf[carry:])
+				var (
+					n     int64
+					carry int
+					rerr  error
+				)
+				for rerr == nil {
+					var k int
+					k, rerr = resp.Body.Read(respBuf[carry:])
 					k += carry
 					i := 0
 					for ; i+BatchAnswerLen <= k; i += BatchAnswerLen {
@@ -239,11 +246,21 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 						n++
 					}
 					carry = copy(respBuf, respBuf[i:k])
-					if rerr != nil {
-						break
-					}
 				}
 				resp.Body.Close()
+				// A batch counts only when every line was answered.
+				switch {
+				case rerr != io.EOF:
+					err = fmt.Errorf("decision: reading batch answers: %w", rerr)
+				case carry > 0:
+					err = fmt.Errorf("decision: batch answers end in a partial line of %d bytes", carry)
+				case n != int64(len(lb.queries)):
+					err = fmt.Errorf("decision: batch of %d lines got %d answers", len(lb.queries), n)
+				}
+				if err != nil {
+					fail(err)
+					return
+				}
 				latencies[w] = append(latencies[w], time.Since(t0))
 				decisions.Add(n)
 				requests.Add(1)
@@ -252,8 +269,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return nil, err
+	if err := firstErr.Load(); err != nil {
+		return nil, *err
 	}
 
 	var all []time.Duration

@@ -53,10 +53,10 @@ type ServerConfig struct {
 	// Cache sizes the compiled-form cache (zero values take the
 	// CacheConfig defaults).
 	Cache CacheConfig
-	// MaxInFlight / RequestTimeout parameterize the HTTP limiter
-	// (defaults 256 / 10s).
-	MaxInFlight    int
-	RequestTimeout time.Duration
+	// MaxInFlight bounds the requests served at once (default 256).
+	// The limiter sets no deadline: no handler here waits on anything
+	// a request context could cancel.
+	MaxInFlight int
 	// Registry / Tracer attach the obs surface; both optional.
 	Registry *obs.Registry
 	// Tracer records decision spans.
@@ -158,19 +158,13 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
 	s := &Server{
 		cache:    NewCache(cfg.Cache),
 		resolver: cfg.Resolver,
 		tracer:   cfg.Tracer,
 		start:    time.Now(),
 	}
-	s.limiter = resilience.NewHTTPLimiter(resilience.HTTPLimiterConfig{
-		MaxInFlight: cfg.MaxInFlight,
-		Timeout:     cfg.RequestTimeout,
-	})
+	s.limiter = resilience.NewHTTPLimiter(resilience.HTTPLimiterConfig{MaxInFlight: cfg.MaxInFlight})
 	if cfg.Registry != nil {
 		s.m = newServerMetrics(cfg.Registry, s)
 	}

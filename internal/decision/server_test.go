@@ -278,7 +278,11 @@ func TestBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const batches, perBatch = 350, 2 << 10
+	const batches, perBatch = 350, 512
+	// One P: a sync.Pool caches per P, so a goroutine moved to another
+	// P misses it and reallocates both 64 KiB buffers (374 B a batch
+	// over this run) though nothing regressed.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv, _ := testServer(t)
 	pop, err := GeneratePopulation(PopulationConfig{Seed: 3, Size: 300, MaxVLV: 20})
 	if err != nil {
@@ -420,5 +424,45 @@ func TestLoadDriver(t *testing.T) {
 	}
 	if vr.Mismatches != 0 {
 		t.Fatalf("%d mismatches vs naive: %s", vr.Mismatches, vr.FirstMismatch)
+	}
+}
+
+// TestRunLoadChecksEveryAnswer: a batch answered short, one whose
+// answers end in a partial line, and one whose body breaks off are
+// errors, not fewer decisions.
+func TestRunLoadChecksEveryAnswer(t *testing.T) {
+	pop, err := GeneratePopulation(PopulationConfig{Seed: 3, Size: 50, MaxVLV: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 16
+	answer := string(batchAnswers[BasisConsent])
+	for _, tc := range []struct {
+		name  string
+		serve func(w http.ResponseWriter)
+	}{
+		{"short batch", func(w http.ResponseWriter) {
+			io.WriteString(w, strings.Repeat(answer, batch-1))
+		}},
+		{"partial line", func(w http.ResponseWriter) {
+			io.WriteString(w, strings.Repeat(answer, batch-1)+answer[:4])
+		}},
+		{"broken body", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(batch*BatchAnswerLen))
+			io.WriteString(w, strings.Repeat(answer, batch/2))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				tc.serve(w)
+			}))
+			defer ts.Close()
+			res, err := RunLoad(LoadConfig{ServerURL: ts.URL, Population: pop, Workers: 1, Decisions: batch, BatchSize: batch, Bodies: 1})
+			if err == nil {
+				t.Fatalf("load run passed: %+v", res)
+			}
+			t.Log(err)
+		})
 	}
 }

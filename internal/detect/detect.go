@@ -112,6 +112,25 @@ func (d *Detector) DetectMask(c *capture.Capture) (first cmps.ID, mask uint32) {
 	return first, mask
 }
 
+// DetectHosts is DetectMask over a record's request hosts as the
+// capture store's key scan yields them (capturedb.Keys.Hosts): distinct
+// hosts in first-request order, so the first match and the mask are
+// the ones DetectMask finds over the requests they came from. It
+// allocates nothing; a stored record is classified from its keys,
+// without decoding it.
+func (d *Detector) DetectHosts(hosts [][]byte) (first cmps.ID, mask uint32) {
+	for _, h := range hosts {
+		if id, ok := d.byHost[string(h)]; ok {
+			if mask == 0 {
+				first = id
+			}
+			mask |= 1 << uint(id)
+		}
+	}
+	d.m.masked(first, mask)
+	return first, mask
+}
+
 // DetectOne returns the single detected CMP, or cmps.None. When
 // multiple match (0.01% of captures), the first in request order wins.
 func (d *Detector) DetectOne(c *capture.Capture) cmps.ID {

@@ -100,16 +100,21 @@ func TestDetectMask(t *testing.T) {
 	if _, mask := det.DetectMask(capWithHosts("x.com", 0, "cdn.jsdelivr.net")); mask != 0 {
 		t.Errorf("no-CMP capture: mask = %b, want 0", mask)
 	}
+	hosts := [][]byte{[]byte("www.example.com"), []byte("consent.cookiebot.com"), []byte("cdn.cookielaw.org")}
+	if f, m := det.DetectHosts(hosts); f != first || m != mask {
+		t.Errorf("DetectHosts = %v %b, want DetectMask's %v %b", f, m, first, mask)
+	}
 }
 
 // TestDetectionNoAllocs pins the allocation contract of the per-capture
-// hot path: DetectOne, DetectMask, and Detect on no-match captures must
-// not allocate (Record runs them under a shard lock for every capture).
+// hot path: DetectOne, DetectMask, DetectHosts, and Detect on no-match
+// captures must not allocate (Record runs them under a shard lock for every capture).
 func TestDetectionNoAllocs(t *testing.T) {
 	det := Default()
 	match := capWithHosts("example.com", 0,
 		"www.example.com", "www.google-analytics.com", "cdn.cookielaw.org")
 	miss := capWithHosts("example.com", 0, "www.example.com", "cdn.jsdelivr.net")
+	matchHosts := [][]byte{[]byte("www.example.com"), []byte("cdn.cookielaw.org")}
 	checks := []struct {
 		name string
 		fn   func()
@@ -119,6 +124,7 @@ func TestDetectionNoAllocs(t *testing.T) {
 		{"DetectMask/match", func() { det.DetectMask(match) }},
 		{"DetectMask/miss", func() { det.DetectMask(miss) }},
 		{"Detect/miss", func() { det.Detect(miss) }},
+		{"DetectHosts/match", func() { det.DetectHosts(matchHosts) }},
 	}
 	for _, c := range checks {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
