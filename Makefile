@@ -25,9 +25,10 @@ race:
 
 # Seeded fault-injection suite: retry completion under injected 5xx /
 # drop / anti-bot rates, byte-identical fault schedules across runs,
-# torn-write repair, and capd load shedding under saturation.
+# torn-write repair, capd load shedding under saturation, and a ring
+# whose storage nodes are killed and revived mid-ingest.
 chaos:
-	$(GO) test ./internal/resilience/... ./internal/crawler/ ./internal/capstore/ -run 'Chaos' -count=1
+	$(GO) test ./internal/resilience/... ./internal/crawler/ ./internal/capstore/ ./internal/capstore/replica/ -run 'Chaos' -count=1
 
 # The fleet's headline invariant (N workers, one crashing mid-lease =
 # the single-process store, byte for byte) at every scheduler width the

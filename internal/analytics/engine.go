@@ -54,7 +54,8 @@ type Engine struct {
 	shardCursors map[int]int64
 	cursor       int64
 
-	// gvlPoints is the static payload of the gvl view, computed once.
+	// gvlPoints is the static payload of the gvl view, shared by every
+	// engine of the same GVL config and never written.
 	gvlPoints []GVLViewPoint
 
 	// snaps caches serialized views; emptied by every fold and restore.
@@ -71,7 +72,7 @@ func NewEngine(cfg Config) *Engine {
 		presence:     analysis.NewPresenceFold(det),
 		coverage:     analysis.NewCoverageFold(),
 		shardCursors: make(map[int]int64),
-		gvlPoints:    buildGVLPoints(gvl.GenerateHistory(cfg.GVL)),
+		gvlPoints:    gvlPointsOf(cfg.GVL),
 		snaps:        make(map[string][]byte),
 	}
 	e.m = newMetrics(cfg.Registry, e)

@@ -2,8 +2,10 @@ package analytics
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
@@ -259,5 +261,37 @@ func TestEngineStateRejectsCursorMismatch(t *testing.T) {
 	}
 	if err := NewEngine(testConfig()).UnmarshalState(bad); err == nil {
 		t.Fatal("expected cursor/shard-sum mismatch to be rejected")
+	}
+}
+
+// TestEngineSharesGVLPoints: the gvl view's points are built once per
+// history config for the process, so every engine after the first
+// skips generating the history, and the view's bytes are those of a
+// freshly built history.
+func TestEngineSharesGVLPoints(t *testing.T) {
+	cfg := Config{GVL: gvl.HistoryConfig{Seed: 4242, Versions: 215, InitialVendors: 150, PeakVendors: 650}}
+	alloc := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		NewEngine(cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := alloc(), alloc()
+	t.Logf("first engine allocates %d bytes, second %d", first, second)
+	if second*100 >= first {
+		t.Errorf("a second engine allocates %d bytes, want under 1%% of the first's %d", second, first)
+	}
+
+	got, err := NewEngine(cfg).Snapshot(ViewGVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&GVLView{View: ViewGVL, Points: buildGVLPoints(gvl.GenerateHistory(cfg.GVL))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("gvl view from shared points differs from a fresh build:\n got %.200s\nwant %.200s", got, want)
 	}
 }

@@ -248,7 +248,7 @@ func (f *Follower) Sweep() (int64, error) {
 		if int64(have) <= cur {
 			continue
 		}
-		n, err := f.followShard(shard, int(cur), have-int(cur))
+		n, err := f.followShard(shard, int(cur))
 		applied += n
 		if err != nil {
 			f.updateLag()
@@ -268,10 +268,14 @@ func (f *Follower) updateLag() {
 	f.cfg.Engine.m.lagRecords.Set(float64(f.Lag()))
 }
 
-// followShard streams up to want records of one shard starting at
-// record index from, folding them in batches. Each line becomes a row
-// through one key scan; nothing on this path decodes a record.
-func (f *Follower) followShard(shard, from, want int) (int64, error) {
+// followShard streams one shard from record index from to the end of
+// the stream, folding the records in batches. Each line becomes a row
+// through one key scan; nothing on this path decodes a record. The
+// stream may hold records committed after Counts looked; they are
+// committed all the same, so folding them keeps the engine at a
+// committed cursor, and reading to the end lets an HTTP source keep
+// its connection.
+func (f *Follower) followShard(shard, from int) (int64, error) {
 	rc, err := f.cfg.Source.Stream(shard, from)
 	if err != nil {
 		return 0, err
@@ -289,7 +293,7 @@ func (f *Follower) followShard(shard, from, want int) (int64, error) {
 			rows = rows[:0]
 		}
 	}
-	for applied+int64(len(rows)) < int64(want) {
+	for {
 		line, err := rr.NextLine()
 		if err != nil {
 			flush()
@@ -310,8 +314,6 @@ func (f *Follower) followShard(shard, from, want int) (int64, error) {
 			flush()
 		}
 	}
-	flush()
-	return applied, nil
 }
 
 // Bootstrap folds everything the source currently has — the cold

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,7 +238,7 @@ func TestFollowShardReusesReader(t *testing.T) {
 	}
 	f := NewFollower(FollowerConfig{Source: linesSource{body}, Engine: NewEngine(testConfig())})
 	follow := func() {
-		if n, err := f.followShard(0, 0, 4); n != 4 || err != nil {
+		if n, err := f.followShard(0, 0); n != 4 || err != nil {
 			t.Fatalf("followShard: %d records, %v", n, err)
 		}
 	}
@@ -250,5 +254,56 @@ func TestFollowShardReusesReader(t *testing.T) {
 	t.Logf("a 4-record shard stream allocates %.0f bytes", b)
 	if b > 32<<10 {
 		t.Errorf("a 4-record shard stream allocates %.0f bytes, want under 32 KiB (no 64 KiB reader per stream)", b)
+	}
+}
+
+// TestClientSourceKeepsConnection: records keep arriving while a
+// follower sweeps, so each /segment stream holds more than the /stats
+// before it counted. The follower reads every stream to its end, and
+// sweep after sweep runs over one kept-alive connection to the node
+// instead of a new one per shard per sweep.
+func TestClientSourceKeepsConnection(t *testing.T) {
+	// Each stream's surplus is larger than a record reader's buffer,
+	// so stopping at the counted records would leave it unread.
+	const nshards, sweeps, perSweep, surplus = 3, 12, 20, 900
+	store, err := capstore.Create(t.TempDir(), nshards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var mu sync.Mutex
+	stored := 0
+	ingest := func(n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		fillStore(store, stored, stored+n)
+		stored += n
+	}
+	h := capstore.NewHandler(store)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/stats" {
+			ingest(surplus) // commits between the count and the stream
+		}
+	}))
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	eng := NewEngine(testConfig())
+	f := NewFollower(FollowerConfig{Source: ClientSource{Client: capstore.NewClient(srv.URL)}, Engine: eng})
+	for i := 0; i < sweeps; i++ {
+		ingest(perSweep)
+		if applied, err := f.Sweep(); err != nil || applied == 0 {
+			t.Fatalf("sweep %d: applied %d, err %v", i, applied, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("%d sweeps opened %d connections to the node, want 1", sweeps, n)
 	}
 }

@@ -180,7 +180,7 @@ func TestFollowAllocatesNothingPerRecord(t *testing.T) {
 	}
 	f := NewFollower(FollowerConfig{Source: linesSource{body}, Engine: NewEngine(testConfig())})
 	follow := func() {
-		if got, err := f.followShard(0, 0, n); got != n || err != nil {
+		if got, err := f.followShard(0, 0); got != n || err != nil {
 			t.Fatalf("followShard: %d records, %v", got, err)
 		}
 	}

@@ -8,6 +8,7 @@ package analytics
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -258,6 +259,21 @@ func purposeKeys(m map[int]int) map[string]int {
 		out[fmt.Sprintf("%d", p)] = n
 	}
 	return out
+}
+
+// gvlPoints memoizes buildGVLPoints per history config for the
+// process: a history is a pure function of its config, and the points
+// are only ever read, so every engine after the first of a config
+// skips generating the history.
+var gvlPoints sync.Map // gvl.HistoryConfig → []GVLViewPoint
+
+// gvlPointsOf returns the gvl view's points for cfg, built once.
+func gvlPointsOf(cfg gvl.HistoryConfig) []GVLViewPoint {
+	if pts, ok := gvlPoints.Load(cfg); ok {
+		return pts.([]GVLViewPoint)
+	}
+	pts, _ := gvlPoints.LoadOrStore(cfg, buildGVLPoints(gvl.GenerateHistory(cfg)))
+	return pts.([]GVLViewPoint)
 }
 
 func buildGVLPoints(h *gvl.History) []GVLViewPoint {

@@ -209,10 +209,10 @@ const (
 )
 
 // node is one storage node's delivery machinery. A single sender
-// goroutine drains queue in order — the only writer to the node's
-// /ingest, which is what preserves the canonical-prefix property
-// (repair runs inside the same goroutine, so it serializes against
-// live appends).
+// goroutine drains queue in order, its whole backlog per /ingest —
+// the only writer to the node's /ingest, which is what preserves the
+// canonical-prefix property (repair runs inside the same goroutine, so
+// it serializes against live appends).
 type node struct {
 	name string
 	cl   *capstore.Client
@@ -555,29 +555,31 @@ func (w *Writer) noteProgressLocked() {
 	w.progress = make(chan struct{})
 }
 
-// ackDelivery credits a delivered sub-batch against its commit's
-// quorum.
-func (w *Writer) ackDelivery(it item) {
-	if it.wait == nil {
-		return
-	}
+// ackDelivery credits each delivered sub-batch of run, in order,
+// against its commit's quorum.
+func (w *Writer) ackDelivery(run []item) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	wait := it.wait
-	for _, s := range it.shards {
-		if n := wait.need[s]; n > 0 {
-			wait.need[s] = n - 1
-			if n == 1 {
-				wait.remaining--
+	for _, it := range run {
+		wait := it.wait
+		if wait == nil {
+			continue
+		}
+		for _, s := range it.shards {
+			if n := wait.need[s]; n > 0 {
+				wait.need[s] = n - 1
+				if n == 1 {
+					wait.remaining--
+				}
 			}
 		}
-	}
-	if wait.remaining == 0 && !isClosedChan(wait.done) {
-		close(wait.done)
-		w.m.quorumSeconds.Observe(time.Since(wait.start).Seconds())
-		wait.span.End() // span brackets commit → write quorum
-		if wait.seq >= 0 {
-			delete(w.awaiting, wait.seq)
+		if wait.remaining == 0 && !isClosedChan(wait.done) {
+			close(wait.done)
+			w.m.quorumSeconds.Observe(time.Since(wait.start).Seconds())
+			wait.span.End() // span brackets commit → write quorum
+			if wait.seq >= 0 {
+				delete(w.awaiting, wait.seq)
+			}
 		}
 	}
 }
@@ -767,11 +769,26 @@ const (
 	workRevive
 )
 
-// dequeue blocks for the sender's next piece of work: a sub-batch to
-// deliver, a revival to probe for (the node is down-and-dirty with
-// nothing queued, so no delivery would otherwise trigger one), or
-// stop on close.
-func (n *node) dequeue() (item, senderWork) {
+// maxDeliveryBytes caps the lines one coalesced delivery carries, well
+// under the 64 MiB a node accepts in one /ingest body; a single
+// sub-batch larger than it still goes out alone.
+const maxDeliveryBytes = 4 << 20
+
+// size is the bytes of wire lines the sub-batch carries.
+func (it item) size() int {
+	n := 0
+	for _, line := range it.lines {
+		n += len(line)
+	}
+	return n
+}
+
+// dequeue blocks for the sender's next piece of work: a run of queued
+// sub-batches to deliver (the whole backlog, up to maxDeliveryBytes),
+// a revival to probe for (the node is down-and-dirty with nothing
+// queued, so no delivery would otherwise trigger one), or stop on
+// close.
+func (n *node) dequeue() ([]item, senderWork) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for len(n.queue) == 0 && !n.closed && !(n.st == nodeDown && n.dirty) {
@@ -783,21 +800,27 @@ func (n *node) dequeue() (item, senderWork) {
 	}
 	if len(n.queue) == 0 {
 		if n.closed {
-			return item{}, workStop
+			return nil, workStop
 		}
-		return item{}, workRevive
+		return nil, workRevive
 	}
-	it := n.queue[0]
-	n.queue = n.queue[1:]
+	k, size := 1, n.queue[0].size()
+	for ; k < len(n.queue); k++ {
+		if size += n.queue[k].size(); size > maxDeliveryBytes {
+			break
+		}
+	}
+	run := n.queue[:k:k]
+	n.queue = n.queue[k:]
 	n.sending = true
 	n.depth.Set(float64(len(n.queue)))
-	return it, workDeliver
+	return run, workDeliver
 }
 
 // run is the sender loop: the node's only writer.
 func (n *node) run() {
 	for {
-		it, work := n.dequeue()
+		run, work := n.dequeue()
 		switch work {
 		case workStop:
 			return
@@ -806,7 +829,7 @@ func (n *node) run() {
 				return
 			}
 		case workDeliver:
-			n.deliver(it)
+			n.deliver(run)
 			n.w.mu.Lock()
 			n.mu.Lock()
 			n.sending = false
@@ -823,9 +846,18 @@ func (n *node) state() (st nodeState, dirty bool) {
 	return n.st, n.dirty
 }
 
-// deliver pushes one sub-batch until it lands, the node goes dirty
-// (repair will supersede it), or the writer closes.
-func (n *node) deliver(it item) {
+// deliver pushes a run of sub-batches, their lines in canonical order
+// in one /ingest, until it lands, the node goes dirty (repair will
+// supersede it), or the writer closes. The node's ingest span joins
+// the trace of the run's first commit.
+func (n *node) deliver(run []item) {
+	lines := run[0].lines
+	if len(run) > 1 {
+		lines = nil
+		for _, it := range run {
+			lines = append(lines, it.lines...)
+		}
+	}
 	for {
 		if n.w.isClosed() {
 			return
@@ -841,10 +873,10 @@ func (n *node) deliver(it item) {
 				return
 			}
 		}
-		_, err := n.cl.RecordLinesTrace(it.tp, it.lines)
+		_, err := n.cl.RecordLinesTrace(run[0].tp, lines)
 		if err == nil {
-			n.noteSuccess(it)
-			n.w.ackDelivery(it)
+			n.noteSuccess(run)
+			n.w.ackDelivery(run)
 			return
 		}
 		var shed *capstore.ShedError
@@ -857,35 +889,40 @@ func (n *node) deliver(it item) {
 			time.Sleep(d)
 			continue
 		}
-		n.noteFailure(it)
+		n.noteFailure(run)
 	}
 }
 
-func (n *node) noteSuccess(it item) {
+func (n *node) noteSuccess(run []item) {
 	n.mu.Lock()
 	if n.st != nodeUp {
 		n.st = nodeUp
 		n.up.Set(1)
 	}
-	for _, d := range it.domains {
-		n.delivered[capstore.ShardOf(d, n.w.cfg.Shards)]++
+	for _, it := range run {
+		for _, d := range it.domains {
+			n.delivered[capstore.ShardOf(d, n.w.cfg.Shards)]++
+		}
 	}
 	n.mu.Unlock()
 }
 
-// noteFailure transitions the node down after a failed delivery of it.
-// On the up→down edge the durable hint log captures the failed item
-// and everything already queued — from here until revival (or
-// overflow) the log mirrors the node's entire delivery debt, so a
-// proxy crash mid-outage loses nothing that was only hinted.
-func (n *node) noteFailure(it item) {
+// noteFailure transitions the node down after a failed delivery of
+// run. On the up→down edge the durable hint log captures the run's
+// items and then everything still queued, in order — from here until
+// revival (or overflow) the log mirrors the node's entire delivery
+// debt, so a proxy crash mid-outage loses nothing that was only
+// hinted.
+func (n *node) noteFailure(run []item) {
 	n.probeAt = time.Now().Add(n.w.cfg.ProbeInterval)
 	n.mu.Lock()
 	if n.st != nodeDown {
 		n.st = nodeDown
 		n.up.Set(0)
 		if n.handoff != nil {
-			n.handoff.Append(it) //nolint:errcheck // best-effort durability for hints
+			for _, it := range run {
+				n.handoff.Append(it) //nolint:errcheck // best-effort durability for hints
+			}
 			for _, q := range n.queue {
 				n.handoff.Append(q) //nolint:errcheck
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/browser"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/simtime"
 	"repro/internal/socialfeed"
 	"repro/internal/webworld"
 )
@@ -277,20 +279,31 @@ func (w *Worker) heartbeat(ctx context.Context, grant *Frame, cancel context.Can
 	}
 }
 
-// CrawlItems drives items, in order, through a fresh single-worker
-// StreamPlatform over world and returns it once every item has reached
-// its terminal — the exact retry/politeness/vantage path of the
-// single-process pipeline, and the one definition of it: a worker runs
-// it per chunk, and the byte-identity references (the fleet tests'
-// baseline, cmd/smoke's) run it per window, so the reference cannot
-// drift from what a worker does. Every byte-affecting field of the
-// pipeline is derived from run; wiring carries only what is the
-// caller's own (Visitor, Tracer, TraceContext). Workers=1 makes the
-// sink receive captures in item order. Backoff timing is byte-neutral. A cancelled ctx stops submitting; what was
-// submitted still drains.
+// crawlBrowsers is how many browser goroutines crawl one CrawlItems
+// call. A lease's politeness waits and retry backoffs are sleeps, and
+// with one browser they ran one after another; with several, they
+// overlap other items' visits. 8 read the most fleet_pipeline
+// captures/s of 1, 4, 8, 16 and 32 on a 2-core machine. It is not a
+// knob: no byte depends on it.
+const crawlBrowsers = 8
+
+// CrawlItems drives items through a fresh StreamPlatform over world
+// and returns it once every item has reached its terminal — the exact
+// retry/politeness/vantage path of the single-process pipeline, and
+// the one definition of it: a worker runs it per chunk, and the
+// byte-identity references (the fleet tests' baseline, cmd/smoke's)
+// run it per window, so the reference cannot drift from what a worker
+// does. Every byte-affecting field of the pipeline is derived from
+// run; wiring carries only what is the caller's own (Visitor, Tracer,
+// TraceContext). The items are crawled by crawlBrowsers browsers at
+// once, and sink receives the captures in item order once the crawl
+// has drained. Vantage and retry jitter are keyed by (seed, url, day)
+// and politeness reserves a domain's slot before it waits, so neither
+// the browser count nor the schedule touches a byte. A cancelled ctx
+// stops submitting; what was submitted still drains.
 func CrawlItems(ctx context.Context, world *webworld.World, run RunConfig, wiring crawler.StreamConfig, items []WorkItem, sink capture.Sink) *crawler.StreamPlatform {
 	wiring.Seed = run.CrawlSeed
-	wiring.Workers = 1
+	wiring.Workers = crawlBrowsers
 	wiring.QueueDepth = len(items)
 	wiring.PerDomainDelay = time.Duration(run.PolitenessMS) * time.Millisecond
 	wiring.Retry = resilience.RetryPolicy{
@@ -301,10 +314,11 @@ func CrawlItems(ctx context.Context, world *webworld.World, run RunConfig, wirin
 		Jitter:      0.5,
 	}
 	p := crawler.NewStreamPlatform(world, wiring)
+	slots := newItemSlots(items)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.Run(context.Background(), sink)
+		p.Run(context.Background(), slots)
 	}()
 	for _, it := range items {
 		if err := p.Submit(ctx, it.Day, crawlShare(it)); err != nil {
@@ -313,7 +327,45 @@ func CrawlItems(ctx context.Context, world *webworld.World, run RunConfig, wirin
 	}
 	p.Close()
 	<-done
+	for _, c := range slots.caps {
+		if c != nil {
+			sink.Record(c)
+		}
+	}
 	return p
+}
+
+// itemSlots is the sink a concurrent crawl records into: each capture
+// takes the slot of the item it was crawled for, so the captures can
+// be released in item order whatever order the browsers finish in.
+// Items are told apart by (URL, day), the keys a capture carries, as
+// processChunk tells their outcomes apart; WorkFromFeed never repeats
+// a key, because the feed drops a URL shared again within two days.
+type itemSlots struct {
+	mu    sync.Mutex
+	index map[itemKey]int
+	caps  []*capture.Capture
+}
+
+type itemKey struct {
+	url string
+	day simtime.Day
+}
+
+func newItemSlots(items []WorkItem) *itemSlots {
+	s := &itemSlots{index: make(map[itemKey]int, len(items)), caps: make([]*capture.Capture, len(items))}
+	for i, it := range items {
+		s.index[itemKey{it.URL, it.Day}] = i
+	}
+	return s
+}
+
+// Record implements capture.Sink.
+func (s *itemSlots) Record(c *capture.Capture) {
+	i := s.index[itemKey{c.SeedURL, c.Day}]
+	s.mu.Lock()
+	s.caps[i] = c
+	s.mu.Unlock()
 }
 
 // processChunk crawls the chunk through CrawlItems; the captures slice
@@ -330,21 +382,21 @@ func (w *Worker) processChunk(ctx context.Context, grant *Frame, tctx obs.SpanCo
 	// reached exactly one terminal: a recorded capture or a dead-letter
 	// entry; items never submitted (cancellation) stay unaccounted,
 	// which is fine — a lost lease's results are discarded.
-	seqOf := make(map[string]int64, grant.N)
+	seqOf := make(map[itemKey]int64, grant.N)
 	for _, it := range grant.Items {
-		seqOf[it.URL+"\x1f"+it.Day.String()] = it.Seq
+		seqOf[itemKey{it.URL, it.Day}] = it.Seq
 	}
 	caps := sink.All()
 	results := make([]Result, 0, grant.N)
 	for _, c := range caps {
 		results = append(results, Result{
-			Seq:      seqOf[c.SeedURL+"\x1f"+c.Day.String()],
+			Seq:      seqOf[itemKey{c.SeedURL, c.Day}],
 			Captured: true,
 		})
 	}
 	for _, e := range p.DeadLetters().Entries() {
 		results = append(results, Result{
-			Seq:      seqOf[e.URL+"\x1f"+e.Day.String()],
+			Seq:      seqOf[itemKey{e.URL, e.Day}],
 			Attempts: e.Attempts,
 			Reason:   e.Reason,
 			Err:      e.LastErr,
